@@ -160,11 +160,6 @@ class SubspaceAdversary:
                 return v / norm
 
 
-def subspace_adversary(knowledge: SubspaceKnowledge) -> SubspaceAdversary:
-    """Adversary preloaded with subspace knowledge (no in-game learning)."""
-    return SubspaceAdversary(knowledge=knowledge)
-
-
 # ---------------------------------------------------------------------------
 # full-tomography adversary (privileged)
 
@@ -216,13 +211,6 @@ class TomographyAdversary:
         if self.reconstructed is None:
             raise InvalidQuantumObject("respond called before learn")
         return apply(self.reconstructed, challenge)
-
-
-def tomography_adversary(n: int, readout: PrivilegedReadout) -> TomographyAdversary:
-    """Constructor-style helper; ``n`` is the expected register width."""
-    if n < 1:
-        raise InvalidQuantumObject(f"qubits must be >= 1, got {n}")
-    return TomographyAdversary(readout)
 
 
 # ---------------------------------------------------------------------------

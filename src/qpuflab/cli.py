@@ -93,6 +93,8 @@ def _emit_rows(
 
 
 def _cmd_forge_sweep(args: argparse.Namespace) -> int:
+    if args.mu_steps < 1 or args.trials < 1:
+        raise QpufLabError("forge-sweep needs --mu-steps >= 1 and --trials >= 1")
     rng = np.random.default_rng(args.seed)
     header = ["mu", "mean_fidelity", "theory_bound", "p_succ_stage1", "trials"]
     rows: list[list[str]] = []
@@ -243,17 +245,21 @@ def _cmd_qe_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    argv: list[str] = [manifest["subcommand"]]
-    for key, value in sorted(manifest["flags"].items()):
+    try:
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        argv: list[str] = [manifest["subcommand"]]
+        flags = sorted(manifest["flags"].items())
+        out = args.out if args.out is not None else manifest["out"]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise QpufLabError(f"cannot replay {args.manifest}: {exc!r}") from None
+    for key, value in flags:
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    out = args.out if args.out is not None else manifest["out"]
     argv.extend(["--out", out])
     return main(argv)
 

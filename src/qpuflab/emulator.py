@@ -32,12 +32,7 @@ from .errors import (
     InvalidQuantumObject,
     PostSelectionFailure,
 )
-from .numerics import (
-    DensityMatrix,
-    StateVector,
-    UnitaryMatrix,
-    max_dim,
-)
+from .numerics import DensityMatrix, StateVector, max_dim
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -47,7 +42,6 @@ POST_SELECT_FLOOR = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 _MINUS = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
-_HGATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQRT2
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,43 +125,6 @@ class QeRunResult:
     fidelity_vs_target: float | None
 
 
-def reflection(phi: StateVector) -> np.ndarray:
-    """Householder reflection ``I - 2|phi><phi|`` as a raw matrix."""
-    amps = phi.amplitudes
-    return np.eye(phi.dim, dtype=np.complex128) - 2.0 * np.outer(amps, amps.conj())
-
-
-def controlled_reflection(phi: StateVector) -> UnitaryMatrix:
-    """Two-register gate: identity on control ``|0>``, reflection on ``|1>``.
-
-    Control qubit is the first tensor factor; the returned matrix acts on a
-    space of dimension ``2 * phi.dim``.
-    """
-    zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-    mat = np.kron(zero, np.eye(phi.dim)) + np.kron(one, reflection(phi))
-    return UnitaryMatrix(mat)
-
-
-def block_unitary(sample: StateVector, reference: StateVector) -> UnitaryMatrix:
-    """Stage-1 block as a (control x system) matrix.
-
-    Applies, right to left: reflection around the reference, Hadamard on the
-    control, reflection around the sample.  Conjugating the system factor by
-    any unitary ``U`` turns the block built from ``(sample, reference)`` into
-    the block built from ``(U sample, U reference)``.
-    """
-    if sample.dim != reference.dim:
-        raise DimensionMismatch("sample and reference dims differ")
-    h_on_control = np.kron(_HGATE, np.eye(sample.dim))
-    mat = (
-        controlled_reflection(sample).matrix
-        @ h_on_control
-        @ controlled_reflection(reference).matrix
-    )
-    return UnitaryMatrix(mat)
-
-
 def _controlled_reflect(joint: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
     """Reflect the system register on the ``|1>`` branch of one ancilla axis."""
     moved = np.moveaxis(joint, axis, -1).copy()
@@ -193,41 +150,27 @@ def _initial_joint(cfg: QeConfig, psi: StateVector) -> np.ndarray:
     return joint
 
 
-def run_stage1(
-    cfg: QeConfig, psi: StateVector
-) -> tuple[StateVector, list[StateVector]]:
-    """Exact joint state after all stage-1 blocks, plus per-block snapshots.
+def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
+    """Exact joint state after all stage-1 blocks.
 
-    The joint state lives on system x ancillas with one ancilla per block;
-    ancillas belonging to later blocks are still ``|->`` in earlier
-    snapshots.
+    The joint state lives on system x ancillas with one ancilla per block,
+    system register first.
     """
     if psi.dim != cfg.dim:
         raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
     ref = cfg.samples_in[cfg.reference_index].amplitudes
     joint = _initial_joint(cfg, psi)
-    snapshots: list[StateVector] = []
     for pos, sample_idx in enumerate(cfg.block_sample_indices):
         axis = 1 + pos
         joint = _controlled_reflect(joint, ref, axis)
         joint = _hadamard(joint, axis)
         joint = _controlled_reflect(joint, cfg.samples_in[sample_idx].amplitudes, axis)
-        snapshots.append(StateVector(joint.reshape(-1)))
-    return StateVector(joint.reshape(-1)), snapshots
+    return StateVector(joint.reshape(-1))
 
 
-def p_succ_stage1(joint: StateVector, reference: StateVector) -> float:
-    """Squared sandwich of the reference through the reduced system state.
-
-    Equals ``(<ref| Tr_anc |chi><chi| |ref>)**2``; the stage-2 measurement
-    passes with the square root of this value.
-    """
-    d = reference.dim
-    if joint.dim % d != 0:
-        raise DimensionMismatch(f"joint dim {joint.dim} not divisible by {d}")
-    mat = joint.amplitudes.reshape(d, -1)
-    weight = float(np.sum(np.abs(mat.conj().T @ reference.amplitudes) ** 2))
-    return weight**2
+def _system_vector(cfg: QeConfig, psi: StateVector, label: int) -> np.ndarray:
+    """Amplitudes of a closed-form system label."""
+    return psi.amplitudes if label == INPUT_LABEL else cfg.samples_in[label].amplitudes
 
 
 def stage1_closed_form(cfg: QeConfig, psi: StateVector) -> list[ClosedFormTerm]:
@@ -242,13 +185,10 @@ def stage1_closed_form(cfg: QeConfig, psi: StateVector) -> list[ClosedFormTerm]:
     if psi.dim != cfg.dim:
         raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
 
-    def vec(label: int) -> np.ndarray:
-        if label == INPUT_LABEL:
-            return psi.amplitudes
-        return cfg.samples_in[label].amplitudes
-
     def ip(a: int, b: int) -> complex:
-        return complex(np.vdot(vec(a), vec(b)))
+        return complex(
+            np.vdot(_system_vector(cfg, psi, a), _system_vector(cfg, psi, b))
+        )
 
     r = cfg.reference_index
     terms: dict[tuple[int, tuple[int, ...]], complex] = {(INPUT_LABEL, ()): 1.0 + 0j}
@@ -288,11 +228,7 @@ def closed_form_state(
     for t in terms:
         if len(t.ancilla_bits) != cfg.n_blocks:
             raise DimensionMismatch("term has wrong number of ancilla bits")
-        sys_vec = (
-            psi.amplitudes
-            if t.system_label == INPUT_LABEL
-            else cfg.samples_in[t.system_label].amplitudes
-        )
+        sys_vec = _system_vector(cfg, psi, t.system_label)
         joint[(slice(None),) + t.ancilla_bits] += t.coefficient * sys_vec
     return StateVector(joint.reshape(-1))
 
@@ -336,14 +272,16 @@ def run_full(
     Stage-2 handling:
 
     * ``cfg.post_select`` true (default): condition on the passing outcome
-      and record its probability.  Raises :class:`PostSelectionFailure` when
-      that probability is below ``POST_SELECT_FLOOR``.
+      and record its probability.
     * ``sample_stage2`` true: draw the outcome from ``rng`` instead; a failed
       draw aborts the run and reports the failure branch as-is (no restore
       stages), modeling a single physical execution without retries.
     * ``cfg.post_select`` false: no collapse; both branches are propagated
       through the restore stages and mixed, and ``output_mixed`` is the exact
       channel output.
+
+    In the first two modes a pass probability below ``POST_SELECT_FLOOR``
+    raises :class:`PostSelectionFailure`, which carries it as ``pass_prob``.
     """
     if sample_stage2 and rng is None:
         raise InvalidQuantumObject("sampling the stage-2 outcome requires an rng")
@@ -351,8 +289,7 @@ def run_full(
     ref_in = cfg.samples_in[cfg.reference_index].amplitudes
     ref_out = cfg.samples_out[cfg.reference_index].amplitudes
 
-    joint_sv, _ = run_stage1(cfg, psi)
-    joint = joint_sv.amplitudes.reshape((d,) + (2,) * cfg.n_blocks)
+    joint = run_stage1(cfg, psi).amplitudes.reshape((d,) + (2,) * cfg.n_blocks)
 
     # stage 2: measure the projector onto the reference (via an ancilla that
     # is never represented explicitly: outcome 0 projects, outcome 1 deflects)
@@ -373,24 +310,20 @@ def run_full(
         return fail / np.linalg.norm(fail)
 
     stage2_bit: int | None
-    if cfg.post_select and not sample_stage2:
+    if cfg.post_select or sample_stage2:
         if pass_prob < POST_SELECT_FLOOR:
             raise PostSelectionFailure(
-                f"stage-2 pass probability {pass_prob:.3e} is negligible"
+                f"stage-2 pass probability {pass_prob:.3e} is negligible",
+                pass_prob=pass_prob,
             )
-        stage2_bit = 0
-        rho_sys = _reduced_system(success_final(), d)
-    elif sample_stage2:
-        if pass_prob < POST_SELECT_FLOOR:
-            raise PostSelectionFailure(
-                f"stage-2 pass probability {pass_prob:.3e} is negligible"
-            )
-        if rng.random() < pass_prob:
-            stage2_bit = 0
-            rho_sys = _reduced_system(success_final(), d)
-        else:
+        # only a sampled run draws from the rng; a failed draw keeps the
+        # failure branch as-is
+        if sample_stage2 and not rng.random() < pass_prob:
             stage2_bit = 1
             rho_sys = _reduced_system(failure_joint(), d)
+        else:
+            stage2_bit = 0
+            rho_sys = _reduced_system(success_final(), d)
     else:
         # mixture mode: measured-but-unread stage 2, restore runs regardless
         stage2_bit = None

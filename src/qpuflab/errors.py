@@ -16,7 +16,7 @@ class DimensionMismatch(QpufLabError, ValueError):
 
 
 class DimensionCapExceeded(QpufLabError, ValueError):
-    """A requested object would exceed the configured simulation size cap."""
+    """A requested object would exceed the size cap, or the cap is malformed."""
 
 
 class InvalidQuantumObject(QpufLabError, ValueError):
@@ -28,7 +28,11 @@ class PreconditionViolation(QpufLabError, ValueError):
 
 
 class PostSelectionFailure(QpufLabError, RuntimeError):
-    """Post-selection was requested on an outcome of negligible probability."""
+    """Post-selection was requested on an outcome of negligible ``pass_prob``."""
+
+    def __init__(self, message: str, pass_prob: float | None = None) -> None:
+        super().__init__(message)
+        self.pass_prob = pass_prob
 
 
 class MuViolation(QpufLabError, ValueError):

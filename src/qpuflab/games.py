@@ -160,6 +160,8 @@ def run_game(
     A challenge that fails the mu-distinguishability rule is a protocol
     violation and raises :class:`MuViolation` rather than scoring a loss.
     """
+    if cfg.mode == QEX and not hasattr(adversary, "choose_challenge"):
+        raise InvalidQuantumObject("qex games need an adversary with choose_challenge")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     instance_seed = int(rng.integers(0, 2**63))

@@ -42,7 +42,11 @@ def max_dim() -> int:
 
     Configurable through the ``QPUF_MAX_DIM`` environment variable.
     """
-    return int(os.environ.get("QPUF_MAX_DIM", _DEFAULT_MAX_DIM))
+    raw = os.environ.get("QPUF_MAX_DIM")
+    try:
+        return _DEFAULT_MAX_DIM if raw is None else int(raw)
+    except ValueError:
+        raise DimensionCapExceeded(f"QPUF_MAX_DIM is not an integer: {raw!r}") from None
 
 
 def _frozen_array(values, shape_kind: str) -> np.ndarray:

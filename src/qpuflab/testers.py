@@ -11,10 +11,10 @@ Two test families:
   at least ``delta``.  This is the abstract test used by the security bounds;
   it upper-bounds anything a physical tester could do at the same threshold.
 
-Swap tests are sampled analytically (a Bernoulli draw at the exact pass
-probability).  ``swap_test_once`` can also build the Hadamard /
-controlled-SWAP / Hadamard circuit explicitly as a cross-check that the
-shortcut is faithful.
+``run_test`` samples swap tests analytically (a Bernoulli draw at the exact
+pass probability).  ``swap_test_once`` builds the Hadamard / controlled-SWAP
+/ Hadamard circuit explicitly, as a cross-check that the shortcut is
+faithful.
 """
 
 from __future__ import annotations
@@ -74,25 +74,13 @@ def swap_test_pass_prob(a: StateVector, b: StateVector) -> float:
     return 0.5 * (1.0 + fidelity_pure(a, b))
 
 
-def swap_test_once(
-    a: StateVector,
-    b: StateVector,
-    rng: np.random.Generator,
-    mode: str = "analytic",
-) -> bool:
-    """One swap test; True means the ancilla came out ``|0>`` (pass)."""
-    if mode == "analytic":
-        return bool(rng.random() < swap_test_pass_prob(a, b))
-    if mode == "circuit":
-        return _swap_test_circuit(a, b, rng)
-    raise InvalidQuantumObject(f"unknown swap test mode {mode!r}")
+def swap_test_once(a: StateVector, b: StateVector, rng: np.random.Generator) -> bool:
+    """One explicit-circuit swap test; True means the ancilla came out ``|0>``.
 
-
-def _swap_test_circuit(a: StateVector, b: StateVector, rng: np.random.Generator) -> bool:
-    """Explicit ancilla + controlled-SWAP circuit, sampled at the end."""
+    Builds the ancilla + controlled-SWAP circuit and samples it at the end.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
-    d = a.dim
     # ancilla |0>, Hadamard: equal superposition over control branches
     pair = np.multiply.outer(a.amplitudes, b.amplitudes)
     branches = np.stack([pair, pair]) / np.sqrt(2.0)
@@ -107,11 +95,6 @@ def _swap_test_circuit(a: StateVector, b: StateVector, rng: np.random.Generator)
 def expected_acceptance(fidelity: float, pairs: int) -> float:
     """All-pass acceptance probability ``((1 + F) / 2) ** pairs``."""
     return (0.5 * (1.0 + fidelity)) ** pairs
-
-
-def worst_case_error(pairs: int) -> float:
-    """Probability that orthogonal states pass the all-pass battery."""
-    return 0.5**pairs
 
 
 def run_test(

@@ -109,6 +109,23 @@ def haar_subspace_weight_check(
 # emulation circuit laws
 
 
+def _random_qe_config(
+    rng: np.random.Generator, n_choices: tuple[int, ...], k_choices: tuple[int, ...]
+) -> tuple[QeConfig, np.ndarray]:
+    """Random device + sample set + reference; returns (cfg, device matrix)."""
+    n = int(rng.choice(n_choices))
+    k = int(rng.choice(k_choices))
+    dim = 2**n
+    u = haar_unitary(dim, rng).matrix
+    samples_in = tuple(haar_state(dim, rng) for _ in range(k))
+    samples_out = tuple(StateVector(u @ s.amplitudes) for s in samples_in)
+    ref = int(rng.integers(k))
+    cfg = QeConfig(
+        samples_in=samples_in, samples_out=samples_out, reference_index=ref
+    )
+    return cfg, u
+
+
 def _random_qe_setup(
     rng: np.random.Generator,
     n_choices: tuple[int, ...] = (1, 2),
@@ -116,25 +133,15 @@ def _random_qe_setup(
     in_span_prob: float = 0.5,
 ) -> tuple[QeConfig, StateVector, StateVector]:
     """Random device + sample set + input; returns (cfg, psi, target)."""
-    n = int(rng.choice(n_choices))
-    k = int(rng.choice(k_choices))
-    dim = 2**n
-    u = haar_unitary(dim, rng)
-    samples_in = tuple(haar_state(dim, rng) for _ in range(k))
-    samples_out = tuple(
-        StateVector(u.matrix @ s.amplitudes) for s in samples_in
-    )
-    ref = int(rng.integers(k))
-    cfg = QeConfig(
-        samples_in=samples_in, samples_out=samples_out, reference_index=ref
-    )
+    cfg, u = _random_qe_config(rng, n_choices, k_choices)
+    k = len(cfg.samples_in)
     if rng.random() < in_span_prob:
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        vec = sum(c * s.amplitudes for c, s in zip(coeffs, samples_in))
+        vec = sum(c * s.amplitudes for c, s in zip(coeffs, cfg.samples_in))
         psi = StateVector(vec / np.linalg.norm(vec))
     else:
-        psi = haar_state(dim, rng)
-    target = StateVector(u.matrix @ psi.amplitudes)
+        psi = haar_state(cfg.dim, rng)
+    target = StateVector(u @ psi.amplitudes)
     return cfg, psi, target
 
 
@@ -180,7 +187,7 @@ def closed_form_check(trials: int, rng: np.random.Generator) -> CheckReport:
     margins: list[float] = []
     for _ in range(trials):
         cfg, psi, _ = _random_qe_setup(rng, k_choices=(2, 3, 4))
-        circuit, _ = run_stage1(cfg, psi)
+        circuit = run_stage1(cfg, psi)
         symbolic = closed_form_state(cfg, psi)
         margins.append(1e-9 - pure_state_distance_bound(circuit, symbolic))
     return _report("stage1-closed-form", margins)
@@ -195,45 +202,25 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
     """
     margins: list[float] = []
     for _ in range(trials):
-        n = int(rng.choice((2, 3)))
-        k = int(rng.choice((2, 3)))
-        dim = 2**n
-        if k >= dim:
-            k = dim - 1
-        u = haar_unitary(dim, rng)
-        samples_in = tuple(haar_state(dim, rng) for _ in range(k))
-        samples_out = tuple(
-            StateVector(u.matrix @ s.amplitudes) for s in samples_in
-        )
-        cfg = QeConfig(
-            samples_in=samples_in,
-            samples_out=samples_out,
-            reference_index=int(rng.integers(k)),
-        )
+        # at most 3 samples in D >= 4 leave a non-trivial complement
+        cfg, _ = _random_qe_config(rng, (2, 3), (2, 3))
         # draw the input from the orthogonal complement of the sample span
         # (project with the span projector -- the raw samples are not an
         # orthogonal family, so sequential Gram-Schmidt would be wrong)
-        proj = span_projector(samples_in).matrix
+        proj = span_projector(cfg.samples_in).matrix
         while True:
-            v = haar_state(dim, rng).amplitudes
+            v = haar_state(cfg.dim, rng).amplitudes
             v = v - proj @ v
             norm = float(np.linalg.norm(v))
             if norm > 1e-6:
                 break
         psi = StateVector(v / norm)
-        joint, _ = run_stage1(cfg, psi)
-        ref = cfg.samples_in[cfg.reference_index]
-        mat = joint.amplitudes.reshape(dim, -1)
-        p_succ = float(np.sum(np.abs(mat.conj().T @ ref.amplitudes) ** 2)) ** 2
-        raised = False
         try:
-            run_full(cfg, psi)
-        except PostSelectionFailure:
-            raised = True
-        margin = 1e-12 - p_succ
-        if not raised:
-            margin = min(margin, -1.0)
-        margins.append(margin)
+            res = run_full(cfg, psi)
+        except PostSelectionFailure as exc:
+            margins.append(1e-12 - exc.pass_prob**2)
+        else:
+            margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
     return _report("orthogonal-challenge-rejection", margins)
 
 

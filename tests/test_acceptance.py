@@ -165,7 +165,7 @@ def test_c05_closed_form_equals_circuit(announce):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(2, 4))
         cfg, psi, _ = _random_emulation_setup(rng, n, k, in_span=trial % 2 == 0)
-        circuit, _ = run_stage1(cfg, psi)
+        circuit = run_stage1(cfg, psi)
         symbolic = closed_form_state(cfg, psi)
         dist = pure_state_distance_bound(circuit, symbolic)
         worst = max(worst, dist)
@@ -206,7 +206,7 @@ def test_c05_closed_form_equals_circuit(announce):
         ClosedFormTerm(-2.0 * np.vdot(s_amp, psi.amplitudes), s_idx, (1,)),
         ClosedFormTerm(2.0 * np.vdot(s_amp, r_amp) * r_psi, s_idx, (1,)),
     ]
-    circuit, _ = run_stage1(cfg, psi)
+    circuit = run_stage1(cfg, psi)
     rebuilt = closed_form_state(cfg, psi, terms=five)
     assert pure_state_distance_bound(circuit, rebuilt) <= 1e-12
     announce(

@@ -31,8 +31,6 @@ from qpuflab import (
     qgen,
     run_forgery,
     run_game,
-    subspace_adversary,
-    tomography_adversary,
 )
 
 SEED = 5150
@@ -240,7 +238,7 @@ class TestSubspaceAdversary:
 
     def test_in_span_challenge_is_mapped_exactly(self):
         kn, u = self._knowledge()
-        adv = subspace_adversary(kn)
+        adv = SubspaceAdversary(knowledge=kn)
         challenge = StateVector(
             (basis(4, 0).amplitudes + 1j * basis(4, 1).amplitudes) / np.sqrt(2.0)
         )
@@ -250,7 +248,7 @@ class TestSubspaceAdversary:
 
     def test_out_of_span_weight_goes_to_the_complement(self):
         kn, u = self._knowledge()
-        adv = subspace_adversary(kn)
+        adv = SubspaceAdversary(knowledge=kn)
         challenge = StateVector(
             np.sqrt(0.5) * basis(4, 0).amplitudes + np.sqrt(0.5) * basis(4, 2).amplitudes
         )
@@ -260,7 +258,7 @@ class TestSubspaceAdversary:
 
     def test_fully_orthogonal_challenge_lands_in_the_complement(self):
         kn, _ = self._knowledge()
-        adv = subspace_adversary(kn)
+        adv = SubspaceAdversary(knowledge=kn)
         guess = adv.respond(basis(4, 3), np.random.default_rng(SEED))
         for b_out in kn.basis_out:
             overlap = abs(np.vdot(b_out.amplitudes, guess.amplitudes))
@@ -268,7 +266,7 @@ class TestSubspaceAdversary:
 
     def test_preloaded_knowledge_skips_learning(self):
         kn, _ = self._knowledge()
-        adv = subspace_adversary(kn)
+        adv = SubspaceAdversary(knowledge=kn)
         # an oracle that cannot be queried: learn must return without touching it
         poison = SealedOracle(lambda psi: (_ for _ in ()).throw(AssertionError))
         adv.learn(poison, 4, 0, np.random.default_rng(0))
@@ -311,14 +309,14 @@ class TestTomographyAdversary:
         assert state.amplitudes[0] == 1.0
 
     def test_refuses_insufficient_budget(self):
-        adv = tomography_adversary(2, PrivilegedReadout())
+        adv = TomographyAdversary(PrivilegedReadout())
         inst = qgen(QPufGenParams(qubits=2, seed=SEED))
         with pytest.raises(BudgetRefusal):
             adv.learn(device_oracle(inst), 4, 3, np.random.default_rng(0))
 
     def test_reconstruction_is_exact(self):
         inst = qgen(QPufGenParams(qubits=2, seed=SEED + 7))
-        adv = tomography_adversary(2, PrivilegedReadout())
+        adv = TomographyAdversary(PrivilegedReadout())
         adv.learn(device_oracle(inst), 4, 4, np.random.default_rng(0))
         np.testing.assert_allclose(
             adv.reconstructed.matrix, inst.unitary.matrix, atol=1e-12
@@ -330,7 +328,7 @@ class TestTomographyAdversary:
         )
 
     def test_respond_before_learn(self):
-        adv = tomography_adversary(2, PrivilegedReadout())
+        adv = TomographyAdversary(PrivilegedReadout())
         with pytest.raises(InvalidQuantumObject):
             adv.respond(basis(4, 0), np.random.default_rng(0))
 
@@ -343,10 +341,6 @@ class TestTomographyAdversary:
             seed=SEED,
         )
         est = estimate_win_rate(
-            cfg, lambda: tomography_adversary(2, PrivilegedReadout()), trials=20
+            cfg, lambda: TomographyAdversary(PrivilegedReadout()), trials=20
         )
         assert est.win_rate == 1.0
-
-    def test_register_width_validated(self):
-        with pytest.raises(InvalidQuantumObject):
-            tomography_adversary(0, PrivilegedReadout())

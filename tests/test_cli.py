@@ -270,6 +270,46 @@ class TestParser:
         capsys.readouterr()
 
 
+class TestExitCodes:
+    """Bad input exits 2 with an ``error:`` line, never 1 (audit violations)."""
+
+    def assert_usage_error(self, argv, capsys, needle):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert needle in err
+
+    def test_malformed_dimension_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("QPUF_MAX_DIM", "abc")
+        self.assert_usage_error(["qe-demo", "--qubits", "2"], capsys, "QPUF_MAX_DIM")
+
+    def test_replay_of_a_missing_manifest(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.manifest.json")
+        self.assert_usage_error(["replay", "--manifest", missing], capsys, missing)
+
+    def test_replay_of_a_manifest_without_subcommand(self, tmp_path, capsys):
+        empty = tmp_path / "empty.manifest.json"
+        empty.write_text("{}", encoding="utf-8")
+        self.assert_usage_error(
+            ["replay", "--manifest", str(empty)], capsys, "subcommand"
+        )
+
+    def test_forge_sweep_without_mu_steps(self, capsys):
+        self.assert_usage_error(
+            ["forge-sweep", "--qubits", "2", "--mu-steps", "0", "--trials", "1"],
+            capsys,
+            "mu-steps",
+        )
+
+    def test_forge_sweep_without_trials(self, capsys):
+        self.assert_usage_error(
+            ["forge-sweep", "--qubits", "2", "--mu-steps", "2", "--trials", "0"],
+            capsys,
+            "trials",
+        )
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")

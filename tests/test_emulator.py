@@ -1,9 +1,10 @@
 """Emulation circuit: gates, closed form, success law, and stage-2 modes.
 
 The oracles here are independent re-derivations: the block recursion is
-re-implemented with dense matrices, the closed-form coefficients are spelled
-out from the reflection algebra, and the success probability is computed
-from the reduced density matrix by hand.
+re-implemented with dense matrices (the gate builders below exist only for
+that), the closed-form coefficients are spelled out from the reflection
+algebra, and the success probability is computed from the reduced density
+matrix by hand.
 """
 
 import numpy as np
@@ -20,9 +21,7 @@ from qpuflab import (
     QPufInstance,
     StateVector,
     UnitaryMatrix,
-    block_unitary,
     closed_form_state,
-    controlled_reflection,
     fidelity_pure,
     haar_state,
     haar_unitary,
@@ -30,7 +29,6 @@ from qpuflab import (
     pure_state_distance_bound,
     qeval,
     qgen,
-    reflection,
     run_full,
     run_stage1,
     stage1_closed_form,
@@ -39,6 +37,35 @@ from qpuflab import (
 SEED = 977
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
+HGATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def reflection(phi):
+    """Householder reflection ``I - 2|phi><phi|`` as a raw matrix."""
+    amps = phi.amplitudes
+    return np.eye(phi.dim, dtype=np.complex128) - 2.0 * np.outer(amps, amps.conj())
+
+
+def controlled_reflection(phi):
+    """Identity on control ``|0>``, reflection on ``|1>``; control first."""
+    zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    return UnitaryMatrix(np.kron(zero, np.eye(phi.dim)) + np.kron(one, reflection(phi)))
+
+
+def block_unitary(sample, reference):
+    """Stage-1 block as a (control x system) matrix.
+
+    Applies, right to left: reflection around the reference, Hadamard on the
+    control, reflection around the sample.
+    """
+    h_on_control = np.kron(HGATE, np.eye(sample.dim))
+    mat = (
+        controlled_reflection(sample).matrix
+        @ h_on_control
+        @ controlled_reflection(reference).matrix
+    )
+    return UnitaryMatrix(mat)
 
 
 def basis(dim, i):
@@ -125,7 +152,7 @@ class TestStage1Circuit:
         cfg, psi, _ = random_config(rng, n=2, k=2)
         ref = cfg.samples_in[cfg.reference_index]
         sample = cfg.samples_in[cfg.block_sample_indices[0]]
-        joint, _ = run_stage1(cfg, psi)
+        joint = run_stage1(cfg, psi)
         # circuit layout is system-major; the block matrix is control-major
         got = joint.amplitudes.reshape(4, 2).T.reshape(-1)
         want = block_unitary(sample, ref).matrix @ np.kron(MINUS, psi.amplitudes)
@@ -135,12 +162,13 @@ class TestStage1Circuit:
         """Dense-matrix re-implementation of the per-block recursion.
 
         chi_i = [(I - R_ref) chi_{i-1} |0> + R_i (I + R_ref) chi_{i-1} |1>]/2
-        with operators kron-extended over the ancillas added so far.
+        with operators kron-extended over the ancillas added so far.  The
+        state after block i is the circuit output of the config holding only
+        the reference and the first i block samples.
         """
         rng = np.random.default_rng(SEED + 4)
         cfg, psi, _ = random_config(rng, n=2, k=3)
         ref = cfg.samples_in[cfg.reference_index].amplitudes
-        _, snapshots = run_stage1(cfg, psi)
 
         chi = psi.amplitudes
         dim = cfg.dim
@@ -155,12 +183,14 @@ class TestStage1Circuit:
             left = (grow - r_ref) @ chi
             right = r_smp @ (grow + r_ref) @ chi
             chi = 0.5 * (np.kron(left, e0) + np.kron(right, e1))
-            # later ancillas are still |-> in the snapshot
-            rest = np.ones(1)
-            for _ in range(cfg.n_blocks - 1 - pos):
-                rest = np.kron(rest, MINUS)
+            kept = sorted(cfg.block_sample_indices[: pos + 1] + (cfg.reference_index,))
+            prefix = QeConfig(
+                samples_in=tuple(cfg.samples_in[i] for i in kept),
+                samples_out=tuple(cfg.samples_out[i] for i in kept),
+                reference_index=kept.index(cfg.reference_index),
+            )
             np.testing.assert_allclose(
-                snapshots[pos].amplitudes, np.kron(chi, rest), atol=1e-10
+                run_stage1(prefix, psi).amplitudes, chi, atol=1e-10
             )
 
     def test_two_block_full_matrix_cross_check(self):
@@ -183,7 +213,7 @@ class TestStage1Circuit:
         full2 = perm.transpose(0, 2, 1, 3, 5, 4).reshape(4 * dim, 4 * dim)
         vec0 = np.kron(np.kron(psi.amplitudes, MINUS), MINUS)
         want = full2 @ (full1 @ vec0)
-        got, _ = run_stage1(cfg, psi)
+        got = run_stage1(cfg, psi)
         np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
     def test_input_validation(self):
@@ -270,7 +300,7 @@ class TestClosedForm:
     def test_matches_circuit(self, seed, k):
         rng = np.random.default_rng(1000 * seed + k)
         cfg, psi, _ = random_config(rng, n=1 + seed % 2, k=k, in_span=seed % 3 == 0)
-        circuit, _ = run_stage1(cfg, psi)
+        circuit = run_stage1(cfg, psi)
         symbolic = closed_form_state(cfg, psi)
         assert pure_state_distance_bound(circuit, symbolic) <= 1e-9
 
@@ -372,7 +402,7 @@ class TestOrthogonalInput:
             reference_index=0,
         )
         psi = basis(4, 2)
-        joint, _ = run_stage1(cfg, psi)
+        joint = run_stage1(cfg, psi)
         want = np.kron(psi.amplitudes, [0.0, 1.0])  # input (x) |1>
         np.testing.assert_allclose(joint.amplitudes, want, atol=1e-14)
         with pytest.raises(PostSelectionFailure):

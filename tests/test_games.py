@@ -212,6 +212,12 @@ class TestRunGame:
         with pytest.raises(MuViolation):
             run_game(ex_config(mu=0.5), EchoProbe(challenge_from_query=True))
 
+    def test_qex_adversary_without_challenge_rejected(self):
+        # Glutton overdraws its budget in learn, so reaching learn would
+        # raise BudgetExceeded instead: the check comes before learning
+        with pytest.raises(InvalidQuantumObject, match="choose_challenge"):
+            run_game(ex_config(mu=0.5), Glutton())
+
     def test_wrong_dimension_guess_rejected(self):
         with pytest.raises(InvalidQuantumObject):
             run_game(sel_config(), WrongDimGuess())

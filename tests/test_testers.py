@@ -14,7 +14,6 @@ from qpuflab import (
     run_test,
     swap_test_once,
     swap_test_pass_prob,
-    worst_case_error,
 )
 
 SEED = 3111
@@ -73,12 +72,12 @@ class TestPassProbability:
     def test_acceptance_battery_frozen_values(self):
         assert expected_acceptance(0.0, 5) == pytest.approx(0.03125)
         assert expected_acceptance(1.0, 20) == pytest.approx(1.0)
-        assert worst_case_error(5) == pytest.approx(0.03125)
-        assert worst_case_error(1) == pytest.approx(0.5)
+        assert expected_acceptance(0.0, 1) == pytest.approx(0.5)
 
     def test_worst_case_matches_zero_fidelity_acceptance(self):
+        # orthogonal states slip through an all-pass battery with 2**-c
         for c in (1, 3, 10):
-            assert worst_case_error(c) == pytest.approx(expected_acceptance(0.0, c))
+            assert expected_acceptance(0.0, c) == pytest.approx(0.5**c)
 
 
 class TestIdealTest:
@@ -130,7 +129,7 @@ class TestSwapTest:
             run_test(cfg, basis(2, 0), basis(2, 1), rng).accepted
             for _ in range(trials)
         )
-        p = worst_case_error(8)
+        p = expected_acceptance(0.0, 8)
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
 
@@ -166,7 +165,7 @@ class TestCircuitCrossCheck:
             b = HALF
         rng = np.random.default_rng(SEED + 3)
         trials = 20000
-        hits = sum(swap_test_once(a, b, rng, mode="circuit") for _ in range(trials))
+        hits = sum(swap_test_once(a, b, rng) for _ in range(trials))
         p = 0.5 * (1.0 + fidelity)
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / trials)
         assert abs(hits / trials - p) <= max(3 * sigma, 1e-9)
@@ -176,14 +175,10 @@ class TestCircuitCrossCheck:
         a, b = haar_state(4, rng), haar_state(4, rng)
         p = swap_test_pass_prob(a, b)
         trials = 20000
-        hits = sum(swap_test_once(a, b, rng, mode="circuit") for _ in range(trials))
+        hits = sum(swap_test_once(a, b, rng) for _ in range(trials))
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
 
     def test_circuit_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            swap_test_once(basis(2, 0), basis(4, 0), np.random.default_rng(0), mode="circuit")
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidQuantumObject):
-            swap_test_once(basis(2, 0), basis(2, 1), np.random.default_rng(0), mode="exact")
+            swap_test_once(basis(2, 0), basis(4, 0), np.random.default_rng(0))
