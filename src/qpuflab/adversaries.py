@@ -50,9 +50,6 @@ def _basis_state(dim: int, index: int) -> StateVector:
 class RandomGuesser:
     """No learning, Haar-random guess; the floor every bound must beat."""
 
-    def __init__(self) -> None:
-        self._dim: int | None = None
-
     def learn(
         self,
         oracle: SealedOracle,
@@ -60,10 +57,10 @@ class RandomGuesser:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        self._dim = dim
+        pass
 
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
-        return haar_state(self._dim if self._dim else challenge.dim, rng)
+        return haar_state(challenge.dim, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,8 @@ class TomographyAdversary:
 class ForgerPlan:
     """The two learning queries and the challenge of the emulation attack.
 
-    ``phi3`` (the challenge) is orthogonal to ``phi1``; ``phi2`` is their
+    ``phi1`` is ``|0>`` and ``phi3`` (the challenge) is ``|1>``; against a
+    Haar device every orthogonal pair is equivalent.  ``phi2`` is their
     superposition -- balanced for mu <= 1/2, else weighted so that
     ``F(phi3, phi2) = 1 - mu`` exactly.  ``alpha`` and ``beta`` are the
     overlaps of ``phi2`` with the challenge and with ``phi1``; they satisfy
@@ -247,17 +245,13 @@ def default_mu_margin(dim: int) -> float:
     return 0.5 / dim
 
 
-def make_forger_plan(
-    mu: float,
-    dim: int,
-    phi1: StateVector | None = None,
-    phi3: StateVector | None = None,
-    margin: float | None = None,
-) -> ForgerPlan:
+def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> ForgerPlan:
     """Build the forger's query/challenge states for a given mu.
 
-    Raises :class:`PreconditionViolation` when mu exceeds ``1 - margin``:
-    the attack's fidelity floor degenerates as mu -> 1, so a non-negligible
+    ``phi1`` is ``|0>`` and the challenge ``phi3`` is ``|1>`` of the
+    ``dim``-dimensional register.  Raises :class:`PreconditionViolation` when
+    mu exceeds ``1 - margin`` (default :func:`default_mu_margin`): the
+    attack's fidelity floor degenerates as mu -> 1, so a non-negligible
     margin is part of its contract.
     """
     if margin is None:
@@ -266,12 +260,8 @@ def make_forger_plan(
         raise PreconditionViolation(
             f"mu={mu} outside [0, 1 - margin] with margin {margin}"
         )
-    if phi1 is None:
-        phi1 = _basis_state(dim, 0)
-    if phi3 is None:
-        phi3 = _basis_state(dim, 1)
-    if phi1.dim != dim or phi3.dim != dim:
-        raise DimensionMismatch("plan states must match the declared dimension")
+    phi1 = _basis_state(dim, 0)
+    phi3 = _basis_state(dim, 1)
     if mu <= 0.5:
         weight = 0.5
     else:
@@ -310,19 +300,10 @@ class QeForger:
     branch; at mu <= 1/2 stage 2 passes with certainty.
     """
 
-    def __init__(
-        self,
-        mu: float,
-        phi1: StateVector | None = None,
-        phi3: StateVector | None = None,
-        margin: float | None = None,
-    ) -> None:
+    def __init__(self, mu: float) -> None:
         if not 0.0 <= mu <= 1.0:
             raise InvalidQuantumObject(f"mu={mu} outside [0, 1]")
         self._mu = mu
-        self._phi1 = phi1
-        self._phi3 = phi3
-        self._margin = margin
         self.plan: ForgerPlan | None = None
         self.last_result: QeRunResult | None = None
         self._responses: tuple[StateVector, StateVector] | None = None
@@ -334,9 +315,7 @@ class QeForger:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        self.plan = make_forger_plan(
-            self._mu, dim, phi1=self._phi1, phi3=self._phi3, margin=self._margin
-        )
+        self.plan = make_forger_plan(self._mu, dim)
         self._responses = (
             oracle.query(self.plan.phi1),
             oracle.query(self.plan.phi2),
@@ -354,9 +333,8 @@ class QeForger:
             samples_in=(self.plan.phi1, self.plan.phi2),
             samples_out=self._responses,
             reference_index=1,
-            post_select=True,
         )
-        self.last_result = run_full(cfg, challenge, rng=rng, sample_stage2=True)
+        self.last_result = run_full(cfg, challenge, rng=rng)
         return self.last_result.output_state
 
 
@@ -373,11 +351,7 @@ class ForgeryReport:
 
 
 def run_forgery(
-    instance: QPufInstance,
-    mu: float,
-    phi1: StateVector | None = None,
-    phi3: StateVector | None = None,
-    margin: float | None = None,
+    instance: QPufInstance, mu: float, margin: float | None = None
 ) -> ForgeryReport:
     """Run the emulation attack against a known device and audit it.
 
@@ -386,12 +360,11 @@ def run_forgery(
     achieved fidelity is measured against the true response to the
     challenge.
     """
-    plan = make_forger_plan(mu, instance.dim, phi1=phi1, phi3=phi3, margin=margin)
+    plan = make_forger_plan(mu, instance.dim, margin=margin)
     cfg = QeConfig(
         samples_in=(plan.phi1, plan.phi2),
         samples_out=(qeval(instance, plan.phi1), qeval(instance, plan.phi2)),
         reference_index=1,
-        post_select=True,
     )
     result = run_full(cfg, plan.phi3, target=qeval(instance, plan.phi3))
     return ForgeryReport(

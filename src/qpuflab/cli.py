@@ -253,6 +253,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         out = args.out if args.out is not None else manifest["out"]
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise QpufLabError(f"cannot replay {args.manifest}: {exc!r}") from None
+    if argv[0] == "replay":
+        raise QpufLabError(f"cannot replay {args.manifest}: it records a replay")
     for key, value in flags:
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
@@ -355,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise QpufLabError("seed must fit in an unsigned 64-bit integer")
         return args.func(args)
     except QpufLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

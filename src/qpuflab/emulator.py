@@ -15,9 +15,10 @@ exactly what the stage-2 measurement already does.
 
 Stage-1 blocks apply, controlled on the block's ancilla: a reflection around
 the reference, a Hadamard on the ancilla, then a reflection around the
-block's sample.  Stage 4 runs the blocks in reverse order *and* reverses the
-gate order inside each block (reflections and Hadamards are involutions, so
-this is the exact inverse circuit built from output states).
+block's sample.  Stage 4 runs the same blocks on the output samples in reverse
+order *and* reverses the gate order inside each block (reflections and
+Hadamards are involutions, so this is the exact inverse circuit built from
+output states).
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ _MINUS = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
 
 @dataclass(frozen=True, eq=False)
 class QeConfig:
-    """Sample set, its images, the reference choice, and the stage-2 policy."""
+    """Sample set, its images, and which sample is the reference."""
 
     samples_in: tuple[StateVector, ...]
     samples_out: tuple[StateVector, ...]
     reference_index: int
-    post_select: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples_in", tuple(self.samples_in))
@@ -109,17 +109,17 @@ class ClosedFormTerm:
 class QeRunResult:
     """Outcome of a full emulation run.
 
-    ``stage2_bit`` is the measured stage-2 outcome (0 = success) or ``None``
-    when no collapse happened (mixture mode).  ``output_state`` is the best
-    pure description of the system register (the principal eigenvector of
-    ``output_mixed``); it is exact whenever the reduced output is pure, as in
-    the perfect-forgery regime.  ``fidelity_vs_target`` is the sandwich
+    ``stage2_bit`` is the stage-2 outcome (0 = pass, 1 = fail; always 0 on a
+    conditioned run).  ``output_state`` is the best pure description of the
+    system register (the principal eigenvector of ``output_mixed``); it is
+    exact whenever the reduced output is pure, as in the perfect-forgery
+    regime.  ``fidelity_vs_target`` is the sandwich
     ``<target| output_mixed |target>`` when a target was supplied.
     """
 
     output_state: StateVector
     output_mixed: DensityMatrix
-    stage2_bit: int | None
+    stage2_bit: int
     p_succ_stage1: float
     stage2_pass_prob: float
     fidelity_vs_target: float | None
@@ -150,6 +150,32 @@ def _initial_joint(cfg: QeConfig, psi: StateVector) -> np.ndarray:
     return joint
 
 
+def _run_blocks(
+    joint: np.ndarray,
+    cfg: QeConfig,
+    samples: tuple[StateVector, ...],
+    reverse: bool = False,
+) -> np.ndarray:
+    """Apply the blocks built from ``samples`` (stage 1, or stage 4 reversed).
+
+    Each block is (axis, reflect around ``a``, Hadamard, reflect around
+    ``b``) with ``a`` the reference and ``b`` the block's sample;
+    ``reverse`` runs the blocks, and the steps inside each, backwards.
+    """
+    ref = samples[cfg.reference_index].amplitudes
+    blocks = [
+        (1 + pos, ref, samples[i].amplitudes)
+        for pos, i in enumerate(cfg.block_sample_indices)
+    ]
+    for axis, a, b in reversed(blocks) if reverse else blocks:
+        if reverse:
+            a, b = b, a
+        joint = _controlled_reflect(joint, a, axis)
+        joint = _hadamard(joint, axis)
+        joint = _controlled_reflect(joint, b, axis)
+    return joint
+
+
 def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
     """Exact joint state after all stage-1 blocks.
 
@@ -158,13 +184,7 @@ def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
     """
     if psi.dim != cfg.dim:
         raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
-    ref = cfg.samples_in[cfg.reference_index].amplitudes
-    joint = _initial_joint(cfg, psi)
-    for pos, sample_idx in enumerate(cfg.block_sample_indices):
-        axis = 1 + pos
-        joint = _controlled_reflect(joint, ref, axis)
-        joint = _hadamard(joint, axis)
-        joint = _controlled_reflect(joint, cfg.samples_in[sample_idx].amplitudes, axis)
+    joint = _run_blocks(_initial_joint(cfg, psi), cfg, cfg.samples_in)
     return StateVector(joint.reshape(-1))
 
 
@@ -233,20 +253,6 @@ def closed_form_state(
     return StateVector(joint.reshape(-1))
 
 
-def _stage4(joint: np.ndarray, cfg: QeConfig) -> np.ndarray:
-    """Time-reversed blocks built from the output samples."""
-    ref_out = cfg.samples_out[cfg.reference_index].amplitudes
-    for pos in reversed(range(cfg.n_blocks)):
-        axis = 1 + pos
-        sample_idx = cfg.block_sample_indices[pos]
-        joint = _controlled_reflect(
-            joint, cfg.samples_out[sample_idx].amplitudes, axis
-        )
-        joint = _hadamard(joint, axis)
-        joint = _controlled_reflect(joint, ref_out, axis)
-    return joint
-
-
 def _reduced_system(joint: np.ndarray, dim: int) -> np.ndarray:
     mat = joint.reshape(dim, -1)
     return mat @ mat.conj().T
@@ -265,26 +271,17 @@ def run_full(
     psi: StateVector,
     rng: np.random.Generator | None = None,
     target: StateVector | None = None,
-    sample_stage2: bool = False,
 ) -> QeRunResult:
     """Run all four stages and report the system register's output.
 
-    Stage-2 handling:
-
-    * ``cfg.post_select`` true (default): condition on the passing outcome
-      and record its probability.
-    * ``sample_stage2`` true: draw the outcome from ``rng`` instead; a failed
-      draw aborts the run and reports the failure branch as-is (no restore
-      stages), modeling a single physical execution without retries.
-    * ``cfg.post_select`` false: no collapse; both branches are propagated
-      through the restore stages and mixed, and ``output_mixed`` is the exact
-      channel output.
-
-    In the first two modes a pass probability below ``POST_SELECT_FLOOR``
-    raises :class:`PostSelectionFailure`, which carries it as ``pass_prob``.
+    Without an ``rng`` stage 2 is conditioned on the passing outcome and its
+    probability is recorded.  With one, the outcome is drawn from a single
+    ``rng.random()``: a failed draw aborts the run and reports the failure
+    branch as-is (no restore stages), modeling one physical execution
+    without retries.  Either way a pass probability below
+    ``POST_SELECT_FLOOR`` raises :class:`PostSelectionFailure`, which carries
+    it as ``pass_prob``, before anything is drawn.
     """
-    if sample_stage2 and rng is None:
-        raise InvalidQuantumObject("sampling the stage-2 outcome requires an rng")
     d = cfg.dim
     ref_in = cfg.samples_in[cfg.reference_index].amplitudes
     ref_out = cfg.samples_out[cfg.reference_index].amplitudes
@@ -296,56 +293,24 @@ def run_full(
     anc_overlap = np.tensordot(ref_in.conj(), joint, axes=(0, 0))
     pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
     pass_prob = min(max(pass_prob, 0.0), 1.0)
-    p_succ = pass_prob**2
+    if pass_prob < POST_SELECT_FLOOR:
+        raise PostSelectionFailure(
+            f"stage-2 pass probability {pass_prob:.3e} is negligible",
+            pass_prob=pass_prob,
+        )
 
-    def success_final() -> np.ndarray:
+    stage2_bit = 0 if rng is None or rng.random() < pass_prob else 1
+    if stage2_bit:
+        fail = joint - np.multiply.outer(ref_in, anc_overlap)
+        final = fail / np.linalg.norm(fail)
+    else:
         # post-stage-2 state is ref (x) Omega; stage 3 swaps in the output
         # reference, stage 4 restores the input's information from Omega
         omega = anc_overlap / np.sqrt(pass_prob)
-        return _stage4(np.multiply.outer(ref_out, omega), cfg)
-
-    def failure_joint() -> np.ndarray:
-        projected = np.multiply.outer(ref_in, anc_overlap)
-        fail = joint - projected
-        return fail / np.linalg.norm(fail)
-
-    stage2_bit: int | None
-    if cfg.post_select or sample_stage2:
-        if pass_prob < POST_SELECT_FLOOR:
-            raise PostSelectionFailure(
-                f"stage-2 pass probability {pass_prob:.3e} is negligible",
-                pass_prob=pass_prob,
-            )
-        # only a sampled run draws from the rng; a failed draw keeps the
-        # failure branch as-is
-        if sample_stage2 and not rng.random() < pass_prob:
-            stage2_bit = 1
-            rho_sys = _reduced_system(failure_joint(), d)
-        else:
-            stage2_bit = 0
-            rho_sys = _reduced_system(success_final(), d)
-    else:
-        # mixture mode: measured-but-unread stage 2, restore runs regardless
-        stage2_bit = None
-        rho_sys = np.zeros((d, d), dtype=np.complex128)
-        if pass_prob > 1e-15:
-            rho_sys += pass_prob * _reduced_system(success_final(), d)
-        if pass_prob < 1.0 - 1e-15:
-            # after the swap the system is the output reference; the old
-            # system register leaves with the swapped-out state, so only the
-            # ancilla correlations survive into stage 4
-            fail = failure_joint().reshape(d, -1)
-            rho_anc = fail.T @ fail.conj()
-            w, v = np.linalg.eigh(rho_anc)
-            acc = np.zeros((d, d), dtype=np.complex128)
-            for k in range(w.shape[0]):
-                if w[k] <= 1e-14:
-                    continue
-                omega = v[:, k].reshape((2,) * cfg.n_blocks)
-                final = _stage4(np.multiply.outer(ref_out, omega), cfg)
-                acc += float(w[k]) * _reduced_system(final, d)
-            rho_sys += (1.0 - pass_prob) * acc
-
+        final = _run_blocks(
+            np.multiply.outer(ref_out, omega), cfg, cfg.samples_out, reverse=True
+        )
+    rho_sys = _reduced_system(final, d)
     rho_sys = 0.5 * (rho_sys + rho_sys.conj().T)
     output_mixed = DensityMatrix(rho_sys / float(np.trace(rho_sys).real))
     fidelity = None
@@ -358,7 +323,7 @@ def run_full(
         output_state=_principal_state(output_mixed.matrix),
         output_mixed=output_mixed,
         stage2_bit=stage2_bit,
-        p_succ_stage1=p_succ,
+        p_succ_stage1=pass_prob**2,
         stage2_pass_prob=pass_prob,
         fidelity_vs_target=fidelity,
     )

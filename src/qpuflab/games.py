@@ -87,7 +87,12 @@ def _make_oracle(
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Mode, budget, test, and device generator for one game family."""
+    """Mode, budget, test, and device generator for one game family.
+
+    ``learning_budget`` may not exceed ``4 * gen.qubits**2``.  Only
+    ``gen.qubits`` is read: ``gen.seed`` is not, because ``run_game`` draws
+    each device's seed from the game's random stream, derived from ``seed``.
+    """
 
     mode: str
     gen: QPufGenParams
@@ -95,7 +100,6 @@ class GameConfig:
     learning_budget: int
     seed: int
     mu: float | None = None
-    budget_cap: int | None = None  # defaults to 4 * qubits**2
 
     def __post_init__(self) -> None:
         if self.mode not in (QEX, QSEL):
@@ -109,17 +113,11 @@ class GameConfig:
             raise InvalidQuantumObject("qsel mode takes no mu")
         if self.learning_budget < 0:
             raise InvalidQuantumObject("learning budget must be non-negative")
-        cap = self.effective_cap
+        cap = 4 * self.gen.qubits**2
         if self.learning_budget > cap:
             raise InvalidQuantumObject(
                 f"learning budget {self.learning_budget} exceeds cap {cap}"
             )
-
-    @property
-    def effective_cap(self) -> int:
-        if self.budget_cap is not None:
-            return self.budget_cap
-        return 4 * self.gen.qubits**2
 
 
 @dataclass(frozen=True, eq=False)

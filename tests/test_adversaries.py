@@ -65,13 +65,6 @@ class TestForgerPlan:
         plan = make_forger_plan(0.2, 4)
         assert plan.alpha == pytest.approx(plan.beta, abs=1e-12)
 
-    def test_custom_orthogonal_pair(self):
-        phi1 = StateVector(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
-        phi3 = StateVector(np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0))
-        plan = make_forger_plan(0.6, 4, phi1=phi1, phi3=phi3)
-        want = np.sqrt(0.6) * phi1.amplitudes + np.sqrt(0.4) * phi3.amplitudes
-        np.testing.assert_allclose(plan.phi2.amplitudes, want, atol=1e-12)
-
     def test_mu_cap_respects_margin(self):
         assert default_mu_margin(4) == pytest.approx(0.125)
         with pytest.raises(PreconditionViolation):
@@ -82,10 +75,6 @@ class TestForgerPlan:
     def test_negative_mu_rejected(self):
         with pytest.raises(PreconditionViolation):
             make_forger_plan(-0.05, 4)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            make_forger_plan(0.5, 4, phi1=basis(2, 0))
 
     def test_plan_invariants_enforced(self):
         with pytest.raises(InvalidQuantumObject):

@@ -309,6 +309,35 @@ class TestExitCodes:
             "trials",
         )
 
+    @pytest.mark.parametrize(
+        "subcommand",
+        [
+            ["verify-all"],
+            ["forge-sweep", "--qubits", "2", "--mu-steps", "1", "--trials", "1"],
+            ["game", "--mode", "qsel", "--adversary", "random", "--trials", "1"],
+            ["qe-demo", "--qubits", "2"],
+            ["selective-bound", "--qubits", "2", "--trials", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64(self, subcommand, seed, capsys):
+        self.assert_usage_error(
+            subcommand + ["--seed", str(seed)], capsys, "unsigned 64-bit"
+        )
+
+    def test_replay_of_a_replay_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        record = {
+            "subcommand": "replay",
+            "flags": {"manifest": str(manifest)},
+            "out": "x",
+        }
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        self.assert_usage_error(
+            ["replay", "--manifest", str(manifest)], capsys, "records a replay"
+        )
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -408,17 +408,6 @@ class TestOrthogonalInput:
         with pytest.raises(PostSelectionFailure):
             run_full(cfg, psi)
 
-    def test_mixture_mode_still_defined(self):
-        cfg = QeConfig(
-            samples_in=(basis(4, 0), basis(4, 1)),
-            samples_out=(basis(4, 1), basis(4, 0)),
-            reference_index=0,
-            post_select=False,
-        )
-        res = run_full(cfg, basis(4, 2))
-        assert res.stage2_bit is None
-        assert np.trace(res.output_mixed.matrix).real == pytest.approx(1.0)
-
 
 class TestStage2Modes:
     def _forger_setup(self, mu, margin=None, seed=60):
@@ -436,11 +425,6 @@ class TestStage2Modes:
         res = run_full(cfg, plan.phi3)
         assert res.stage2_bit == 0
 
-    def test_sampling_requires_rng(self):
-        cfg, plan, _ = self._forger_setup(0.6)
-        with pytest.raises(InvalidQuantumObject):
-            run_full(cfg, plan.phi3, sample_stage2=True)
-
     def test_sampling_sees_both_branches(self):
         cfg, plan, inst = self._forger_setup(0.9, margin=0.05)
         target = qeval(inst, plan.phi3)
@@ -452,24 +436,20 @@ class TestStage2Modes:
                 plan.phi3,
                 rng=np.random.default_rng(seed),
                 target=target,
-                sample_stage2=True,
             )
             bits.add(res.stage2_bit)
             fidelity_by_bit[res.stage2_bit] = res.fidelity_vs_target
         assert bits == {0, 1}  # pass prob 0.424: both outcomes show up
         assert fidelity_by_bit[0] > fidelity_by_bit[1]
 
-    def test_mixture_equals_success_when_pass_is_certain(self):
-        cfg, plan, inst = self._forger_setup(0.5)
-        mixed_cfg = QeConfig(
-            samples_in=cfg.samples_in,
-            samples_out=cfg.samples_out,
-            reference_index=1,
-            post_select=False,
-        )
-        res = run_full(mixed_cfg, plan.phi3, target=qeval(inst, plan.phi3))
-        assert res.stage2_bit is None
-        assert res.fidelity_vs_target == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("mu", [0.5, 0.9])
+    def test_sampling_draws_exactly_one_uniform(self, mu):
+        cfg, plan, _ = self._forger_setup(mu, margin=0.05)
+        rng = np.random.default_rng(61)
+        twin = np.random.default_rng(61)
+        run_full(cfg, plan.phi3, rng=rng)
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_no_target_reports_none(self):
         cfg, plan, _ = self._forger_setup(0.5)

@@ -141,14 +141,9 @@ class TestGameConfig:
             sel_config(budget=-1)
 
     def test_default_cap_is_quadratic_in_qubits(self):
-        assert sel_config(qubits=3).effective_cap == 36
+        assert sel_config(qubits=3, budget=36).learning_budget == 36
         with pytest.raises(InvalidQuantumObject):
             sel_config(qubits=2, budget=17)  # cap is 16
-
-    def test_cap_override(self):
-        cfg = sel_config(qubits=2, budget=17, budget_cap=32)
-        assert cfg.effective_cap == 32
-        assert cfg.learning_budget == 17
 
 
 class TestMuCheck:
