@@ -103,15 +103,11 @@ class SubspaceAdversary:
     Reading the challenge's amplitudes is the granted extra knowledge.
     """
 
-    def __init__(
-        self, d: int | None = None, knowledge: SubspaceKnowledge | None = None
-    ) -> None:
-        if (d is None) == (knowledge is None):
-            raise InvalidQuantumObject("pass exactly one of d or knowledge")
-        if d is not None and d < 0:
+    def __init__(self, d: int) -> None:
+        if d < 0:
             raise InvalidQuantumObject(f"subspace dimension {d} is negative")
         self._d = d
-        self.knowledge = knowledge
+        self.knowledge: SubspaceKnowledge | None = None
 
     def learn(
         self,
@@ -120,8 +116,6 @@ class SubspaceAdversary:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        if self.knowledge is not None:
-            return
         if self._d > dim:
             raise InvalidQuantumObject(f"subspace dim {self._d} exceeds space {dim}")
         basis_in = tuple(_basis_state(dim, i) for i in range(self._d))
@@ -252,10 +246,12 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
     ``dim``-dimensional register.  Raises :class:`PreconditionViolation` when
     mu exceeds ``1 - margin`` (default :func:`default_mu_margin`): the
     attack's fidelity floor degenerates as mu -> 1, so a non-negligible
-    margin is part of its contract.
+    margin is part of its contract.  A margin outside ``[0, 1]`` raises too.
     """
     if margin is None:
         margin = default_mu_margin(dim)
+    if not 0.0 <= margin <= 1.0:
+        raise PreconditionViolation(f"margin {margin} outside [0, 1]")
     if not 0.0 <= mu <= 1.0 - margin + 1e-12:
         raise PreconditionViolation(
             f"mu={mu} outside [0, 1 - margin] with margin {margin}"

@@ -45,8 +45,6 @@ def _write_with_manifest(args: argparse.Namespace, subcommand: str, text: str) -
     if args.out is None:
         sys.stdout.write(text)
         return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
     flags = {
         k: v
         for k, v in vars(args).items()
@@ -60,9 +58,14 @@ def _write_with_manifest(args: argparse.Namespace, subcommand: str, text: str) -
         "version": __version__,
         "out": args.out,
     }
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise QpufLabError(f"cannot write {args.out}: {exc}") from None
 
 
 def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -251,6 +254,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         argv: list[str] = [manifest["subcommand"]]
         flags = sorted(manifest["flags"].items())
         out = args.out if args.out is not None else manifest["out"]
+        if not isinstance(out, str):
+            raise TypeError(f"out must be a string, got {out!r}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise QpufLabError(f"cannot replay {args.manifest}: {exc!r}") from None
     if argv[0] == "replay":

@@ -2,8 +2,10 @@
 
 A device instance is a Haar-random unitary on ``2**qubits`` dimensions,
 addressed by an id derived from its generation seed.  Imperfect devices are
-modeled as a convex mixture of the ideal unitary with a strictly contractive
-branch (``EpsilonDisturbedChannel``).
+the epsilon-disturbed family ``(1 - eps) U rho U^dag + eps I/D``
+(``EpsilonDisturbedChannel``); the ideal device is its ``eps = 0`` member.
+Depolarizing noise of strength ``s`` applied after the unitary is the member
+at ``eps * s``, so one channel type covers both.
 
 Distance between two devices is measured in the diamond norm.  For unitary
 channels the diamond distance has a closed form (see ``uniqueness_distance``)
@@ -98,45 +100,16 @@ class RequirementThresholds:
             raise InvalidQuantumObject("delta_u may not exceed 1 - delta_r")
 
 
-@dataclass(frozen=True)
-class MaximallyMixedReplacer:
-    """Contractive branch that discards the input and outputs ``I/D``."""
-
-
-@dataclass(frozen=True)
-class Depolarizing:
-    """Contractive branch: the device unitary followed by depolarizing noise.
-
-    ``strength`` is the probability that the evolved state is replaced by the
-    maximally mixed state.  Applying the unitary first keeps the disturbed
-    device inside the same family as the replacer (with effective disturbance
-    ``epsilon * strength``), so the distance-contraction laws stay exact and
-    the replacer remains the extremal case.
-    """
-
-    strength: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.strength <= 1.0:
-            raise InvalidQuantumObject(
-                f"depolarizing strength {self.strength} outside (0, 1]"
-            )
-
-
-ContractivePart = Union[MaximallyMixedReplacer, Depolarizing]
-
-
 @dataclass(frozen=True, eq=False)
 class EpsilonDisturbedChannel:
-    """Device that acts ideally with probability ``1 - epsilon``.
+    """Device ``rho -> (1 - epsilon) U rho U^dag + epsilon I/D``.
 
-    With probability ``epsilon`` the strictly contractive branch acts
-    instead.  ``epsilon = 0`` recovers the ideal unitary device.
+    ``epsilon = 0`` recovers the ideal unitary device.  Depolarizing noise of
+    strength ``s`` after the unitary is the member at ``epsilon * s``.
     """
 
     epsilon: float
     unitary: UnitaryMatrix
-    contractive_part: ContractivePart
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
@@ -145,13 +118,6 @@ class EpsilonDisturbedChannel:
     @property
     def dim(self) -> int:
         return self.unitary.dim
-
-    @property
-    def effective_epsilon(self) -> float:
-        """Total weight on the maximally mixed replacement."""
-        if isinstance(self.contractive_part, Depolarizing):
-            return self.epsilon * self.contractive_part.strength
-        return self.epsilon
 
 
 def qgen(params: QPufGenParams) -> QPufInstance:
@@ -176,19 +142,16 @@ def channel_apply(channel: EpsilonDisturbedChannel, rho: DensityMatrix) -> Densi
         raise DimensionMismatch(f"channel dim {channel.dim} != state dim {rho.dim}")
     u = channel.unitary.matrix
     ideal = u @ rho.matrix @ u.conj().T
-    eff = channel.effective_epsilon
+    eps = channel.epsilon
     mixed = np.eye(rho.dim) / rho.dim
-    return DensityMatrix((1.0 - eff) * ideal + eff * mixed)
+    return DensityMatrix((1.0 - eps) * ideal + eps * mixed)
 
 
 def _device_output(
     device: Union[QPufInstance, EpsilonDisturbedChannel], rho: DensityMatrix
 ) -> DensityMatrix:
     if isinstance(device, QPufInstance):
-        u = device.unitary.matrix
-        if device.dim != rho.dim:
-            raise DimensionMismatch(f"device dim {device.dim} != state dim {rho.dim}")
-        return DensityMatrix(u @ rho.matrix @ u.conj().T)
+        device = EpsilonDisturbedChannel(0.0, device.unitary)
     return channel_apply(device, rho)
 
 

@@ -29,13 +29,7 @@ from .numerics import (
     sqrt_fidelity_mixed,
     trace_distance,
 )
-from .qpuf import (
-    Depolarizing,
-    EpsilonDisturbedChannel,
-    MaximallyMixedReplacer,
-    channel_apply,
-    check_collision,
-)
+from .qpuf import EpsilonDisturbedChannel, channel_apply, check_collision
 from .testers import TestConfig, expected_acceptance, run_test
 
 
@@ -251,16 +245,13 @@ def _random_pair(
 def _both_channels(
     epsilon: float, dim: int, rng: np.random.Generator
 ) -> tuple[EpsilonDisturbedChannel, ...]:
+    """The member at ``epsilon`` and, on the same unitary, the member at
+    ``epsilon * s``: depolarizing strength ``s`` drawn from [0.2, 1)."""
     u = haar_unitary(dim, rng)
+    strength = float(rng.uniform(0.2, 1.0))
     return (
-        EpsilonDisturbedChannel(
-            epsilon=epsilon, unitary=u, contractive_part=MaximallyMixedReplacer()
-        ),
-        EpsilonDisturbedChannel(
-            epsilon=epsilon,
-            unitary=u,
-            contractive_part=Depolarizing(strength=float(rng.uniform(0.2, 1.0))),
-        ),
+        EpsilonDisturbedChannel(epsilon, u),
+        EpsilonDisturbedChannel(epsilon * strength, u),
     )
 
 
@@ -269,9 +260,11 @@ def distance_contraction_check(
 ) -> CheckReport:
     """Trace distance shrinks by at most the disturbance fraction.
 
-    For every channel in the family: ``0 <= D_in - D_out <= eps * D_in``
-    (within 1e-8), with equality at ``eps * D_in`` for the full replacer --
-    the extremal member.  Audited on pure and mixed input pairs.
+    For every member at or below ``epsilon``: ``0 <= D_in - D_out <=
+    epsilon * D_in`` (within 1e-8), and each member contracts by exactly its
+    own weight, ``D_out = (1 - channel.epsilon) * D_in``.  The member at
+    ``epsilon`` is the extremal one: it meets the shrinkage bound with
+    equality.  Audited on pure and mixed input pairs.
     """
     margins: list[float] = []
     for t in range(trials):
@@ -284,8 +277,8 @@ def distance_contraction_check(
             gap = d_in - d_out
             margins.append(gap + 1e-8)  # contractivity
             margins.append(epsilon * d_in - gap + 1e-8)  # bounded shrinkage
-            eff = channel.effective_epsilon
-            margins.append(1e-8 - abs(d_out - (1.0 - eff) * d_in))  # exact law
+            exact = (1.0 - channel.epsilon) * d_in
+            margins.append(1e-8 - abs(d_out - exact))  # exact law
     return _report(
         "distance-contraction", margins, detail=f"eps={epsilon} D={dim}"
     )
@@ -296,12 +289,12 @@ def fidelity_disturbance_check(
 ) -> CheckReport:
     """Fidelity laws of the disturbed-device family.
 
-    Per input pair and channel: fidelity never decreases (both the squared
+    Per input pair and member: fidelity never decreases (both the squared
     and square-root conventions); the square-root fidelity of the outputs
-    dominates ``(1 - eps) * G_in`` (joint concavity applied to the channel
-    mixture); and on pure pairs the fidelity gain is at most
-    ``2 * eps_eff * D_in``.  The pure-pair restriction on the last law is
-    necessary: for ``rho = I/2`` vs a basis state on one qubit at
+    dominates ``(1 - epsilon) * G_in`` (joint concavity applied to the
+    channel mixture); and on pure pairs the fidelity gain is at most
+    ``2 * channel.epsilon * D_in``.  The pure-pair restriction on the last
+    law is necessary: for ``rho = I/2`` vs a basis state on one qubit at
     ``eps = 0.1`` the gain exceeds the bound in both conventions.
     """
     margins: list[float] = []
@@ -320,8 +313,8 @@ def fidelity_disturbance_check(
             margins.append(g_out - g_in + 1e-8)  # monotone, square root
             margins.append(g_out - (1.0 - epsilon) * g_in + 1e-8)  # concavity
             if not mixed:
-                eff = channel.effective_epsilon
-                margins.append(2.0 * eff * d_in - (f_out - f_in) + 1e-8)
+                bound = 2.0 * channel.epsilon * d_in
+                margins.append(bound - (f_out - f_in) + 1e-8)
     return _report(
         "fidelity-disturbance", margins, detail=f"eps={epsilon} D={dim}"
     )
@@ -410,11 +403,7 @@ def negative_control_check(trials: int, rng: np.random.Generator) -> CheckReport
     the harness itself is broken.
     """
     dim = 4
-    channel = EpsilonDisturbedChannel(
-        epsilon=0.5,
-        unitary=haar_unitary(dim, rng),
-        contractive_part=MaximallyMixedReplacer(),
-    )
+    channel = EpsilonDisturbedChannel(epsilon=0.5, unitary=haar_unitary(dim, rng))
     margins: list[float] = []
     for _ in range(trials):
         a = haar_state(dim, rng).amplitudes

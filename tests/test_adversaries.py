@@ -76,6 +76,12 @@ class TestForgerPlan:
         with pytest.raises(PreconditionViolation):
             make_forger_plan(-0.05, 4)
 
+    @pytest.mark.parametrize("margin", [-1.0, -1e-9, 1.5, float("nan")])
+    def test_margin_outside_unit_interval_rejected(self, margin):
+        # a negative margin would otherwise let mu > 1 through to sqrt(1 - mu)
+        with pytest.raises(PreconditionViolation, match="margin"):
+            make_forger_plan(0.5, 4, margin=margin)
+
     def test_plan_invariants_enforced(self):
         with pytest.raises(InvalidQuantumObject):
             ForgerPlan(
@@ -210,24 +216,20 @@ class TestSubspaceKnowledge:
 
 
 class TestSubspaceAdversary:
-    def _knowledge(self, dim=4, d=2, seed=SEED):
+    def _learned(self, dim=4, d=2, seed=SEED):
+        # learn |0>..|d-1> from a sealed Haar-device oracle
         u = haar_unitary(dim, np.random.default_rng(seed))
-        basis_in = tuple(basis(dim, i) for i in range(d))
-        basis_out = tuple(StateVector(u.matrix @ b.amplitudes) for b in basis_in)
-        return SubspaceKnowledge(dim=dim, basis_in=basis_in, basis_out=basis_out), u
+        adv = SubspaceAdversary(d=d)
+        oracle = SealedOracle(lambda psi: apply(u, psi))
+        adv.learn(oracle, dim, d, np.random.default_rng(seed))
+        return adv, u
 
     def test_exactly_one_construction_path(self):
-        kn, _ = self._knowledge()
-        with pytest.raises(InvalidQuantumObject):
-            SubspaceAdversary()
-        with pytest.raises(InvalidQuantumObject):
-            SubspaceAdversary(d=2, knowledge=kn)
         with pytest.raises(InvalidQuantumObject):
             SubspaceAdversary(d=-1)
 
     def test_in_span_challenge_is_mapped_exactly(self):
-        kn, u = self._knowledge()
-        adv = SubspaceAdversary(knowledge=kn)
+        adv, u = self._learned()
         challenge = StateVector(
             (basis(4, 0).amplitudes + 1j * basis(4, 1).amplitudes) / np.sqrt(2.0)
         )
@@ -236,8 +238,8 @@ class TestSubspaceAdversary:
         assert fidelity_pure(guess, want) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_span_weight_goes_to_the_complement(self):
-        kn, u = self._knowledge()
-        adv = SubspaceAdversary(knowledge=kn)
+        adv, _ = self._learned()
+        kn = adv.knowledge
         challenge = StateVector(
             np.sqrt(0.5) * basis(4, 0).amplitudes + np.sqrt(0.5) * basis(4, 2).amplitudes
         )
@@ -246,20 +248,11 @@ class TestSubspaceAdversary:
         assert in_image == pytest.approx(0.5, abs=1e-9)
 
     def test_fully_orthogonal_challenge_lands_in_the_complement(self):
-        kn, _ = self._knowledge()
-        adv = SubspaceAdversary(knowledge=kn)
+        adv, _ = self._learned()
         guess = adv.respond(basis(4, 3), np.random.default_rng(SEED))
-        for b_out in kn.basis_out:
+        for b_out in adv.knowledge.basis_out:
             overlap = abs(np.vdot(b_out.amplitudes, guess.amplitudes))
             assert overlap <= 1e-9
-
-    def test_preloaded_knowledge_skips_learning(self):
-        kn, _ = self._knowledge()
-        adv = SubspaceAdversary(knowledge=kn)
-        # an oracle that cannot be queried: learn must return without touching it
-        poison = SealedOracle(lambda psi: (_ for _ in ()).throw(AssertionError))
-        adv.learn(poison, 4, 0, np.random.default_rng(0))
-        assert adv.knowledge is kn
 
     def test_respond_before_learn(self):
         with pytest.raises(InvalidQuantumObject):

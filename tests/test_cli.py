@@ -338,6 +338,38 @@ class TestExitCodes:
             ["replay", "--manifest", str(manifest)], capsys, "records a replay"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qe-demo", "--qubits", "2", "--mu", "1.5", "--margin", "-1"],
+            ["forge-sweep", "--qubits", "2", "--mu-steps", "2", "--trials", "1",
+             "--margin", "-5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_margin_outside_unit_interval(self, argv, capsys):
+        self.assert_usage_error(argv, capsys, "margin")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--mode", "qsel", "--adversary", "random", "--trials", "2"],
+            ["verify-all", "--negative-control"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "x")
+        self.assert_usage_error(argv + ["--out", out], capsys, out)
+
+    def test_replay_of_a_manifest_with_non_string_out(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        record = {"subcommand": "qe-demo", "flags": {"qubits": 2}, "out": 5}
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        self.assert_usage_error(
+            ["replay", "--manifest", str(manifest)], capsys, "out must be a string"
+        )
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

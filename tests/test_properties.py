@@ -1,0 +1,104 @@
+"""Property tests: fidelity and trace-distance laws, and the disturbed family.
+
+Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
+the depolarizing strength; the states themselves come from a numpy generator
+seeded by a drawn integer, so every failure shrinks to a replayable seed.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qpuflab import (  # noqa: E402
+    DensityMatrix,
+    EpsilonDisturbedChannel,
+    StateVector,
+    channel_apply,
+    fidelity_mixed,
+    haar_state,
+    haar_unitary,
+    trace_distance,
+)
+
+# On a rank-one input fidelity_mixed sums the square roots of D - 1 round-off
+# eigenvalues (~1e-16 each, so ~1e-8 apiece); 1e-6 covers that at D <= 8.
+TOL = 1e-6
+
+PROPERTY = settings(max_examples=50, deadline=None)
+dims = st.integers(min_value=2, max_value=8)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+kinds = st.sampled_from(["pure", "mixed", "identical", "orthogonal"])
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _mixed(dim, rng):
+    rank = int(rng.integers(2, dim + 1))
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for w in rng.dirichlet(np.ones(rank)):
+        s = haar_state(dim, rng).amplitudes
+        acc += w * np.outer(s, s.conj())
+    return DensityMatrix(acc)
+
+
+def _pair(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        return _mixed(dim, rng), _mixed(dim, rng)
+    a = haar_state(dim, rng)
+    if kind == "identical":
+        b = a
+    elif kind == "orthogonal":
+        v = haar_state(dim, rng).amplitudes.copy()
+        v -= np.vdot(a.amplitudes, v) * a.amplitudes
+        b = StateVector(v / np.linalg.norm(v))
+    else:
+        b = haar_state(dim, rng)
+    return DensityMatrix.from_state(a), DensityMatrix.from_state(b)
+
+
+@PROPERTY
+@given(kind=kinds, dim=dims, seed=seeds)
+def test_fidelity_is_symmetric_and_in_unit_interval(kind, dim, seed):
+    rho, sigma = _pair(kind, dim, seed)
+    f = fidelity_mixed(rho, sigma)
+    assert -TOL <= f <= 1.0 + TOL
+    assert f == pytest.approx(fidelity_mixed(sigma, rho), abs=TOL)
+
+
+@PROPERTY
+@given(kind=kinds, dim=dims, seed=seeds)
+def test_fuchs_van_de_graaf(kind, dim, seed):
+    rho, sigma = _pair(kind, dim, seed)
+    f = min(max(fidelity_mixed(rho, sigma), 0.0), 1.0)
+    t = trace_distance(rho, sigma)
+    assert 1.0 - np.sqrt(f) - TOL <= t <= np.sqrt(1.0 - f) + TOL
+
+
+@PROPERTY
+@given(kind=kinds, dim=dims, seed=seeds, eps=unit)
+def test_channel_contracts_trace_distance_by_exactly_one_minus_epsilon(
+    kind, dim, seed, eps
+):
+    rho, sigma = _pair(kind, dim, seed)
+    u = haar_unitary(dim, np.random.default_rng(seed))
+    channel = EpsilonDisturbedChannel(eps, u)
+    t_out = trace_distance(channel_apply(channel, rho), channel_apply(channel, sigma))
+    assert t_out == pytest.approx((1.0 - eps) * trace_distance(rho, sigma), abs=1e-9)
+
+
+@PROPERTY
+@given(kind=kinds, dim=dims, seed=seeds, eps=unit, strength=unit)
+def test_depolarizing_after_the_unitary_is_the_member_at_eps_times_strength(
+    kind, dim, seed, eps, strength
+):
+    rho, _ = _pair(kind, dim, seed)
+    u = haar_unitary(dim, np.random.default_rng(seed))
+    ideal = u.matrix @ rho.matrix @ u.matrix.conj().T
+    mixed = np.eye(dim) / dim
+    depolarized = (1.0 - strength) * ideal + strength * mixed
+    by_hand = (1.0 - eps) * ideal + eps * depolarized
+    member = channel_apply(EpsilonDisturbedChannel(eps * strength, u), rho)
+    np.testing.assert_allclose(member.matrix, by_hand, atol=1e-12)

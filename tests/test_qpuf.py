@@ -8,11 +8,9 @@ import pytest
 
 from qpuflab import (
     DensityMatrix,
-    Depolarizing,
     DimensionMismatch,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
-    MaximallyMixedReplacer,
     PreconditionViolation,
     QPufGenParams,
     QPufInstance,
@@ -89,9 +87,7 @@ class TestDisturbedChannel:
     def test_epsilon_zero_is_unitary_conjugation(self):
         rng = np.random.default_rng(SEED)
         inst = qgen(QPufGenParams(qubits=2, seed=7))
-        ch = EpsilonDisturbedChannel(
-            epsilon=0.0, unitary=inst.unitary, contractive_part=MaximallyMixedReplacer()
-        )
+        ch = EpsilonDisturbedChannel(epsilon=0.0, unitary=inst.unitary)
         psi = haar_state(4, rng)
         out = channel_apply(ch, DensityMatrix.from_state(psi))
         np.testing.assert_allclose(
@@ -102,43 +98,39 @@ class TestDisturbedChannel:
 
     def test_full_replacement_is_maximally_mixed(self):
         inst = qgen(QPufGenParams(qubits=2, seed=8))
-        ch = EpsilonDisturbedChannel(
-            epsilon=1.0, unitary=inst.unitary, contractive_part=MaximallyMixedReplacer()
-        )
+        ch = EpsilonDisturbedChannel(epsilon=1.0, unitary=inst.unitary)
         out = channel_apply(ch, DensityMatrix(np.diag([1.0, 0, 0, 0])))
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_depolarizing_effective_weight(self):
+        # depolarizing strength 0.5 after an eps = 0.4 device: the member at 0.2
         inst = qgen(QPufGenParams(qubits=1, seed=9))
-        ch = EpsilonDisturbedChannel(
-            epsilon=0.4, unitary=inst.unitary, contractive_part=Depolarizing(0.5)
-        )
-        assert ch.effective_epsilon == pytest.approx(0.2)
+        ch = EpsilonDisturbedChannel(epsilon=0.2, unitary=inst.unitary)
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         u = inst.unitary.matrix
         want = 0.8 * (u @ rho.matrix @ u.conj().T) + 0.2 * np.eye(2) / 2
         np.testing.assert_allclose(channel_apply(ch, rho).matrix, want, atol=1e-12)
 
-    def test_depolarizing_strength_validation(self):
-        with pytest.raises(InvalidQuantumObject):
-            Depolarizing(0.0)
-        with pytest.raises(InvalidQuantumObject):
-            Depolarizing(1.5)
+    def test_epsilon_range_validation(self):
+        u = qgen(QPufGenParams(qubits=1, seed=9)).unitary
+        for bad in (-0.1, 1.5):
+            with pytest.raises(InvalidQuantumObject):
+                EpsilonDisturbedChannel(epsilon=bad, unitary=u)
+        for ok in (0.0, 1.0):
+            assert EpsilonDisturbedChannel(epsilon=ok, unitary=u).epsilon == ok
 
     def test_trace_distance_scaling_is_exact(self):
-        # the whole family contracts distances by exactly (1 - eff)
+        # the whole family contracts distances by exactly (1 - eps)
         rng = np.random.default_rng(SEED + 1)
         inst = qgen(QPufGenParams(qubits=2, seed=10))
-        for eps, part in ((0.3, MaximallyMixedReplacer()), (0.3, Depolarizing(0.7))):
-            ch = EpsilonDisturbedChannel(
-                epsilon=eps, unitary=inst.unitary, contractive_part=part
-            )
+        for eps in (0.3, 0.3 * 0.7):
+            ch = EpsilonDisturbedChannel(epsilon=eps, unitary=inst.unitary)
             a = DensityMatrix.from_state(haar_state(4, rng))
             b = DensityMatrix.from_state(haar_state(4, rng))
             d_in = trace_distance(a, b)
             d_out = trace_distance(channel_apply(ch, a), channel_apply(ch, b))
             np.testing.assert_allclose(
-                d_out, (1.0 - ch.effective_epsilon) * d_in, atol=1e-10
+                d_out, (1.0 - eps) * d_in, atol=1e-10
             )
 
 
@@ -174,9 +166,7 @@ class TestRequirementChecks:
         F = (2 sqrt(0.625 * 0.125) + 0.25)^2 in the common eigenbasis.
         """
         inst = qgen(QPufGenParams(qubits=2, seed=15))
-        ch = EpsilonDisturbedChannel(
-            epsilon=0.5, unitary=inst.unitary, contractive_part=MaximallyMixedReplacer()
-        )
+        ch = EpsilonDisturbedChannel(epsilon=0.5, unitary=inst.unitary)
         rho = DensityMatrix.from_state(basis(4, 0))
         sigma = DensityMatrix.from_state(basis(4, 1))
         expect = (2.0 * np.sqrt(0.625 * 0.125) + 0.25) ** 2
