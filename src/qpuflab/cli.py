@@ -254,6 +254,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         argv: list[str] = [manifest["subcommand"]]
         flags = sorted(manifest["flags"].items())
         out = args.out if args.out is not None else manifest["out"]
+        if not isinstance(argv[0], str):
+            raise TypeError(f"subcommand must be a string, got {argv[0]!r}")
         if not isinstance(out, str):
             raise TypeError(f"out must be a string, got {out!r}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:

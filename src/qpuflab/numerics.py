@@ -145,16 +145,6 @@ class Projector:
         return self.matrix.shape[0]
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product ``a (x) b``, used to attach ancilla registers."""
-    total = a.dim * b.dim
-    if total > max_dim():
-        raise DimensionCapExceeded(
-            f"tensor product dimension {total} exceeds cap {max_dim()}"
-        )
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
-
-
 def apply(u: UnitaryMatrix, psi: StateVector) -> StateVector:
     """Evolve ``psi`` by ``u``; norm is preserved by unitarity."""
     if u.dim != psi.dim:
@@ -201,30 +191,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatch(f"density dims differ: {rho.dim} vs {sigma.dim}")
     eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def partial_trace(
-    rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]
-) -> DensityMatrix:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` factorizes the space as a tensor product in register order and
-    ``keep`` lists the register indices that survive (in their original
-    order).
-    """
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(int(k) for k in keep)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatch(f"dims {dims} do not factor dimension {rho.dim}")
-    if any(k < 0 or k >= len(dims) for k in keep) or len(set(keep)) != len(keep):
-        raise DimensionMismatch(f"invalid keep choice {keep} for {len(dims)} registers")
-    n = len(dims)
-    tens = rho.matrix.reshape(dims + dims)
-    # contract each traced register's bra index with its ket index
-    for reg in sorted(set(range(n)) - set(keep), reverse=True):
-        tens = np.trace(tens, axis1=reg, axis2=reg + tens.ndim // 2)
-    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityMatrix(tens.reshape(kept, kept))
 
 
 def span_projector(states: Sequence[StateVector]) -> Projector:

@@ -1,4 +1,4 @@
-"""Unitary device model: generation, evaluation, and requirement checks.
+"""Unitary device model: generation, evaluation, and the collision check.
 
 A device instance is a Haar-random unitary on ``2**qubits`` dimensions,
 addressed by an id derived from its generation seed.  Imperfect devices are
@@ -14,9 +14,7 @@ so no semidefinite programming is needed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .errors import (
     PreconditionViolation,
 )
 from .numerics import (
-    CONSTRUCTION_TOL,
     DERIVED_TOL,
     DensityMatrix,
     StateVector,
@@ -74,30 +71,6 @@ class QPufInstance:
     @property
     def dim(self) -> int:
         return 2**self.qubits
-
-
-@dataclass(frozen=True)
-class RequirementThresholds:
-    """Robustness / uniqueness / collision thresholds for device audits.
-
-    ``delta_c`` and ``delta_u`` may not exceed ``1 - delta_r``: states that an
-    honest device must map indistinguishably cannot also be required to stay
-    distinguishable.
-    """
-
-    delta_r: float
-    delta_u: float
-    delta_c: float
-
-    def __post_init__(self) -> None:
-        for name in ("delta_r", "delta_u", "delta_c"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidQuantumObject(f"{name}={v} outside [0, 1]")
-        if self.delta_c > 1.0 - self.delta_r + CONSTRUCTION_TOL:
-            raise InvalidQuantumObject("delta_c may not exceed 1 - delta_r")
-        if self.delta_u > 1.0 - self.delta_r + CONSTRUCTION_TOL:
-            raise InvalidQuantumObject("delta_u may not exceed 1 - delta_r")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,36 +120,8 @@ def channel_apply(channel: EpsilonDisturbedChannel, rho: DensityMatrix) -> Densi
     return DensityMatrix((1.0 - eps) * ideal + eps * mixed)
 
 
-def _device_output(
-    device: Union[QPufInstance, EpsilonDisturbedChannel], rho: DensityMatrix
-) -> DensityMatrix:
-    if isinstance(device, QPufInstance):
-        device = EpsilonDisturbedChannel(0.0, device.unitary)
-    return channel_apply(device, rho)
-
-
-def check_robustness(
-    device: Union[QPufInstance, EpsilonDisturbedChannel],
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    delta_r: float,
-) -> bool:
-    """Do delta_r-indistinguishable inputs stay indistinguishable?
-
-    Precondition: ``F(rho, sigma) >= delta_r``; violating it raises rather
-    than silently reporting a pass/fail about the wrong regime.
-    """
-    f_in = fidelity_mixed(rho, sigma)
-    if f_in < delta_r - DERIVED_TOL:
-        raise PreconditionViolation(
-            f"inputs have fidelity {f_in:.6f} < delta_r={delta_r}"
-        )
-    f_out = fidelity_mixed(_device_output(device, rho), _device_output(device, sigma))
-    return f_out >= delta_r - DERIVED_TOL
-
-
 def check_collision(
-    device: Union[QPufInstance, EpsilonDisturbedChannel],
+    channel: EpsilonDisturbedChannel,
     rho: DensityMatrix,
     sigma: DensityMatrix,
     delta_c: float,
@@ -190,7 +135,7 @@ def check_collision(
         raise PreconditionViolation(
             f"inputs have fidelity {f_in:.6f} > 1 - delta_c = {1.0 - delta_c}"
         )
-    f_out = fidelity_mixed(_device_output(device, rho), _device_output(device, sigma))
+    f_out = fidelity_mixed(channel_apply(channel, rho), channel_apply(channel, sigma))
     return f_out <= 1.0 - delta_c + DERIVED_TOL
 
 
@@ -217,29 +162,3 @@ def uniqueness_distance(a: QPufInstance, b: QPufInstance) -> float:
         return 2.0
     width = 2.0 * np.pi - largest_gap
     return float(2.0 * np.sin(width / 2.0))
-
-
-def to_json(instance: QPufInstance) -> str:
-    """Serialize a device to JSON: id, qubit count, row-major [re, im] pairs."""
-    mat = instance.unitary.matrix
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-    return json.dumps(
-        {"id": instance.id, "n": instance.qubits, "unitary": rows},
-        sort_keys=True,
-    )
-
-
-def from_json(text: str) -> QPufInstance:
-    """Load a device from :func:`to_json` output, re-validating unitarity."""
-    obj = json.loads(text)
-    try:
-        n = int(obj["n"])
-        ident = str(obj["id"])
-        rows = obj["unitary"]
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidQuantumObject(f"malformed device JSON: {exc}") from exc
-    return QPufInstance(id=ident, qubits=n, unitary=UnitaryMatrix(mat))

@@ -69,11 +69,6 @@ class TestOutcome:
             raise InvalidQuantumObject("pass_count outside 0..pairs_run")
 
 
-def swap_test_pass_prob(a: StateVector, b: StateVector) -> float:
-    """Exact single-swap-test pass probability ``(1 + F) / 2``."""
-    return 0.5 * (1.0 + fidelity_pure(a, b))
-
-
 def swap_test_once(a: StateVector, b: StateVector, rng: np.random.Generator) -> bool:
     """One explicit-circuit swap test; True means the ancilla came out ``|0>``.
 
@@ -114,6 +109,6 @@ def run_test(
         accepted = fidelity_pure(target, guess) >= cfg.delta - 1e-12
         return TestOutcome(accepted=accepted, pass_count=int(accepted), pairs_run=1)
     c = cfg.pairs
-    p = swap_test_pass_prob(target, guess)
+    p = expected_acceptance(fidelity_pure(target, guess), 1)
     passes = int(np.count_nonzero(rng.random(c) < p))
     return TestOutcome(accepted=passes == c, pass_count=passes, pairs_run=c)

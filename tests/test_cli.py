@@ -363,12 +363,19 @@ class TestExitCodes:
         self.assert_usage_error(argv + ["--out", out], capsys, out)
 
     def test_replay_of_a_manifest_with_non_string_out(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        record = {"subcommand": "qe-demo", "flags": {"qubits": 2}, "out": 5}
-        manifest.write_text(json.dumps(record), encoding="utf-8")
-        self.assert_usage_error(
-            ["replay", "--manifest", str(manifest)], capsys, "out must be a string"
-        )
+        # a non-string subcommand is guarded the same way as a non-string out
+        bad = [
+            ({"subcommand": "qe-demo", "out": 5}, "out must be a string"),
+            ({"subcommand": 5, "out": "x"}, "subcommand must be a string"),
+            ({"subcommand": ["game"], "out": "x"}, "subcommand must be a string"),
+        ]
+        for fields, needle in bad:
+            manifest = tmp_path / "m.json"
+            record = {"flags": {"qubits": 2}, **fields}
+            manifest.write_text(json.dumps(record), encoding="utf-8")
+            self.assert_usage_error(
+                ["replay", "--manifest", str(manifest)], capsys, needle
+            )
 
 
 class TestConsoleScript:

@@ -1,8 +1,8 @@
 """Validation and metric oracles for the dense linear-algebra layer.
 
 Frozen expected values in this file are derived in-test from independent
-formulas (diagonal fidelity, Born-rule marginals), never from the functions
-under test.
+formulas (commuting-state fidelity, the pure-state trace-distance law, Haar
+moments), never from the functions under test.
 """
 
 import numpy as np
@@ -22,10 +22,8 @@ from qpuflab import (
     haar_state,
     haar_unitary,
     max_dim,
-    partial_trace,
     span_projector,
     sqrt_fidelity_mixed,
-    tensor,
     trace_distance,
 )
 
@@ -169,46 +167,6 @@ class TestTraceDistance:
         assert trace_distance(rho, sigma) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestPartialTrace:
-    def test_bell_state_marginals(self):
-        bell = state(1, 0, 0, 1)
-        rho = DensityMatrix.from_state(bell)
-        for keep in ((0,), (1,)):
-            red = partial_trace(rho, (2, 2), keep)
-            np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_marginals(self):
-        rng = np.random.default_rng(SEED + 4)
-        a, b = haar_state(2, rng), haar_state(3, rng)
-        rho = DensityMatrix.from_state(tensor(a, b))
-        np.testing.assert_allclose(
-            partial_trace(rho, (2, 3), (0,)).matrix,
-            DensityMatrix.from_state(a).matrix,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            partial_trace(rho, (2, 3), (1,)).matrix,
-            DensityMatrix.from_state(b).matrix,
-            atol=1e-12,
-        )
-
-    def test_three_registers_against_einsum(self):
-        rng = np.random.default_rng(SEED + 5)
-        psi = haar_state(8, rng)
-        rho = DensityMatrix.from_state(psi)
-        got = partial_trace(rho, (2, 2, 2), (0, 2))
-        tens = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
-        want = np.einsum("abcdbf->acdf", tens).reshape(4, 4)
-        np.testing.assert_allclose(got.matrix, want, atol=1e-12)
-
-    def test_invalid_keep_choices(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        with pytest.raises(DimensionMismatch):
-            partial_trace(rho, (2, 3), (0,))
-        with pytest.raises(DimensionMismatch):
-            partial_trace(rho, (2, 2), (0, 0))
-
-
 class TestSpanProjector:
     def test_duplicates_collapse(self):
         s = state(1, 1j, 0)
@@ -261,8 +219,6 @@ class TestHaarSampling:
         rng = np.random.default_rng(SEED)
         with pytest.raises(DimensionCapExceeded):
             haar_state(9, rng)
-        with pytest.raises(DimensionCapExceeded):
-            tensor(haar_state(4, rng), haar_state(4, rng))
 
 
 def test_apply_matches_matrix_product():

@@ -10,10 +10,10 @@ from qpuflab import (
     TestConfig,
     TestOutcome,
     expected_acceptance,
+    fidelity_pure,
     haar_state,
     run_test,
     swap_test_once,
-    swap_test_pass_prob,
 )
 
 SEED = 3111
@@ -60,14 +60,17 @@ class TestConfigValidation:
 
 class TestPassProbability:
     def test_orthogonal_states_pass_half_the_time(self):
-        assert swap_test_pass_prob(basis(2, 0), basis(2, 1)) == pytest.approx(0.5)
+        f = fidelity_pure(basis(2, 0), basis(2, 1))
+        assert expected_acceptance(f, 1) == pytest.approx(0.5)
 
     def test_identical_states_always_pass(self):
-        assert swap_test_pass_prob(basis(2, 0), basis(2, 0)) == pytest.approx(1.0)
+        f = fidelity_pure(basis(2, 0), basis(2, 0))
+        assert expected_acceptance(f, 1) == pytest.approx(1.0)
 
     def test_global_phase_is_invisible(self):
         rotated = StateVector(np.exp(1.37j) * basis(2, 0).amplitudes)
-        assert swap_test_pass_prob(basis(2, 0), rotated) == pytest.approx(1.0)
+        f = fidelity_pure(basis(2, 0), rotated)
+        assert expected_acceptance(f, 1) == pytest.approx(1.0)
 
     def test_acceptance_battery_frozen_values(self):
         assert expected_acceptance(0.0, 5) == pytest.approx(0.03125)
@@ -144,6 +147,23 @@ class TestSwapTest:
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
 
+    @pytest.mark.parametrize("pairs", [1, 5])
+    @pytest.mark.parametrize("guess", ["orthogonal", "half", "equal"])
+    def test_draws_one_uniform_per_pair(self, guess, pairs):
+        # the battery consumes exactly rng.random(pairs) and accepts only when
+        # every pair's uniform falls below the single-pair pass probability
+        b = {"orthogonal": basis(2, 1), "half": HALF, "equal": basis(2, 0)}[guess]
+        cfg = TestConfig(kind="swap", kappa1=pairs, kappa2=pairs)
+        p = expected_acceptance(fidelity_pure(basis(2, 0), b), 1)
+        for seed in range(20):
+            rng = np.random.default_rng(SEED + seed)
+            twin = np.random.default_rng(SEED + seed)
+            out = run_test(cfg, basis(2, 0), b, rng)
+            passes = twin.random(pairs) < p
+            assert out.pass_count == int(np.count_nonzero(passes))
+            assert out.accepted == bool(passes.all())
+            assert rng.random() == twin.random()
+
     def test_pass_count_bounded_by_pairs(self):
         cfg = TestConfig(kind="swap", kappa1=5, kappa2=3)
         out = run_test(cfg, basis(2, 0), basis(2, 1), np.random.default_rng(SEED))
@@ -173,7 +193,7 @@ class TestCircuitCrossCheck:
     def test_circuit_mode_on_random_states(self):
         rng = np.random.default_rng(SEED + 4)
         a, b = haar_state(4, rng), haar_state(4, rng)
-        p = swap_test_pass_prob(a, b)
+        p = expected_acceptance(fidelity_pure(a, b), 1)
         trials = 20000
         hits = sum(swap_test_once(a, b, rng) for _ in range(trials))
         sigma = np.sqrt(p * (1 - p) / trials)
