@@ -165,15 +165,23 @@ def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Computed through eigendecompositions rather than a matrix square root of
     the product, which keeps the result real and stable for near-singular
     inputs.  Reduces to :func:`fidelity_pure` on rank-one arguments.
+
+    Eigenvalues at or below ``1e-12`` times the largest are round-off and are
+    set to zero before any square root: the root of a 1e-16 residue is 1e-8,
+    which would push identical pure states past ``F = 1 + DERIVED_TOL``.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"density dims differ: {rho.dim} vs {sigma.dim}")
     w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
+    sqrt_rho = (v * np.sqrt(_drop_round_off(w))) @ v.conj().T
     inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    eigs = _drop_round_off(np.linalg.eigvalsh(inner))
     return float(np.sum(np.sqrt(eigs)) ** 2)
+
+
+def _drop_round_off(w: np.ndarray) -> np.ndarray:
+    """Zero the ascending eigenvalues ``w`` at or below 1e-12 of the largest."""
+    return np.where(w > 1e-12 * w[-1], w, 0.0)
 
 
 def sqrt_fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:

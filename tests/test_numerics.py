@@ -105,14 +105,16 @@ class TestFidelity:
         assert fidelity_pure(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_reduces_to_pure_on_rank_one(self):
+        # identical pairs too: round-off eigenvalues must not leak into F
         rng = np.random.default_rng(SEED)
-        for _ in range(10):
-            a, b = haar_state(4, rng), haar_state(4, rng)
-            f_pure = fidelity_pure(a, b)
-            f_mix = fidelity_mixed(
-                DensityMatrix.from_state(a), DensityMatrix.from_state(b)
-            )
-            np.testing.assert_allclose(f_mix, f_pure, atol=1e-10)
+        for dim in range(2, 9):
+            for _ in range(10):
+                a, b = haar_state(dim, rng), haar_state(dim, rng)
+                for x, y in ((a, b), (a, a)):
+                    f_mix = fidelity_mixed(
+                        DensityMatrix.from_state(x), DensityMatrix.from_state(y)
+                    )
+                    assert abs(f_mix - fidelity_pure(x, y)) <= 1e-12
 
     def test_commuting_diagonal_oracle(self):
         # for commuting states F = (sum_i sqrt(p_i q_i))^2
