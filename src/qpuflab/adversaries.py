@@ -234,22 +234,17 @@ class ForgerPlan:
             raise InvalidQuantumObject("challenge must be orthogonal to phi1")
 
 
-def default_mu_margin(dim: int) -> float:
-    """Margin keeping mu away from the trivial mu -> 1 endpoint: 1/(2 D)."""
-    return 0.5 / dim
-
-
 def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> ForgerPlan:
     """Build the forger's query/challenge states for a given mu.
 
     ``phi1`` is ``|0>`` and the challenge ``phi3`` is ``|1>`` of the
     ``dim``-dimensional register.  Raises :class:`PreconditionViolation` when
-    mu exceeds ``1 - margin`` (default :func:`default_mu_margin`): the
-    attack's fidelity floor degenerates as mu -> 1, so a non-negligible
-    margin is part of its contract.  A margin outside ``[0, 1]`` raises too.
+    mu exceeds ``1 - margin`` (default ``1 / (2 dim)``): the attack's
+    fidelity floor degenerates as mu -> 1, so a non-negligible margin is part
+    of its contract.  A margin outside ``[0, 1]`` raises too.
     """
     if margin is None:
-        margin = default_mu_margin(dim)
+        margin = 0.5 / dim
     if not 0.0 <= margin <= 1.0:
         raise PreconditionViolation(f"margin {margin} outside [0, 1]")
     if not 0.0 <= mu <= 1.0 - margin + 1e-12:
@@ -286,11 +281,20 @@ def forgery_fidelity_bound(mu: float) -> float:
     return (1.0 - mu) * (1.0 + 4.0 * mu * (1.0 - mu))
 
 
+def _principal_state(rho: np.ndarray) -> StateVector:
+    w, v = np.linalg.eigh(rho)
+    vec = v[:, -1]
+    pivot = int(np.argmax(np.abs(vec)))
+    vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
+    return StateVector(vec / np.linalg.norm(vec))
+
+
 class QeForger:
     """Existential-game adversary running the emulation circuit.
 
     Learning queries the plan's ``phi1`` and ``phi2``; the challenge is
-    ``phi3``; the guess is the circuit output with ``phi2`` as reference.
+    ``phi3``; the guess is the principal eigenvector of the circuit's output
+    (``phi2`` as reference), exact whenever that output is pure.
     The stage-2 measurement is sampled (one physical run, no retries), so on
     the weighted branch the guess occasionally comes from the failure
     branch; at mu <= 1/2 stage 2 passes with certainty.
@@ -331,7 +335,7 @@ class QeForger:
             reference_index=1,
         )
         self.last_result = run_full(cfg, challenge, rng=rng)
-        return self.last_result.output_state
+        return _principal_state(self.last_result.output_mixed.matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,7 +185,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
             raise QpufLabError("the random guesser plays the selective game")
         factory = RandomGuesser
         budget = 0
-    elif args.adversary == "tomography":
+    else:  # "tomography", the last of the parser's choices
         if args.mode != "qsel":
             raise QpufLabError("the tomography adversary plays the selective game")
         if not args.privileged:
@@ -195,8 +195,6 @@ def _cmd_game(args: argparse.Namespace) -> int:
         readout = PrivilegedReadout()
         factory = lambda: TomographyAdversary(readout)  # noqa: E731
         budget = 2**args.qubits
-    else:  # pragma: no cover - argparse restricts choices
-        raise QpufLabError(f"unknown adversary {args.adversary!r}")
 
     cfg = GameConfig(
         mode=args.mode,

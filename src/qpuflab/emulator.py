@@ -110,14 +110,11 @@ class QeRunResult:
     """Outcome of a full emulation run.
 
     ``stage2_bit`` is the stage-2 outcome (0 = pass, 1 = fail; always 0 on a
-    conditioned run).  ``output_state`` is the best pure description of the
-    system register (the principal eigenvector of ``output_mixed``); it is
-    exact whenever the reduced output is pure, as in the perfect-forgery
-    regime.  ``fidelity_vs_target`` is the sandwich
+    conditioned run).  ``output_mixed`` is the reduced state of the system
+    register.  ``fidelity_vs_target`` is the sandwich
     ``<target| output_mixed |target>`` when a target was supplied.
     """
 
-    output_state: StateVector
     output_mixed: DensityMatrix
     stage2_bit: int
     p_succ_stage1: float
@@ -258,14 +255,6 @@ def _reduced_system(joint: np.ndarray, dim: int) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def _principal_state(rho: np.ndarray) -> StateVector:
-    w, v = np.linalg.eigh(rho)
-    vec = v[:, -1]
-    pivot = int(np.argmax(np.abs(vec)))
-    vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
-    return StateVector(vec / np.linalg.norm(vec))
-
-
 def run_full(
     cfg: QeConfig,
     psi: StateVector,
@@ -320,7 +309,6 @@ def run_full(
         t = target.amplitudes
         fidelity = float(np.real(t.conj() @ output_mixed.matrix @ t))
     return QeRunResult(
-        output_state=_principal_state(output_mixed.matrix),
         output_mixed=output_mixed,
         stage2_bit=stage2_bit,
         p_succ_stage1=pass_prob**2,

@@ -67,9 +67,7 @@ class SealedOracle:
 
 
 def _make_oracle(
-    instance: QPufInstance,
-    budget: int,
-    log: list[tuple[StateVector, StateVector]],
+    instance: QPufInstance, budget: int, log: list[StateVector]
 ) -> SealedOracle:
     used = 0
 
@@ -79,7 +77,7 @@ def _make_oracle(
             raise BudgetExceeded(f"learning budget of {budget} queries exhausted")
         used += 1
         out = qeval(instance, psi)
-        log.append((psi, out))
+        log.append(psi)
         return out
 
     return SealedOracle(query)
@@ -122,19 +120,13 @@ class GameConfig:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Everything the challenger saw in one game."""
+    """One scored game: queries, challenge, outcome and the guess's fidelity."""
 
     queries: tuple[StateVector, ...]
-    responses: tuple[StateVector, ...]
     challenge: StateVector
-    guess: StateVector
     outcome_b: int
     fidelity_of_guess: float
     d_spanned: int
-
-    def __post_init__(self) -> None:
-        if len(self.queries) != len(self.responses):
-            raise InvalidQuantumObject("query/response logs are misaligned")
 
 
 def mu_check(
@@ -153,7 +145,7 @@ def run_game(
     adversary: AdversaryInterface,
     rng: np.random.Generator | None = None,
 ) -> Transcript:
-    """Play one game with a fresh device; returns the full transcript.
+    """Play one game with a fresh device; returns its transcript.
 
     A challenge that fails the mu-distinguishability rule is a protocol
     violation and raises :class:`MuViolation` rather than scoring a loss.
@@ -166,11 +158,10 @@ def run_game(
     instance = qgen(QPufGenParams(qubits=cfg.gen.qubits, seed=instance_seed))
     dim = instance.dim
 
-    log: list[tuple[StateVector, StateVector]] = []
+    log: list[StateVector] = []
     oracle = _make_oracle(instance, cfg.learning_budget, log)
     adversary.learn(oracle, dim, cfg.learning_budget, rng)
-    queries = tuple(q for q, _ in log)
-    responses = tuple(r for _, r in log)
+    queries = tuple(log)
 
     if cfg.mode == QEX:
         challenge = adversary.choose_challenge(rng)  # type: ignore[attr-defined]
@@ -191,9 +182,7 @@ def run_game(
     outcome = run_test(cfg.test, true_response, guess, rng)
     return Transcript(
         queries=queries,
-        responses=responses,
         challenge=challenge,
-        guess=guess,
         outcome_b=int(outcome.accepted),
         fidelity_of_guess=fidelity_pure(true_response, guess),
         d_spanned=span_projector(queries).rank if queries else 0,

@@ -12,9 +12,8 @@ Two test families:
   it upper-bounds anything a physical tester could do at the same threshold.
 
 ``run_test`` samples swap tests analytically (a Bernoulli draw at the exact
-pass probability).  ``swap_test_once`` builds the Hadamard / controlled-SWAP
-/ Hadamard circuit explicitly, as a cross-check that the shortcut is
-faithful.
+pass probability); the test suite cross-checks that shortcut against the
+explicit Hadamard / controlled-SWAP / Hadamard circuit.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ from .numerics import StateVector, fidelity_pure
 
 SWAP = "swap"
 IDEAL = "ideal"
+
+#: swap repetitions drawn per ``rng.random`` call, which bounds the memory
+#: of a battery; the uniforms are the same as from one draw of all of them
+_DRAW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,24 +72,6 @@ class TestOutcome:
             raise InvalidQuantumObject("pass_count outside 0..pairs_run")
 
 
-def swap_test_once(a: StateVector, b: StateVector, rng: np.random.Generator) -> bool:
-    """One explicit-circuit swap test; True means the ancilla came out ``|0>``.
-
-    Builds the ancilla + controlled-SWAP circuit and samples it at the end.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
-    # ancilla |0>, Hadamard: equal superposition over control branches
-    pair = np.multiply.outer(a.amplitudes, b.amplitudes)
-    branches = np.stack([pair, pair]) / np.sqrt(2.0)
-    # controlled swap of the two registers on the |1> branch
-    branches[1] = branches[1].T
-    # final Hadamard on the ancilla
-    out0 = (branches[0] + branches[1]) / np.sqrt(2.0)
-    p_zero = float(np.sum(np.abs(out0) ** 2))
-    return bool(rng.random() < p_zero)
-
-
 def expected_acceptance(fidelity: float, pairs: int) -> float:
     """All-pass acceptance probability ``((1 + F) / 2) ** pairs``."""
     return (0.5 * (1.0 + fidelity)) ** pairs
@@ -110,5 +95,8 @@ def run_test(
         return TestOutcome(accepted=accepted, pass_count=int(accepted), pairs_run=1)
     c = cfg.pairs
     p = expected_acceptance(fidelity_pure(target, guess), 1)
-    passes = int(np.count_nonzero(rng.random(c) < p))
+    passes = 0
+    for start in range(0, c, _DRAW_CHUNK):
+        draws = rng.random(min(_DRAW_CHUNK, c - start))
+        passes += int(np.count_nonzero(draws < p))
     return TestOutcome(accepted=passes == c, pass_count=passes, pairs_run=c)

@@ -13,7 +13,7 @@ exists to prove the harness can reject, and is only included on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,14 +45,7 @@ class CheckReport:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _report(name: str, margins: list[float], detail: str = "") -> CheckReport:
@@ -124,12 +117,11 @@ def _random_qe_setup(
     rng: np.random.Generator,
     n_choices: tuple[int, ...] = (1, 2),
     k_choices: tuple[int, ...] = (2, 3),
-    in_span_prob: float = 0.5,
 ) -> tuple[QeConfig, StateVector, StateVector]:
     """Random device + sample set + input; returns (cfg, psi, target)."""
     cfg, u = _random_qe_config(rng, n_choices, k_choices)
     k = len(cfg.samples_in)
-    if rng.random() < in_span_prob:
+    if rng.random() < 0.5:
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         vec = sum(c * s.amplitudes for c, s in zip(coeffs, cfg.samples_in))
         psi = StateVector(vec / np.linalg.norm(vec))
@@ -302,13 +294,13 @@ def fidelity_disturbance_check(
         mixed = bool(t % 2)
         rho, sigma = _random_pair(dim, rng, mixed=mixed)
         f_in = fidelity_mixed(rho, sigma)
-        g_in = sqrt_fidelity_mixed(rho, sigma)
+        g_in = float(np.sqrt(f_in))  # what sqrt_fidelity_mixed returns
         d_in = trace_distance(rho, sigma)
         for channel in _both_channels(epsilon, dim, rng):
             out_r = channel_apply(channel, rho)
             out_s = channel_apply(channel, sigma)
             f_out = fidelity_mixed(out_r, out_s)
-            g_out = sqrt_fidelity_mixed(out_r, out_s)
+            g_out = float(np.sqrt(f_out))
             margins.append(f_out - f_in + 1e-8)  # monotone, squared
             margins.append(g_out - g_in + 1e-8)  # monotone, square root
             margins.append(g_out - (1.0 - epsilon) * g_in + 1e-8)  # concavity

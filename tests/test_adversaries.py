@@ -21,7 +21,6 @@ from qpuflab import (
     TestConfig,
     TomographyAdversary,
     apply,
-    default_mu_margin,
     estimate_win_rate,
     fidelity_pure,
     forgery_fidelity_bound,
@@ -66,9 +65,10 @@ class TestForgerPlan:
         assert plan.alpha == pytest.approx(plan.beta, abs=1e-12)
 
     def test_mu_cap_respects_margin(self):
-        assert default_mu_margin(4) == pytest.approx(0.125)
+        # the default margin is 1 / (2 D), so at D = 4 the cap is 0.875
+        assert make_forger_plan(0.875, 4).mu == 0.875
         with pytest.raises(PreconditionViolation):
-            make_forger_plan(0.95, 4)  # default cap is 0.875
+            make_forger_plan(0.95, 4)
         plan = make_forger_plan(0.95, 4, margin=0.01)
         assert plan.mu == 0.95
 
@@ -163,6 +163,18 @@ class TestQeForger:
             forger.respond(basis(4, 1), np.random.default_rng(0))
         with pytest.raises(InvalidQuantumObject):
             forger.choose_challenge(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_balanced_guess_is_the_true_response(self, n):
+        # the circuit's output is pure at mu = 1/2, so its principal
+        # eigenvector is the device's response to the challenge
+        inst = qgen(QPufGenParams(qubits=n, seed=50 + n))
+        rng = np.random.default_rng(SEED + n)
+        forger = QeForger(0.5)
+        forger.learn(device_oracle(inst), inst.dim, 2, rng)
+        challenge = forger.choose_challenge(rng)
+        guess = forger.respond(challenge, rng)
+        assert fidelity_pure(guess, qeval(inst, challenge)) >= 1.0 - 1e-9
 
     def test_wins_every_game_at_balanced_mu(self):
         est = estimate_win_rate(

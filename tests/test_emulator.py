@@ -22,7 +22,6 @@ from qpuflab import (
     StateVector,
     UnitaryMatrix,
     closed_form_state,
-    fidelity_pure,
     haar_state,
     haar_unitary,
     make_forger_plan,
@@ -377,10 +376,6 @@ class TestPerfectRecovery:
         res = run_full(cfg, plan.phi3, target=qeval(inst, plan.phi3))
         assert res.p_succ_stage1 == pytest.approx(1.0, abs=1e-9)
         assert res.fidelity_vs_target == pytest.approx(1.0, abs=1e-9)
-        # the reduced output is pure here, so the principal state is exact
-        assert fidelity_pure(res.output_state, qeval(inst, plan.phi3)) == pytest.approx(
-            1.0, abs=1e-9
-        )
 
     def test_identity_device_round_trip(self):
         plan = make_forger_plan(0.5, 4)

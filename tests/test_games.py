@@ -265,15 +265,3 @@ class TestTranscriptRecord:
             "b": transcript.outcome_b,
             "fidelity_of_guess": transcript.fidelity_of_guess,
         }
-
-    def test_misaligned_logs_rejected(self):
-        with pytest.raises(InvalidQuantumObject):
-            Transcript(
-                queries=(basis(2, 0),),
-                responses=(),
-                challenge=basis(2, 0),
-                guess=basis(2, 0),
-                outcome_b=0,
-                fidelity_of_guess=0.0,
-                d_spanned=1,
-            )

@@ -1,5 +1,7 @@
 """Equality-test behavior: exact pass laws, thresholds, and the circuit path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from qpuflab import (
     fidelity_pure,
     haar_state,
     run_test,
-    swap_test_once,
 )
 
 SEED = 3111
@@ -26,6 +27,19 @@ def basis(dim, i):
 
 
 HALF = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))  # fidelity 1/2 vs |0>
+
+
+def swap_test_once(a, b, rng):
+    """One explicit-circuit swap test; True means the ancilla came out ``|0>``."""
+    # ancilla |0>, Hadamard: equal superposition over control branches
+    pair = np.multiply.outer(a.amplitudes, b.amplitudes)
+    branches = np.stack([pair, pair]) / np.sqrt(2.0)
+    # controlled swap of the two registers on the |1> branch
+    branches[1] = branches[1].T
+    # final Hadamard on the ancilla
+    out0 = (branches[0] + branches[1]) / np.sqrt(2.0)
+    p_zero = float(np.sum(np.abs(out0) ** 2))
+    return bool(rng.random() < p_zero)
 
 
 class TestConfigValidation:
@@ -147,11 +161,12 @@ class TestSwapTest:
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
 
-    @pytest.mark.parametrize("pairs", [1, 5])
+    @pytest.mark.parametrize("pairs", [1, 5, 2**16 + 3])
     @pytest.mark.parametrize("guess", ["orthogonal", "half", "equal"])
     def test_draws_one_uniform_per_pair(self, guess, pairs):
         # the battery consumes exactly rng.random(pairs) and accepts only when
-        # every pair's uniform falls below the single-pair pass probability
+        # every pair's uniform falls below the single-pair pass probability;
+        # 2**16 + 3 pairs are drawn in more than one call
         b = {"orthogonal": basis(2, 1), "half": HALF, "equal": basis(2, 0)}[guess]
         cfg = TestConfig(kind="swap", kappa1=pairs, kappa2=pairs)
         p = expected_acceptance(fidelity_pure(basis(2, 0), b), 1)
@@ -163,6 +178,24 @@ class TestSwapTest:
             assert out.pass_count == int(np.count_nonzero(passes))
             assert out.accepted == bool(passes.all())
             assert rng.random() == twin.random()
+
+    def test_large_battery_draws_in_bounded_memory(self):
+        # 10**7 uniforms in one array would take 80 MB
+        pairs = 10**7
+        cfg = TestConfig(kind="swap", kappa1=pairs, kappa2=pairs)
+        rng = np.random.default_rng(SEED)
+        twin = np.random.default_rng(SEED)
+        tracemalloc.start()
+        try:
+            out = run_test(cfg, basis(2, 0), HALF, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert out.pairs_run == pairs
+        # one float64 uniform takes one step of the bit generator
+        twin.bit_generator.advance(pairs)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_pass_count_bounded_by_pairs(self):
         cfg = TestConfig(kind="swap", kappa1=5, kappa2=3)
@@ -198,7 +231,3 @@ class TestCircuitCrossCheck:
         hits = sum(swap_test_once(a, b, rng) for _ in range(trials))
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
-
-    def test_circuit_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            swap_test_once(basis(2, 0), basis(4, 0), np.random.default_rng(0))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qpuflab import numerics, verify
 from qpuflab import (
     CheckReport,
     StateVector,
@@ -79,6 +80,23 @@ class TestIndividualChecks:
     def test_fidelity_disturbance(self):
         rep = fidelity_disturbance_check(0.3, 4, 40, np.random.default_rng(SEED + 7))
         assert rep.passed
+
+    def test_fidelity_disturbance_runs_three_fidelities_per_trial(
+        self, monkeypatch
+    ):
+        # F_in, then F_out per channel; the square roots reuse them.  The
+        # numerics patch counts any call made through sqrt_fidelity_mixed.
+        calls = []
+        real = numerics.fidelity_mixed
+
+        def counted(rho, sigma):
+            calls.append(1)
+            return real(rho, sigma)
+
+        monkeypatch.setattr(verify, "fidelity_mixed", counted)
+        monkeypatch.setattr(numerics, "fidelity_mixed", counted)
+        fidelity_disturbance_check(0.3, 4, 4, np.random.default_rng(SEED + 7))
+        assert len(calls) == 12
 
     def test_joint_concavity(self):
         rep = joint_concavity_check(4, 40, np.random.default_rng(SEED + 8))
