@@ -120,13 +120,21 @@ class GameConfig:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """One scored game: queries, challenge, outcome and the guess's fidelity."""
+    """One scored game: queries, challenge, outcome and the guess's fidelity.
+
+    ``d_spanned`` is computed on read, not stored: most callers count wins
+    and never look at it, and its rank costs a full ``D x D`` projector.
+    """
 
     queries: tuple[StateVector, ...]
     challenge: StateVector
     outcome_b: int
     fidelity_of_guess: float
-    d_spanned: int
+
+    @property
+    def d_spanned(self) -> int:
+        """Dimension of the span of the learning queries (0 if none)."""
+        return span_projector(self.queries).rank if self.queries else 0
 
 
 def mu_check(
@@ -185,7 +193,6 @@ def run_game(
         challenge=challenge,
         outcome_b=int(outcome.accepted),
         fidelity_of_guess=fidelity_pure(true_response, guess),
-        d_spanned=span_projector(queries).rank if queries else 0,
     )
 
 
@@ -209,7 +216,9 @@ def estimate_win_rate(
     Every trial gets a fresh device, a fresh adversary from the factory, and
     an independent child random stream derived from ``cfg.seed``, so results
     are reproducible and order-independent.  The standard error is the
-    binomial one, ``sqrt(r (1 - r) / trials)``.
+    binomial one, ``sqrt(r (1 - r) / trials)``.  Transcripts are dropped
+    after scoring unless ``keep_transcripts`` is set; a dropped transcript
+    never computes its ``d_spanned``.
     """
     if trials < 1:
         raise InvalidQuantumObject("at least one trial is required")

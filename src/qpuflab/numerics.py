@@ -27,7 +27,8 @@ from .errors import (
     InvalidQuantumObject,
 )
 
-#: tolerance used when validating freshly constructed objects
+#: tolerance used when validating freshly constructed objects; each check is
+#: written ``not (x <= tol)`` so that NaN fails it instead of passing
 CONSTRUCTION_TOL = 1e-10
 #: tolerance used when asserting derived quantities in tests and checks
 DERIVED_TOL = 1e-8
@@ -71,7 +72,7 @@ class StateVector:
         if arr.size == 0:
             raise InvalidQuantumObject("state vector must be non-empty")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > CONSTRUCTION_TOL:
+        if not (abs(norm - 1.0) <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject(f"state vector norm {norm!r} is not 1")
 
     @property
@@ -88,13 +89,13 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         arr = _frozen_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", arr)
-        if np.max(np.abs(arr - arr.conj().T)) > CONSTRUCTION_TOL:
+        if not (np.max(np.abs(arr - arr.conj().T)) <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject("density matrix is not Hermitian")
         tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > CONSTRUCTION_TOL:
+        if not (abs(tr - 1.0) <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject(f"density matrix trace {tr!r} is not 1")
         # eigvalsh cost is negligible at the desk scales this package targets
-        if float(np.min(np.linalg.eigvalsh(arr))) < -RANK_TOL:
+        if not (float(np.min(np.linalg.eigvalsh(arr))) >= -RANK_TOL):
             raise InvalidQuantumObject("density matrix has a negative eigenvalue")
 
     @property
@@ -116,7 +117,7 @@ class UnitaryMatrix:
         arr = _frozen_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", arr)
         dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
-        if dev > CONSTRUCTION_TOL:
+        if not (dev <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject(f"matrix is not unitary (deviation {dev:.3e})")
 
     @property
@@ -134,9 +135,9 @@ class Projector:
     def __post_init__(self) -> None:
         arr = _frozen_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", arr)
-        if np.max(np.abs(arr - arr.conj().T)) > CONSTRUCTION_TOL:
+        if not (np.max(np.abs(arr - arr.conj().T)) <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject("projector is not Hermitian")
-        if np.max(np.abs(arr @ arr - arr)) > CONSTRUCTION_TOL:
+        if not (np.max(np.abs(arr @ arr - arr)) <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject("projector is not idempotent")
         object.__setattr__(self, "rank", int(round(float(np.trace(arr).real))))
 

@@ -212,6 +212,21 @@ class TestSubspaceKnowledge:
         with pytest.raises(InvalidQuantumObject):
             SubspaceKnowledge(dim=2, basis_in=(basis(2, 0), half), basis_out=(basis(2, 0), basis(2, 1)))
 
+    @staticmethod
+    def _tilted_pair(overlap):
+        # |0> and a unit vector whose overlap with |0> is exactly `overlap`
+        tilted = StateVector(np.array([overlap, np.sqrt(1.0 - overlap**2)]))
+        return (basis(2, 0), tilted)
+
+    @pytest.mark.parametrize("side", ["basis_in", "basis_out"])
+    def test_orthonormality_tolerance_is_1e_9(self, side):
+        exact = (basis(2, 0), basis(2, 1))
+        other = "basis_out" if side == "basis_in" else "basis_in"
+        kn = SubspaceKnowledge(dim=2, **{side: self._tilted_pair(5e-10), other: exact})
+        assert kn.d == 2
+        with pytest.raises(InvalidQuantumObject):
+            SubspaceKnowledge(dim=2, **{side: self._tilted_pair(2e-9), other: exact})
+
     def test_validates_lengths_and_dims(self):
         with pytest.raises(DimensionMismatch):
             SubspaceKnowledge(dim=2, basis_in=(basis(2, 0),), basis_out=())

@@ -7,6 +7,7 @@ here are minimal probes written for one protocol property each.
 import numpy as np
 import pytest
 
+from qpuflab import games
 from qpuflab import (
     AdversaryInterface,
     BudgetExceeded,
@@ -17,12 +18,14 @@ from qpuflab import (
     RandomGuesser,
     SealedOracle,
     StateVector,
+    SubspaceAdversary,
     TestConfig,
     Transcript,
     estimate_win_rate,
     haar_state,
     mu_check,
     run_game,
+    span_projector,
     transcript_record,
 )
 
@@ -87,6 +90,17 @@ class Glutton:
     def learn(self, oracle, dim, budget, rng):
         for i in range(budget + 1):
             oracle.query(basis(dim, i % dim))
+
+    def respond(self, challenge, rng):
+        return challenge
+
+
+class RepeatProbe:
+    """Queries the same basis state twice: two queries, one spanned dimension."""
+
+    def learn(self, oracle, dim, budget, rng):
+        for _ in range(2):
+            oracle.query(basis(dim, 0))
 
     def respond(self, challenge, rng):
         return challenge
@@ -245,6 +259,30 @@ class TestWinRateEstimate:
         full = estimate_win_rate(cfg, RandomGuesser, trials=5, keep_transcripts=True)
         assert bare.transcripts == ()
         assert len(full.transcripts) == 5
+
+    def test_dropped_transcripts_never_span(self, monkeypatch):
+        def refuse(states):
+            raise AssertionError("span_projector called for a dropped transcript")
+
+        monkeypatch.setattr(games, "span_projector", refuse)
+        est = estimate_win_rate(
+            sel_config(budget=2, delta=0.3), lambda: SubspaceAdversary(2), trials=5
+        )
+        assert est.trials == 5
+        assert est.transcripts == ()
+
+    @pytest.mark.parametrize(
+        "factory, want",
+        [(lambda: SubspaceAdversary(2), 2), (RepeatProbe, 1)],
+        ids=["subspace", "repeat"],
+    )
+    def test_kept_transcripts_read_the_span_rank(self, factory, want):
+        est = estimate_win_rate(
+            sel_config(budget=2, delta=0.3), factory, trials=4, keep_transcripts=True
+        )
+        for t in est.transcripts:
+            assert len(t.queries) == 2
+            assert t.d_spanned == span_projector(t.queries).rank == want
 
     def test_random_guesser_rarely_wins_strict_test(self):
         # Haar overlap concentrates near 1/D; delta=0.9 wins should be rare

@@ -88,6 +88,26 @@ class TestUnitaryAndProjector:
             Projector(np.diag([0.5, 0.5]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteInput:
+    # NaN compares False against any tolerance, so a check that rejects on
+    # "deviation > tol" would let it through; every type must still refuse it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: StateVector(np.array([x, 0.0])),
+            lambda x: UnitaryMatrix(np.array([[x, 0.0], [0.0, 1.0]])),
+            lambda x: DensityMatrix(np.array([[x, 0.0], [0.0, 1.0]])),
+            lambda x: Projector(np.array([[x, 0.0], [0.0, 1.0]])),
+        ],
+        ids=["StateVector", "UnitaryMatrix", "DensityMatrix", "Projector"],
+    )
+    def test_rejected_as_invalid(self, build, bad):
+        with pytest.raises(InvalidQuantumObject):
+            build(bad)
+
+
 class TestFidelity:
     """Squared-overlap convention throughout."""
 
