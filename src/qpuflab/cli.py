@@ -368,6 +368,13 @@ def main(argv: list[str] | None = None) -> int:
     except QpufLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a run too large for this host is a domain error, not an audit result
+        print(
+            "error: out of memory; lower --qubits or the QPUF_MAX_DIM cap",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

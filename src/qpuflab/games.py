@@ -27,11 +27,17 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidQuantumObject, MuViolation
 from .numerics import StateVector, fidelity_pure, haar_state, span_projector
-from .qpuf import QPufGenParams, QPufInstance, qeval, qgen
+from .qpuf import QPufGenParams, QPufInstance, _qgen_chunk, qeval, qgen
 from .testers import TestConfig, run_test
 
 QEX = "qex"
 QSEL = "qsel"
+
+#: complex entries per stacked device draw in ``estimate_win_rate``: 64
+#: devices at D=8, 16 at D=16, 4 at D=32 and one from D=64 up.  It bounds
+#: memory; stacks of 2 and 4 at D=64 measured slower in the benchmark's
+#: (d=8, n=6) calls than one device at a time
+_DRAW_CHUNK = 2**12
 
 
 @runtime_checkable
@@ -158,14 +164,27 @@ def run_game(
     A challenge that fails the mu-distinguishability rule is a protocol
     violation and raises :class:`MuViolation` rather than scoring a loss.
     """
-    if cfg.mode == QEX and not hasattr(adversary, "choose_challenge"):
-        raise InvalidQuantumObject("qex games need an adversary with choose_challenge")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    instance_seed = int(rng.integers(0, 2**63))
-    instance = qgen(QPufGenParams(qubits=cfg.gen.qubits, seed=instance_seed))
-    dim = instance.dim
+    instance = qgen(QPufGenParams(qubits=cfg.gen.qubits, seed=_device_seed(rng)))
+    return _play(cfg, adversary, instance, rng)
 
+
+def _device_seed(rng: np.random.Generator) -> int:
+    """The device seed: always the first draw of a game's random stream."""
+    return int(rng.integers(0, 2**63))
+
+
+def _play(
+    cfg: GameConfig,
+    adversary: AdversaryInterface,
+    instance: QPufInstance,
+    rng: np.random.Generator,
+) -> Transcript:
+    """Learning, challenge, guess and test on a device already drawn from ``rng``."""
+    if cfg.mode == QEX and not hasattr(adversary, "choose_challenge"):
+        raise InvalidQuantumObject("qex games need an adversary with choose_challenge")
+    dim = instance.dim
     log: list[StateVector] = []
     oracle = _make_oracle(instance, cfg.learning_budget, log)
     adversary.learn(oracle, dim, cfg.learning_budget, rng)
@@ -219,17 +238,28 @@ def estimate_win_rate(
     binomial one, ``sqrt(r (1 - r) / trials)``.  Transcripts are dropped
     after scoring unless ``keep_transcripts`` is set; a dropped transcript
     never computes its ``d_spanned``.
+
+    Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
+    with ``rng_k`` built from the ``k``-th child of
+    ``SeedSequence(cfg.seed)``.  The devices are drawn a chunk of trials
+    at a time (one stacked QR, about ``_DRAW_CHUNK`` entries), each from
+    the first draw of its own trial's stream, so every stream is consumed
+    in the same order as by ``run_game``.
     """
     if trials < 1:
         raise InvalidQuantumObject("at least one trial is required")
     children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    per_chunk = max(1, _DRAW_CHUNK // 4**cfg.gen.qubits)
     wins = 0
     kept: list[Transcript] = []
-    for child in children:
-        transcript = run_game(cfg, adversary_factory(), np.random.default_rng(child))
-        wins += transcript.outcome_b
-        if keep_transcripts:
-            kept.append(transcript)
+    for start in range(0, trials, per_chunk):
+        rngs = [np.random.default_rng(c) for c in children[start : start + per_chunk]]
+        devices = _qgen_chunk(cfg.gen.qubits, [_device_seed(rng) for rng in rngs])
+        for rng, instance in zip(rngs, devices):
+            transcript = _play(cfg, adversary_factory(), instance, rng)
+            wins += transcript.outcome_b
+            if keep_transcripts:
+                kept.append(transcript)
     rate = wins / trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
     return WinRateEstimate(

@@ -243,14 +243,34 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     """Haar-random unitary via Ginibre matrix, QR, and phase normalization.
 
     The QR factor alone is not Haar distributed; multiplying each column by
-    the phase of the corresponding diagonal entry of ``R`` fixes the measure.
+    the phase of the corresponding diagonal entry of ``R`` fixes the measure
+    (Mezzadri, math-ph/0609050).
+    """
+    return UnitaryMatrix(_haar_unitary_stack(dim, [rng])[0])
+
+
+def _haar_unitary_stack(
+    dim: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """One Haar unitary per generator, stacked and not yet validated.
+
+    Returns shape ``(len(rngs), dim, dim)``.  Each generator fills its own
+    Ginibre matrix, then one ``np.linalg.qr`` and one phase fix run over the
+    whole stack.  LAPACK factors each matrix of the stack on its own, so
+    entry ``k`` is bit for bit what :func:`haar_unitary` returns for
+    ``rngs[k]``.
     """
     if dim < 1:
         raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
     if dim > max_dim():
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
+    z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
+    for k, rng in enumerate(rngs):
+        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z /= np.sqrt(2.0)
+    # a lone matrix is factored unstacked: at D=64 a stack of one made each
+    # haar_unitary call 7% slower, for the same bits
+    q, r = np.linalg.qr(z[0] if len(rngs) == 1 else z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., np.newaxis, :]
+    return q.reshape(z.shape)

@@ -14,6 +14,7 @@ so no semidefinite programming is needed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .numerics import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _haar_unitary_stack,
     apply,
     fidelity_mixed,
     haar_unitary,
@@ -99,7 +101,23 @@ def qgen(params: QPufGenParams) -> QPufInstance:
     Deterministic in ``params``: the same seed always yields the same device.
     """
     rng = np.random.default_rng(params.seed)
-    u = haar_unitary(2**params.qubits, rng)
+    return _device(params, haar_unitary(2**params.qubits, rng))
+
+
+def _qgen_chunk(qubits: int, seeds: Sequence[int]) -> list[QPufInstance]:
+    """``[qgen(QPufGenParams(qubits, s)) for s in seeds]`` with one stacked QR.
+
+    Same checks, ids and unitaries as one ``qgen`` call per seed; each device
+    still passes ``UnitaryMatrix`` validation.  Memory grows with
+    ``len(seeds) * 4**qubits``, so callers bound the chunk.
+    """
+    params = [QPufGenParams(qubits=qubits, seed=s) for s in seeds]
+    rngs = [np.random.default_rng(p.seed) for p in params]
+    stack = _haar_unitary_stack(2**qubits, rngs)
+    return [_device(p, UnitaryMatrix(u)) for p, u in zip(params, stack)]
+
+
+def _device(params: QPufGenParams, u: UnitaryMatrix) -> QPufInstance:
     ident = f"qpuf-n{params.qubits}-{params.seed:016x}"
     return QPufInstance(id=ident, qubits=params.qubits, unitary=u)
 

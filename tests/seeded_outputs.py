@@ -4,7 +4,7 @@ Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT]
 
-Runs eleven seeded subcommands with the ``qpuflab`` package of this checkout
+Runs thirteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
 ``.manifest.json``, into OUT.  PARENT_OUT is the OUT of the same script run
 from a checkout of the parent commit (copy this file into that checkout's
@@ -43,7 +43,16 @@ RUNS: dict[str, tuple[list[str], int]] = {
     "game-tomography.jsonl": (
         ["game", "--mode", "qsel", "--adversary", "tomography", "--privileged"], 0
     ),
+    # trial counts that are no multiple of the device-draw chunk (4 games at
+    # n=5, 16 at n=4), so the last chunk is a partial one; from n=6 up every
+    # chunk holds one device
+    "game-subspace-d8-n5-t31.jsonl": (
+        _SUBSPACE + ["--d", "8", "--qubits", "5", "--trials", "31"], 0
+    ),
     "selective-bound.csv": (["selective-bound"], 0),
+    "selective-bound-d2-n4-t150.csv": (
+        ["selective-bound", "--qubits", "4", "--d", "2", "--trials", "150"], 0
+    ),
     "forge-sweep.csv": (["forge-sweep"], 0),
     "qe-demo-mu0.75.json": (["qe-demo", "--mu", "0.75"], 0),
     "verify-all-seed3-negative-control.json": (

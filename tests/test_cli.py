@@ -231,6 +231,25 @@ class TestGame:
         assert "margin" in err
 
 
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("estimate_win_rate", ["game", "--mode", "qsel", "--adversary", "random"]),
+            ("run_all_checks", ["verify-all"]),
+        ],
+    )
+    def test_exhausted_memory_exits_two(self, monkeypatch, capsys, callee, argv):
+        # a device too large for the host must not read as an audit violation
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, callee, exhaust)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "memory" in err
+
+
 class TestQeDemo:
     def test_payload_values(self, capsys):
         code, out, _ = run_cli(["qe-demo", "--qubits", "2", "--mu", "0.5"], capsys)

@@ -4,6 +4,8 @@ Adversary behavior itself is covered in test_adversaries; the adversaries
 here are minimal probes written for one protocol property each.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from qpuflab import (
     GameConfig,
     InvalidQuantumObject,
     MuViolation,
+    PrivilegedReadout,
+    QeForger,
     QPufGenParams,
     RandomGuesser,
     SealedOracle,
     StateVector,
     SubspaceAdversary,
     TestConfig,
+    TomographyAdversary,
     Transcript,
     estimate_win_rate,
     haar_state,
@@ -112,6 +117,18 @@ class WrongDimGuess:
 
     def respond(self, challenge, rng):
         return basis(2 * self.dim, 0)
+
+
+class NoisyProbe:
+    """Draws from the game's stream in learn and in respond."""
+
+    def learn(self, oracle, dim, budget, rng):
+        self.dim = dim
+        for _ in range(budget):
+            oracle.query(haar_state(dim, rng))
+
+    def respond(self, challenge, rng):
+        return haar_state(self.dim, rng)
 
 
 class TestSealedOracle:
@@ -283,6 +300,73 @@ class TestWinRateEstimate:
         for t in est.transcripts:
             assert len(t.queries) == 2
             assert t.d_spanned == span_projector(t.queries).rank == want
+
+    @pytest.mark.parametrize(
+        "cfg, factory, trials",
+        [
+            (sel_config(qubits=6, budget=8), lambda: SubspaceAdversary(8), 7),
+            (sel_config(qubits=3, delta=0.3), RandomGuesser, 20),
+            (
+                sel_config(qubits=2, budget=4, delta=0.99),
+                lambda readout=PrivilegedReadout(): TomographyAdversary(readout),
+                8,
+            ),
+            (
+                GameConfig(
+                    mode="qex",
+                    gen=QPufGenParams(qubits=3, seed=0),
+                    test=TestConfig(kind="swap", kappa1=5, kappa2=5),
+                    learning_budget=2,
+                    seed=SEED,
+                    mu=0.75,
+                ),
+                lambda: QeForger(0.75),
+                8,
+            ),
+            (sel_config(qubits=3, budget=3, delta=0.3), NoisyProbe, 20),
+        ],
+        ids=["subspace-d8-n6", "random", "tomography", "forger-swap", "noisy-learn"],
+    )
+    @pytest.mark.parametrize("chunk", ["default", "3 devices"])
+    def test_batch_path_replays_run_game(
+        self, monkeypatch, cfg, factory, trials, chunk
+    ):
+        # the chunked device draw must play exactly the games a loop of
+        # run_game over the same child streams plays; 7 trials end in a
+        # partial chunk of the 3-device draw
+        if chunk != "default":
+            monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4**cfg.gen.qubits)
+        est = estimate_win_rate(cfg, factory, trials, keep_transcripts=True)
+        children = np.random.SeedSequence(cfg.seed).spawn(trials)
+        loop = [run_game(cfg, factory(), np.random.default_rng(c)) for c in children]
+        assert est.wins == sum(t.outcome_b for t in loop)
+        for got, want in zip(est.transcripts, loop, strict=True):
+            assert got.outcome_b == want.outcome_b
+            assert got.fidelity_of_guess == want.fidelity_of_guess
+            assert got.challenge.amplitudes.tobytes() == (
+                want.challenge.amplitudes.tobytes()
+            )
+            assert [q.amplitudes.tobytes() for q in got.queries] == [
+                q.amplitudes.tobytes() for q in want.queries
+            ]
+
+    def test_adversary_errors_surface_unchanged(self):
+        with pytest.raises(InvalidQuantumObject, match="choose_challenge"):
+            estimate_win_rate(ex_config(mu=0.5), Glutton, trials=3)
+        with pytest.raises(BudgetExceeded, match="budget of 2 queries"):
+            estimate_win_rate(sel_config(budget=2), Glutton, trials=3)
+
+    def test_memory_stays_bounded(self):
+        # one stacked draw of every device would hold 300 * 64**2 complex
+        # entries (about 20 MB) several times over; chunks keep the peak small
+        cfg = sel_config(qubits=6, budget=8)
+        tracemalloc.start()
+        try:
+            estimate_win_rate(cfg, lambda: SubspaceAdversary(8), trials=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_random_guesser_rarely_wins_strict_test(self):
         # Haar overlap concentrates near 1/D; delta=0.9 wins should be rare

@@ -8,6 +8,7 @@ moments), never from the functions under test.
 import numpy as np
 import pytest
 
+from qpuflab import games, numerics
 from qpuflab import (
     DensityMatrix,
     DimensionCapExceeded,
@@ -241,6 +242,51 @@ class TestHaarSampling:
         rng = np.random.default_rng(SEED)
         with pytest.raises(DimensionCapExceeded):
             haar_state(9, rng)
+
+
+def ginibre_qr_reference(dim, rng):
+    """The one-matrix Ginibre-QR-phase construction, unstacked."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+class TestStackedHaarDraw:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64])
+    def test_byte_identical_to_one_draw_per_generator(self, dim):
+        # stack sizes 1, 3, the estimate_win_rate chunk and one past it;
+        # stacks of the same generators agree on their common prefix
+        chunk = max(1, games._DRAW_CHUNK // dim**2)
+        counts = sorted({1, 3, chunk, chunk + 1})
+        children = np.random.SeedSequence([SEED, dim]).spawn(counts[-1])
+
+        def rngs(count):
+            return [np.random.default_rng(c) for c in children[:count]]
+
+        one_by_one = np.stack([haar_unitary(dim, g).matrix for g in rngs(counts[-1])])
+        for ref, want in zip(rngs(3), one_by_one):
+            assert ginibre_qr_reference(dim, ref).tobytes() == want.tobytes()
+        for count in counts:
+            stack = numerics._haar_unitary_stack(dim, rngs(count))
+            assert stack.shape == (count, dim, dim)
+            assert stack.tobytes() == one_by_one[:count].tobytes()
+
+    def test_leaves_each_generator_where_one_draw_does(self):
+        stacked = [np.random.default_rng(k) for k in range(3)]
+        numerics._haar_unitary_stack(4, stacked)
+        for k, rng in enumerate(stacked):
+            alone = np.random.default_rng(k)
+            haar_unitary(4, alone)
+            assert rng.random() == alone.random()
+
+    def test_dimension_checks(self, monkeypatch):
+        rngs = [np.random.default_rng(SEED)]
+        with pytest.raises(InvalidQuantumObject):
+            numerics._haar_unitary_stack(0, rngs)
+        monkeypatch.setenv("QPUF_MAX_DIM", "8")
+        with pytest.raises(DimensionCapExceeded):
+            numerics._haar_unitary_stack(16, rngs)
 
 
 def test_apply_matches_matrix_product():

@@ -4,8 +4,10 @@ check and the closed-form diamond distance."""
 import numpy as np
 import pytest
 
+from qpuflab import qpuf
 from qpuflab import (
     DensityMatrix,
+    DimensionCapExceeded,
     DimensionMismatch,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
@@ -51,6 +53,24 @@ class TestGeneration:
             QPufGenParams(qubits=0, seed=1)
         with pytest.raises(InvalidQuantumObject):
             QPufGenParams(qubits=2, seed=-1)
+
+    def test_chunk_draw_matches_one_qgen_per_seed(self):
+        seeds = [0, 7, 2**63 - 1, 12345]
+        chunk = qpuf._qgen_chunk(3, seeds)
+        for seed, inst in zip(seeds, chunk, strict=True):
+            one = qgen(QPufGenParams(qubits=3, seed=seed))
+            assert inst.id == one.id
+            assert inst.qubits == one.qubits
+            assert inst.unitary.matrix.tobytes() == one.unitary.matrix.tobytes()
+
+    def test_chunk_draw_keeps_the_generator_checks(self, monkeypatch):
+        with pytest.raises(InvalidQuantumObject):
+            qpuf._qgen_chunk(2, [1, 2**64])
+        with pytest.raises(InvalidQuantumObject):
+            qpuf._qgen_chunk(0, [1])
+        monkeypatch.setenv("QPUF_MAX_DIM", "8")
+        with pytest.raises(DimensionCapExceeded):
+            qpuf._qgen_chunk(4, [1])
 
     def test_instance_dim_consistency(self):
         u = qgen(QPufGenParams(qubits=2, seed=3)).unitary
