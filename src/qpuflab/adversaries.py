@@ -136,7 +136,9 @@ class SubspaceAdversary:
             guess += c * b_out.amplitudes
             in_weight += float(abs(c) ** 2)
         rest = 1.0 - min(in_weight, 1.0)
-        if rest > 1e-12:
+        # a spanning basis leaves no complement to draw from; a challenge
+        # short of unit norm by round-off must not wait for one
+        if rest > 1e-12 and kn.d < kn.dim:
             guess += np.sqrt(rest) * self._complement_draw(kn, rng)
         return StateVector(guess / np.linalg.norm(guess))
 

@@ -19,6 +19,11 @@ block's sample.  Stage 4 runs the same blocks on the output samples in reverse
 order *and* reverses the gate order inside each block (reflections and
 Hadamards are involutions, so this is the exact inverse circuit built from
 output states).
+
+The gates act on the contiguous joint array through reshaped views: ancilla
+``j`` of ``n`` is the middle axis of ``(D, 2**(j-1), 2, 2**(n-j))``, so no
+axis is moved.  Each reflection takes its overlaps with one ``np.dot`` of
+the operands ``np.tensordot`` used to build, which keeps every output bit.
 """
 
 from __future__ import annotations
@@ -122,22 +127,38 @@ class QeRunResult:
     fidelity_vs_target: float | None
 
 
+def _split(joint: np.ndarray, axis: int) -> np.ndarray:
+    """View ``joint`` as (system, ancillas before ``axis``, ``axis``, after)."""
+    return joint.reshape(joint.shape[0], 2 ** (axis - 1), 2, -1)
+
+
+def _overlaps(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``<phi|`` against every column of the (D, M) ``rows``, shape (M,).
+
+    One dot of the same operands ``np.tensordot(phi.conj(), ., axes=(0, 0))``
+    builds: a lone column keeps its stride, so BLAS sums in the same order.
+    """
+    return np.dot(phi.conj()[None, :], rows)[0]
+
+
 def _controlled_reflect(joint: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
     """Reflect the system register on the ``|1>`` branch of one ancilla axis."""
-    moved = np.moveaxis(joint, axis, -1).copy()
-    branch = moved[..., 1]
-    overlap = np.tensordot(phi.conj(), branch, axes=(0, 0))
-    moved[..., 1] = branch - 2.0 * np.multiply.outer(phi, overlap)
-    return np.moveaxis(moved, -1, axis)
+    out = _split(joint, axis).copy()
+    branch = out[:, :, 1, :]
+    overlap = _overlaps(phi, branch.reshape(len(phi), -1))
+    out[:, :, 1, :] = branch - 2.0 * np.multiply.outer(
+        phi, overlap.reshape(branch.shape[1:])
+    )
+    return out
 
 
 def _hadamard(joint: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(joint, axis, -1).copy()
-    s0 = moved[..., 0].copy()
-    s1 = moved[..., 1].copy()
-    moved[..., 0] = (s0 + s1) / _SQRT2
-    moved[..., 1] = (s0 - s1) / _SQRT2
-    return np.moveaxis(moved, -1, axis)
+    view = _split(joint, axis)
+    s0, s1 = view[:, :, 0, :], view[:, :, 1, :]
+    out = np.empty_like(view)
+    out[:, :, 0, :] = (s0 + s1) / _SQRT2
+    out[:, :, 1, :] = (s0 - s1) / _SQRT2
+    return out
 
 
 def _initial_joint(cfg: QeConfig, psi: StateVector) -> np.ndarray:
@@ -275,11 +296,11 @@ def run_full(
     ref_in = cfg.samples_in[cfg.reference_index].amplitudes
     ref_out = cfg.samples_out[cfg.reference_index].amplitudes
 
-    joint = run_stage1(cfg, psi).amplitudes.reshape((d,) + (2,) * cfg.n_blocks)
+    joint = run_stage1(cfg, psi).amplitudes.reshape(d, -1)
 
     # stage 2: measure the projector onto the reference (via an ancilla that
     # is never represented explicitly: outcome 0 projects, outcome 1 deflects)
-    anc_overlap = np.tensordot(ref_in.conj(), joint, axes=(0, 0))
+    anc_overlap = _overlaps(ref_in, joint)
     pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
     pass_prob = min(max(pass_prob, 0.0), 1.0)
     if pass_prob < POST_SELECT_FLOOR:

@@ -4,7 +4,7 @@ Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT]
 
-Runs thirteen seeded subcommands with the ``qpuflab`` package of this checkout
+Runs fifteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
 ``.manifest.json``, into OUT.  PARENT_OUT is the OUT of the same script run
 from a checkout of the parent commit (copy this file into that checkout's
@@ -28,15 +28,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qpuflab.cli import main as qpuflab_main  # noqa: E402
 
 _FORGER = [
-    "game", "--mode", "qex", "--adversary", "forger", "--qubits", "3",
+    "game", "--mode", "qex", "--adversary", "forger",
     "--test", "swap", "--kappa1", "5", "--kappa2", "5",
 ]
 _SUBSPACE = ["game", "--mode", "qsel", "--adversary", "subspace"]
 
 #: output file name -> (argv without --out, expected exit code)
 RUNS: dict[str, tuple[list[str], int]] = {
-    "game-forger-mu0.5.jsonl": (_FORGER + ["--mu", "0.5"], 0),
-    "game-forger-mu0.75.jsonl": (_FORGER + ["--mu", "0.75"], 0),
+    "game-forger-mu0.5.jsonl": (_FORGER + ["--qubits", "3", "--mu", "0.5"], 0),
+    "game-forger-mu0.75.jsonl": (_FORGER + ["--qubits", "3", "--mu", "0.75"], 0),
+    # the other forger-cli registers; about a fifth of these games take the
+    # stage-2 failure branch
+    "game-forger-n2-mu0.75.jsonl": (_FORGER + ["--qubits", "2", "--mu", "0.75"], 0),
+    "game-forger-n4-mu0.75.jsonl": (_FORGER + ["--qubits", "4", "--mu", "0.75"], 0),
     "game-subspace-d3-n3.jsonl": (_SUBSPACE + ["--d", "3", "--qubits", "3"], 0),
     "game-subspace-d8-n6.jsonl": (_SUBSPACE + ["--d", "8", "--qubits", "6"], 0),
     "game-random.jsonl": (["game", "--mode", "qsel", "--adversary", "random"], 0),

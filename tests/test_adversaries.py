@@ -281,6 +281,21 @@ class TestSubspaceAdversary:
             overlap = abs(np.vdot(b_out.amplitudes, guess.amplitudes))
             assert overlap <= 1e-9
 
+    def test_spanning_basis_skips_the_complement_draw(self):
+        # a challenge short of unit norm by 5e-11 (inside CONSTRUCTION_TOL)
+        # used to loop forever looking for a complement that is empty
+        adv, u = self._learned(dim=4, d=4)
+        amps = haar_unitary(4, np.random.default_rng(SEED + 1)).matrix[:, 0]
+        challenge = StateVector(amps * (1.0 - 5e-11))
+        rng = np.random.default_rng(SEED)
+        before = rng.bit_generator.state
+        guess = adv.respond(challenge, rng)
+        want = u.matrix @ challenge.amplitudes
+        np.testing.assert_allclose(
+            guess.amplitudes, want / np.linalg.norm(want), atol=1e-12
+        )
+        assert rng.bit_generator.state == before
+
     def test_respond_before_learn(self):
         with pytest.raises(InvalidQuantumObject):
             SubspaceAdversary(d=2).respond(basis(4, 0), np.random.default_rng(0))

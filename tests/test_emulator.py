@@ -92,6 +92,87 @@ def random_config(rng, n=2, k=2, in_span=False):
     return cfg, psi, u
 
 
+# The moveaxis/tensordot gate kernels the emulator used before it worked on
+# reshaped views, kept verbatim with the run built on them.  They are a
+# bit-level oracle: the view kernels must reproduce every output bit.
+_SQRT2 = np.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
+
+
+def _controlled_reflect(joint: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
+    """Reflect the system register on the ``|1>`` branch of one ancilla axis."""
+    moved = np.moveaxis(joint, axis, -1).copy()
+    branch = moved[..., 1]
+    overlap = np.tensordot(phi.conj(), branch, axes=(0, 0))
+    moved[..., 1] = branch - 2.0 * np.multiply.outer(phi, overlap)
+    return np.moveaxis(moved, -1, axis)
+
+
+def _hadamard(joint: np.ndarray, axis: int) -> np.ndarray:
+    moved = np.moveaxis(joint, axis, -1).copy()
+    s0 = moved[..., 0].copy()
+    s1 = moved[..., 1].copy()
+    moved[..., 0] = (s0 + s1) / _SQRT2
+    moved[..., 1] = (s0 - s1) / _SQRT2
+    return np.moveaxis(moved, -1, axis)
+
+
+def _tensor_blocks(joint, cfg, samples, reverse=False):
+    ref = samples[cfg.reference_index].amplitudes
+    blocks = [
+        (1 + pos, ref, samples[i].amplitudes)
+        for pos, i in enumerate(cfg.block_sample_indices)
+    ]
+    for axis, a, b in reversed(blocks) if reverse else blocks:
+        if reverse:
+            a, b = b, a
+        joint = _controlled_reflect(joint, a, axis)
+        joint = _hadamard(joint, axis)
+        joint = _controlled_reflect(joint, b, axis)
+    return joint
+
+
+def tensor_run(cfg, psi, draw=None):
+    """Stage-1 joint, pass probability, stage-2 bit and output matrix.
+
+    ``draw`` stands for the sampled run's one uniform; ``None`` conditions
+    on the passing outcome.
+    """
+    d = cfg.dim
+    ref_in = cfg.samples_in[cfg.reference_index].amplitudes
+    ref_out = cfg.samples_out[cfg.reference_index].amplitudes
+    joint = psi.amplitudes
+    for _ in range(cfg.n_blocks):
+        joint = np.multiply.outer(joint, _MINUS)
+    joint = _tensor_blocks(joint, cfg, cfg.samples_in)
+    anc_overlap = np.tensordot(ref_in.conj(), joint, axes=(0, 0))
+    pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
+    pass_prob = min(max(pass_prob, 0.0), 1.0)
+    bit = 0 if draw is None or draw < pass_prob else 1
+    if bit:
+        fail = joint - np.multiply.outer(ref_in, anc_overlap)
+        final = fail / np.linalg.norm(fail)
+    else:
+        omega = anc_overlap / np.sqrt(pass_prob)
+        final = _tensor_blocks(
+            np.multiply.outer(ref_out, omega), cfg, cfg.samples_out, reverse=True
+        )
+    mat = final.reshape(d, -1)
+    rho = mat @ mat.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return joint.reshape(-1), pass_prob, bit, rho / float(np.trace(rho).real)
+
+
+class FixedDraw:
+    """Stands in for the rng of a sampled run: its one uniform is fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestGates:
     def test_reflection_is_unitary_involution(self):
         rng = np.random.default_rng(SEED)
@@ -192,34 +273,71 @@ class TestStage1Circuit:
                 run_stage1(prefix, psi).amplitudes, chi, atol=1e-10
             )
 
+    @staticmethod
+    def _dense_stage1(cfg, psi):
+        """Stage 1 as a product of dense (system, a1..an) block matrices."""
+        dim, n = cfg.dim, cfg.n_blocks
+        ref = cfg.samples_in[cfg.reference_index]
+        vec = psi.amplitudes
+        for _ in range(n):
+            vec = np.kron(vec, MINUS)
+        for axis, idx in enumerate(cfg.block_sample_indices, start=1):
+            w = block_unitary(cfg.samples_in[idx], ref).matrix
+            # reorder the control-major block to (system, control), extend it
+            # by the identity on the other ancillas, then move the control
+            # from the first ancilla slot to slot ``axis`` on both sides
+            w = w.reshape(2, dim, 2, dim).transpose(1, 0, 3, 2).reshape(2 * dim, 2 * dim)
+            full = np.kron(w, np.eye(2 ** (n - 1))).reshape(((dim,) + (2,) * n) * 2)
+            order = [0, *range(2, axis + 1), 1, *range(axis + 1, n + 1)]
+            full = full.transpose(order + [n + 1 + i for i in order])
+            vec = full.reshape(dim * 2**n, dim * 2**n) @ vec
+        return vec
+
     def test_two_block_full_matrix_cross_check(self):
-        # thread each block matrix through the (system, anc1, anc2) layout
         rng = np.random.default_rng(SEED + 5)
         cfg, psi, _ = random_config(rng, n=1, k=3)
-        dim = cfg.dim
-        ref = cfg.samples_in[cfg.reference_index]
-
-        def sys_major(w):  # reorder a (control x system) matrix
-            return (
-                w.reshape(2, dim, 2, dim).transpose(1, 0, 3, 2).reshape(2 * dim, 2 * dim)
-            )
-
-        w1 = sys_major(block_unitary(cfg.samples_in[cfg.block_sample_indices[0]], ref).matrix)
-        w2 = sys_major(block_unitary(cfg.samples_in[cfg.block_sample_indices[1]], ref).matrix)
-        full1 = np.kron(w1, np.eye(2))  # acts on (sys, a1), identity on a2
-        # w2 acts on (sys, a2): build on (sys, a2, a1) then swap the ancillas
-        perm = np.kron(w2, np.eye(2)).reshape((dim, 2, 2) * 2)
-        full2 = perm.transpose(0, 2, 1, 3, 5, 4).reshape(4 * dim, 4 * dim)
-        vec0 = np.kron(np.kron(psi.amplitudes, MINUS), MINUS)
-        want = full2 @ (full1 @ vec0)
         got = run_stage1(cfg, psi)
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+        np.testing.assert_allclose(got.amplitudes, self._dense_stage1(cfg, psi), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n_blocks", [3, 4])
+    def test_middle_ancilla_axes_match_dense_blocks(self, n_blocks, n):
+        # from 3 blocks on, a middle ancilla has others on both sides
+        rng = np.random.default_rng(SEED + 10 * n_blocks + n)
+        for _ in range(3):
+            cfg, psi, _ = random_config(rng, n=n, k=n_blocks + 1)
+            got = run_stage1(cfg, psi)
+            np.testing.assert_allclose(
+                got.amplitudes, self._dense_stage1(cfg, psi), atol=1e-12
+            )
 
     def test_input_validation(self):
         rng = np.random.default_rng(SEED + 6)
         cfg, _, _ = random_config(rng, n=1, k=2)
         with pytest.raises(DimensionMismatch):
             run_stage1(cfg, haar_state(4, rng))
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("n_blocks", range(5))
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_view_kernels_match_tensordot_kernels_bit_for_bit(self, dim, n_blocks):
+        rng = np.random.default_rng(SEED + 100 * dim + n_blocks)
+        u = haar_unitary(dim, rng)
+        samples_in = tuple(haar_state(dim, rng) for _ in range(n_blocks + 1))
+        samples_out = tuple(StateVector(u.matrix @ s.amplitudes) for s in samples_in)
+        psi = haar_state(dim, rng)
+        # a draw of 0 always passes; one just below 1 takes the failure branch
+        draws = (None, 0.0, np.nextafter(1.0, 0.0))
+        for ref in range(n_blocks + 1):
+            cfg = QeConfig(samples_in, samples_out, reference_index=ref)
+            for draw in draws:
+                joint, pass_prob, bit, rho = tensor_run(cfg, psi, draw)
+                assert np.array_equal(run_stage1(cfg, psi).amplitudes, joint)
+                res = run_full(cfg, psi, rng=None if draw is None else FixedDraw(draw))
+                assert res.stage2_bit == bit == (draw is not None and draw > 0.5)
+                assert res.stage2_pass_prob == pass_prob
+                assert np.array_equal(res.output_mixed.matrix, rho)
 
 
 class TestClosedForm:
