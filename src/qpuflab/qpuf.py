@@ -30,6 +30,7 @@ from .numerics import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _disturb_stack,
     _haar_unitary_stack,
     apply,
     fidelity_mixed,
@@ -131,11 +132,8 @@ def channel_apply(channel: EpsilonDisturbedChannel, rho: DensityMatrix) -> Densi
     """Exact output density matrix of the disturbed device."""
     if channel.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} != state dim {rho.dim}")
-    u = channel.unitary.matrix
-    ideal = u @ rho.matrix @ u.conj().T
-    eps = channel.epsilon
-    mixed = np.eye(rho.dim) / rho.dim
-    return DensityMatrix((1.0 - eps) * ideal + eps * mixed)
+    out = _disturb_stack(channel.unitary.matrix, rho.matrix, [channel.epsilon])
+    return DensityMatrix(out[0])
 
 
 def check_collision(

@@ -6,6 +6,13 @@ smallest slack seen across all trials of a check (negative means at least
 one violation), so a barely-passing check is visible as a small positive
 margin rather than a bare boolean.
 
+The disturbance and concavity audits (``distance_contraction_check``,
+``fidelity_disturbance_check``, ``joint_concavity_check``) work a bounded
+chunk of trials at a time: they draw every trial's inputs in stream order,
+then validate and evaluate the chunk as ``(T, D, D)`` stacks with one
+``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each matrix
+of a stack on its own, so every margin is bit for bit the one-trial value.
+
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
 exists to prove the harness can reject, and is only included on request.
@@ -19,17 +26,22 @@ import numpy as np
 
 from .emulator import QeConfig, run_full, run_stage1, closed_form_state
 from .errors import PostSelectionFailure
-from .numerics import (
+# fidelity_mixed, trace_distance and channel_apply are not called here; the
+# traced benchmark patches them at these names, so they stay importable
+from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
+    _check_density,
+    _disturb_stack,
+    _fidelity_stack,
+    _trace_distance_stack,
     fidelity_mixed,
     haar_state,
     haar_unitary,
     span_projector,
-    sqrt_fidelity_mixed,
     trace_distance,
 )
-from .qpuf import EpsilonDisturbedChannel, channel_apply, check_collision
+from .qpuf import EpsilonDisturbedChannel, channel_apply, check_collision  # noqa: F401
 from .testers import TestConfig, expected_acceptance, run_test
 
 
@@ -49,11 +61,21 @@ class CheckReport:
 
 
 def _report(name: str, margins: list[float], detail: str = "") -> CheckReport:
-    worst = min(margins) if margins else float("inf")
-    violations = sum(1 for m in margins if m < 0.0)
+    return _report_chunks(name, [np.array(margins, dtype=np.float64)], detail)
+
+
+def _report_chunks(name: str, chunks, detail: str = "") -> CheckReport:
+    """Report over margin arrays, one per chunk of trials, none kept."""
+    trials = violations = 0
+    worst = float("inf")
+    for margins in chunks:
+        trials += margins.size
+        violations += int(np.count_nonzero(margins < 0.0))
+        if margins.size:
+            worst = min(worst, float(margins.min()))
     return CheckReport(
         name=name,
-        trials=len(margins),
+        trials=trials,
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
@@ -214,24 +236,36 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
 # disturbed-device laws
 
 
-def _random_mixed(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
+#: complex entries in one stack of trial inputs: a chunk of a disturbance
+#: audit holds ``_STACK_CHUNK // D**2`` trials, and its working arrays are a
+#: few such stacks, so memory stays bounded at any trial count
+_STACK_CHUNK = 2**14
+
+
+def _chunks(dim: int, trials: int) -> list[range]:
+    size = max(1, _STACK_CHUNK // dim**2)
+    return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+
+
+def _random_mixed(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     weights = rng.dirichlet(np.ones(rank))
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for w in weights:
         s = haar_state(dim, rng).amplitudes
         acc += w * np.outer(s, s.conj())
-    return DensityMatrix(acc)
+    return acc
 
 
 def _random_pair(
     dim: int, rng: np.random.Generator, mixed: bool
-) -> tuple[DensityMatrix, DensityMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two density matrices, not yet validated."""
     if mixed:
         rank = int(rng.integers(2, dim + 1))
         return _random_mixed(dim, rank, rng), _random_mixed(dim, rank, rng)
-    a = haar_state(dim, rng)
-    b = haar_state(dim, rng)
-    return DensityMatrix.from_state(a), DensityMatrix.from_state(b)
+    a = haar_state(dim, rng).amplitudes
+    b = haar_state(dim, rng).amplitudes
+    return np.outer(a, a.conj()), np.outer(b, b.conj())
 
 
 def _both_channels(
@@ -247,6 +281,47 @@ def _both_channels(
     )
 
 
+def _disturbed_pairs(
+    epsilon: float, dim: int, trials: range, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Validated inputs and outputs of a chunk of disturbance trials.
+
+    Each trial draws its input pair (mixed on odd trials), then the unitary
+    and strength of :func:`_both_channels`.  Returns ``rho, sigma`` as
+    ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both outputs as
+    ``(T, 2, D, D)``.
+    """
+    rho = np.empty((len(trials), dim, dim), dtype=np.complex128)
+    sigma = np.empty_like(rho)
+    u = np.empty_like(rho)
+    eps = np.empty((len(trials), 2))
+    for k, t in enumerate(trials):
+        rho[k], sigma[k] = _random_pair(dim, rng, mixed=bool(t % 2))
+        channels = _both_channels(epsilon, dim, rng)
+        u[k] = channels[0].unitary.matrix
+        eps[k] = [c.epsilon for c in channels]
+    out_r = _disturb_stack(u, rho, eps)
+    out_s = _disturb_stack(u, sigma, eps)
+    for stack in (rho, sigma, out_r, out_s):
+        _check_density(stack)
+    return rho, sigma, eps, out_r, out_s
+
+
+def _contraction_margins(
+    epsilon: float, dim: int, trials: range, rng: np.random.Generator
+) -> np.ndarray:
+    rho, sigma, eps, out_r, out_s = _disturbed_pairs(epsilon, dim, trials, rng)
+    d_in = _trace_distance_stack(rho, sigma)[:, np.newaxis]
+    d_out = _trace_distance_stack(out_r, out_s)
+    gap = d_in - d_out
+    margins = [
+        gap + 1e-8,  # contractivity
+        epsilon * d_in - gap + 1e-8,  # bounded shrinkage
+        1e-8 - np.abs(d_out - (1.0 - eps) * d_in),  # exact law
+    ]
+    return np.stack(margins, axis=-1).ravel()
+
+
 def distance_contraction_check(
     epsilon: float, dim: int, trials: int, rng: np.random.Generator
 ) -> CheckReport:
@@ -258,22 +333,37 @@ def distance_contraction_check(
     ``epsilon`` is the extremal one: it meets the shrinkage bound with
     equality.  Audited on pure and mixed input pairs.
     """
-    margins: list[float] = []
-    for t in range(trials):
-        rho, sigma = _random_pair(dim, rng, mixed=bool(t % 2))
-        d_in = trace_distance(rho, sigma)
-        for channel in _both_channels(epsilon, dim, rng):
-            d_out = trace_distance(
-                channel_apply(channel, rho), channel_apply(channel, sigma)
-            )
-            gap = d_in - d_out
-            margins.append(gap + 1e-8)  # contractivity
-            margins.append(epsilon * d_in - gap + 1e-8)  # bounded shrinkage
-            exact = (1.0 - channel.epsilon) * d_in
-            margins.append(1e-8 - abs(d_out - exact))  # exact law
-    return _report(
+    margins = (
+        _contraction_margins(epsilon, dim, chunk, rng)
+        for chunk in _chunks(dim, trials)
+    )
+    return _report_chunks(
         "distance-contraction", margins, detail=f"eps={epsilon} D={dim}"
     )
+
+
+def _disturbance_margins(
+    epsilon: float, dim: int, trials: range, rng: np.random.Generator
+) -> np.ndarray:
+    rho, sigma, eps, out_r, out_s = _disturbed_pairs(epsilon, dim, trials, rng)
+    f_in = _fidelity_stack(rho, sigma)[:, np.newaxis]
+    g_in = np.sqrt(f_in)  # what sqrt_fidelity_mixed returns
+    d_in = _trace_distance_stack(rho, sigma)[:, np.newaxis]
+    f_out = _fidelity_stack(out_r, out_s)
+    g_out = np.sqrt(f_out)
+    gain = f_out - f_in
+    margins = np.stack(
+        [
+            gain + 1e-8,  # monotone, squared
+            g_out - g_in + 1e-8,  # monotone, square root
+            g_out - (1.0 - epsilon) * g_in + 1e-8,  # concavity
+            2.0 * eps * d_in - gain + 1e-8,  # gain bound
+        ],
+        axis=-1,
+    )
+    keep = np.ones(margins.shape, dtype=bool)
+    keep[np.array(trials) % 2 == 1, :, 3] = False  # the gain bound is for pure pairs
+    return margins[keep]
 
 
 def fidelity_disturbance_check(
@@ -289,27 +379,50 @@ def fidelity_disturbance_check(
     law is necessary: for ``rho = I/2`` vs a basis state on one qubit at
     ``eps = 0.1`` the gain exceeds the bound in both conventions.
     """
-    margins: list[float] = []
-    for t in range(trials):
-        mixed = bool(t % 2)
-        rho, sigma = _random_pair(dim, rng, mixed=mixed)
-        f_in = fidelity_mixed(rho, sigma)
-        g_in = float(np.sqrt(f_in))  # what sqrt_fidelity_mixed returns
-        d_in = trace_distance(rho, sigma)
-        for channel in _both_channels(epsilon, dim, rng):
-            out_r = channel_apply(channel, rho)
-            out_s = channel_apply(channel, sigma)
-            f_out = fidelity_mixed(out_r, out_s)
-            g_out = float(np.sqrt(f_out))
-            margins.append(f_out - f_in + 1e-8)  # monotone, squared
-            margins.append(g_out - g_in + 1e-8)  # monotone, square root
-            margins.append(g_out - (1.0 - epsilon) * g_in + 1e-8)  # concavity
-            if not mixed:
-                bound = 2.0 * channel.epsilon * d_in
-                margins.append(bound - (f_out - f_in) + 1e-8)
-    return _report(
+    margins = (
+        _disturbance_margins(epsilon, dim, chunk, rng)
+        for chunk in _chunks(dim, trials)
+    )
+    return _report_chunks(
         "fidelity-disturbance", margins, detail=f"eps={epsilon} D={dim}"
     )
+
+
+def _concavity_margins(
+    dim: int, trials: range, rng: np.random.Generator
+) -> np.ndarray:
+    """Margins of a chunk of joint-concavity trials.
+
+    Each trial draws 2 or 3 parts and their weights, then one pair per part
+    for the rhos (keeping the first matrix) and one per part for the sigmas
+    (keeping the second).  Every drawn matrix is validated.
+    """
+    weights = np.zeros((len(trials), 3))  # padded with zero weights
+    drawn = np.zeros(weights.shape, dtype=bool)
+    mix_r, mix_s, part_r, part_s, unused = [], [], [], [], []
+    for i in range(len(trials)):
+        parts = int(rng.integers(2, 4))
+        w = weights[i, :parts] = rng.dirichlet(np.ones(parts))
+        drawn[i, :parts] = True
+        odd = [bool(k % 2) for k in range(parts)]
+        rhos, unused_r = zip(*(_random_pair(dim, rng, mixed) for mixed in odd))
+        unused_s, sigmas = zip(*(_random_pair(dim, rng, mixed) for mixed in odd))
+        mix_r.append(sum(p * r for p, r in zip(w, rhos)))
+        mix_s.append(sum(p * s for p, s in zip(w, sigmas)))
+        part_r += rhos
+        part_s += sigmas
+        unused += unused_r + unused_s
+    stacks = [np.array(x) for x in (mix_r, mix_s, part_r, part_s, unused)]
+    for stack in stacks:
+        _check_density(stack)
+    mix_r, mix_s, part_r, part_s, _ = stacks
+    lhs = np.sqrt(_fidelity_stack(mix_r, mix_s))
+    g = np.zeros_like(weights)
+    g[drawn] = np.sqrt(_fidelity_stack(part_r, part_s))
+    # summed part by part from 0 like ``sum`` over one trial's parts; a
+    # padded part adds 0.0, which leaves the sum unchanged
+    rhs = sum(w * gk for w, gk in zip(weights.T, g.T))
+    return lhs - rhs + 1e-8
 
 
 def joint_concavity_check(
@@ -322,27 +435,10 @@ def joint_concavity_check(
     violates it), which is why the laboratory's mixture arguments go through
     the square-root form.
     """
-    margins: list[float] = []
-    for _ in range(trials):
-        parts = int(rng.integers(2, 4))
-        weights = rng.dirichlet(np.ones(parts))
-        rhos = [_random_pair(dim, rng, mixed=bool(k % 2))[0] for k in range(parts)]
-        sigmas = [_random_pair(dim, rng, mixed=bool(k % 2))[1] for k in range(parts)]
-        mix_r = DensityMatrix(
-            sum(w * r.matrix for w, r in zip(weights, rhos))
-        )
-        mix_s = DensityMatrix(
-            sum(w * s.matrix for w, s in zip(weights, sigmas))
-        )
-        lhs = sqrt_fidelity_mixed(mix_r, mix_s)
-        rhs = float(
-            sum(
-                w * sqrt_fidelity_mixed(r, s)
-                for w, r, s in zip(weights, rhos, sigmas)
-            )
-        )
-        margins.append(lhs - rhs + 1e-8)
-    return _report("sqrt-fidelity-joint-concavity", margins, detail=f"D={dim}")
+    margins = (_concavity_margins(dim, chunk, rng) for chunk in _chunks(dim, trials))
+    return _report_chunks(
+        "sqrt-fidelity-joint-concavity", margins, detail=f"D={dim}"
+    )
 
 
 # ---------------------------------------------------------------------------

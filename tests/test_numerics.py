@@ -75,6 +75,59 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def _nan_entry(m):
+    m[0, 1] = np.nan
+
+
+def _inf_entry(m):
+    m[1, 1] = np.inf
+
+
+def _not_hermitian(m):
+    m[0, 1] += 1e-9
+
+
+def _wrong_trace(m):
+    m[0, 0] += 1e-9
+
+
+def _negative_eigenvalue(m):
+    m[...] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])
+
+
+class TestStackedValidation:
+    """The stack validator runs every DensityMatrix test on every matrix."""
+
+    @staticmethod
+    def stack(rng, n=6, dim=4):
+        out = np.empty((n, dim, dim), dtype=np.complex128)
+        for k in range(n):
+            a, b = haar_state(dim, rng).amplitudes, haar_state(dim, rng).amplitudes
+            out[k] = 0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj())
+        return out
+
+    def test_valid_stacks_pass(self):
+        good = self.stack(np.random.default_rng(SEED))
+        numerics._check_density(good)
+        numerics._check_density(good.reshape(3, 2, 4, 4))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_nan_entry, _inf_entry, _not_hermitian, _wrong_trace, _negative_eigenvalue],
+    )
+    def test_one_bad_matrix_among_good_ones_is_rejected(self, corrupt, index):
+        stack = self.stack(np.random.default_rng(SEED + index))
+        corrupt(stack[index])
+        with pytest.raises(InvalidQuantumObject):
+            DensityMatrix(stack[index])
+        with pytest.raises(InvalidQuantumObject):
+            numerics._check_density(stack)
+        with pytest.raises(InvalidQuantumObject):
+            numerics._check_density(stack.reshape(3, 2, 4, 4))
+
+
 class TestUnitaryAndProjector:
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(InvalidQuantumObject):

@@ -1,17 +1,22 @@
 """The audit battery must pass on honest claims and flag the planted false one."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qpuflab import numerics, verify
 from qpuflab import (
     CheckReport,
+    EpsilonDisturbedChannel,
+    InvalidQuantumObject,
     StateVector,
     closed_form_check,
     distance_contraction_check,
     fidelity_disturbance_check,
     haar_state,
     haar_subspace_weight_check,
+    haar_unitary,
     joint_concavity_check,
     negative_control_check,
     orthogonal_challenge_check,
@@ -21,6 +26,9 @@ from qpuflab import (
     swap_statistics_check,
     trace_distance,
     DensityMatrix,
+    channel_apply,
+    fidelity_mixed,
+    sqrt_fidelity_mixed,
 )
 
 SEED = 884422
@@ -84,19 +92,20 @@ class TestIndividualChecks:
     def test_fidelity_disturbance_runs_three_fidelities_per_trial(
         self, monkeypatch
     ):
-        # F_in, then F_out per channel; the square roots reuse them.  The
-        # numerics patch counts any call made through sqrt_fidelity_mixed.
+        # F_in, then F_out per channel; the square roots reuse them.  Counts
+        # the pairs entering the stacked fidelity kernel, also any that
+        # reach it through the public single-pair functions.
         calls = []
-        real = numerics.fidelity_mixed
+        real = numerics._fidelity_stack
 
-        def counted(rho, sigma):
-            calls.append(1)
-            return real(rho, sigma)
+        def counted(rhos, sigmas):
+            calls.append(int(np.prod(rhos.shape[:-2])))
+            return real(rhos, sigmas)
 
-        monkeypatch.setattr(verify, "fidelity_mixed", counted)
-        monkeypatch.setattr(numerics, "fidelity_mixed", counted)
+        monkeypatch.setattr(verify, "_fidelity_stack", counted)
+        monkeypatch.setattr(numerics, "_fidelity_stack", counted)
         fidelity_disturbance_check(0.3, 4, 4, np.random.default_rng(SEED + 7))
-        assert len(calls) == 12
+        assert sum(calls) == 12
 
     def test_joint_concavity(self):
         rep = joint_concavity_check(4, 40, np.random.default_rng(SEED + 8))
@@ -144,3 +153,272 @@ class TestFullBattery:
         a = [r.as_dict() for r in run_all_checks(seed=9)]
         b = [r.as_dict() for r in run_all_checks(seed=9)]
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The per-trial disturbance checks and 2-d kernels that the stacked ones
+# replaced, kept verbatim as a bit-level oracle: every report of a stacked
+# check, and every single-pair metric, must be equal to theirs.
+
+
+def _old_fidelity_mixed(rho, sigma):
+    w, v = np.linalg.eigh(rho.matrix)
+    sqrt_rho = (v * np.sqrt(_old_drop_round_off(w))) @ v.conj().T
+    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
+    eigs = _old_drop_round_off(np.linalg.eigvalsh(inner))
+    return float(np.sum(np.sqrt(eigs)) ** 2)
+
+
+def _old_drop_round_off(w):
+    return np.where(w > 1e-12 * w[-1], w, 0.0)
+
+
+def _old_sqrt_fidelity_mixed(rho, sigma):
+    return float(np.sqrt(_old_fidelity_mixed(rho, sigma)))
+
+
+def _old_trace_distance(rho, sigma):
+    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    return float(0.5 * np.sum(np.abs(eigs)))
+
+
+def _old_channel_apply(channel, rho):
+    u = channel.unitary.matrix
+    ideal = u @ rho.matrix @ u.conj().T
+    eps = channel.epsilon
+    mixed = np.eye(rho.dim) / rho.dim
+    return DensityMatrix((1.0 - eps) * ideal + eps * mixed)
+
+
+def _old_report(name, margins, detail=""):
+    worst = min(margins) if margins else float("inf")
+    violations = sum(1 for m in margins if m < 0.0)
+    return CheckReport(
+        name=name,
+        trials=len(margins),
+        violations=violations,
+        worst_margin=worst,
+        passed=violations == 0,
+        detail=detail,
+    )
+
+
+def _old_random_mixed(dim, rank, rng):
+    weights = rng.dirichlet(np.ones(rank))
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for w in weights:
+        s = haar_state(dim, rng).amplitudes
+        acc += w * np.outer(s, s.conj())
+    return DensityMatrix(acc)
+
+
+def _old_random_pair(dim, rng, mixed):
+    if mixed:
+        rank = int(rng.integers(2, dim + 1))
+        return _old_random_mixed(dim, rank, rng), _old_random_mixed(dim, rank, rng)
+    a = haar_state(dim, rng)
+    b = haar_state(dim, rng)
+    return DensityMatrix.from_state(a), DensityMatrix.from_state(b)
+
+
+def _old_both_channels(epsilon, dim, rng):
+    u = haar_unitary(dim, rng)
+    strength = float(rng.uniform(0.2, 1.0))
+    return (
+        EpsilonDisturbedChannel(epsilon, u),
+        EpsilonDisturbedChannel(epsilon * strength, u),
+    )
+
+
+def _old_distance_contraction_check(epsilon, dim, trials, rng):
+    margins = []
+    for t in range(trials):
+        rho, sigma = _old_random_pair(dim, rng, mixed=bool(t % 2))
+        d_in = _old_trace_distance(rho, sigma)
+        for channel in _old_both_channels(epsilon, dim, rng):
+            d_out = _old_trace_distance(
+                _old_channel_apply(channel, rho), _old_channel_apply(channel, sigma)
+            )
+            gap = d_in - d_out
+            margins.append(gap + 1e-8)  # contractivity
+            margins.append(epsilon * d_in - gap + 1e-8)  # bounded shrinkage
+            exact = (1.0 - channel.epsilon) * d_in
+            margins.append(1e-8 - abs(d_out - exact))  # exact law
+    return _old_report(
+        "distance-contraction", margins, detail=f"eps={epsilon} D={dim}"
+    )
+
+
+def _old_fidelity_disturbance_check(epsilon, dim, trials, rng):
+    margins = []
+    for t in range(trials):
+        mixed = bool(t % 2)
+        rho, sigma = _old_random_pair(dim, rng, mixed=mixed)
+        f_in = _old_fidelity_mixed(rho, sigma)
+        g_in = float(np.sqrt(f_in))  # what sqrt_fidelity_mixed returns
+        d_in = _old_trace_distance(rho, sigma)
+        for channel in _old_both_channels(epsilon, dim, rng):
+            out_r = _old_channel_apply(channel, rho)
+            out_s = _old_channel_apply(channel, sigma)
+            f_out = _old_fidelity_mixed(out_r, out_s)
+            g_out = float(np.sqrt(f_out))
+            margins.append(f_out - f_in + 1e-8)  # monotone, squared
+            margins.append(g_out - g_in + 1e-8)  # monotone, square root
+            margins.append(g_out - (1.0 - epsilon) * g_in + 1e-8)  # concavity
+            if not mixed:
+                bound = 2.0 * channel.epsilon * d_in
+                margins.append(bound - (f_out - f_in) + 1e-8)
+    return _old_report(
+        "fidelity-disturbance", margins, detail=f"eps={epsilon} D={dim}"
+    )
+
+
+def _old_joint_concavity_check(dim, trials, rng):
+    margins = []
+    for _ in range(trials):
+        parts = int(rng.integers(2, 4))
+        weights = rng.dirichlet(np.ones(parts))
+        rhos = [_old_random_pair(dim, rng, mixed=bool(k % 2))[0] for k in range(parts)]
+        sigmas = [_old_random_pair(dim, rng, mixed=bool(k % 2))[1] for k in range(parts)]
+        mix_r = DensityMatrix(
+            sum(w * r.matrix for w, r in zip(weights, rhos))
+        )
+        mix_s = DensityMatrix(
+            sum(w * s.matrix for w, s in zip(weights, sigmas))
+        )
+        lhs = _old_sqrt_fidelity_mixed(mix_r, mix_s)
+        rhs = float(
+            sum(
+                w * _old_sqrt_fidelity_mixed(r, s)
+                for w, r, s in zip(weights, rhos, sigmas)
+            )
+        )
+        margins.append(lhs - rhs + 1e-8)
+    return _old_report("sqrt-fidelity-joint-concavity", margins, detail=f"D={dim}")
+
+
+def _one_chunk(dim):
+    return max(1, verify._STACK_CHUNK // dim**2)
+
+
+def _pairs(dim, rng):
+    """Pure, mixed, identical and orthogonal input pairs."""
+    a, b = haar_state(dim, rng).amplitudes, haar_state(dim, rng).amplitudes
+    b_perp = b - np.vdot(a, b) * a
+    pure = DensityMatrix.from_state(StateVector(a))
+    yield pure, DensityMatrix.from_state(StateVector(b))
+    yield pure, DensityMatrix.from_state(StateVector(b_perp / np.linalg.norm(b_perp)))
+    yield pure, pure
+    for rank in (2, dim):
+        rho = verify._random_mixed(dim, rank, rng)
+        yield DensityMatrix(rho), DensityMatrix(verify._random_mixed(dim, rank, rng))
+        yield DensityMatrix(rho), DensityMatrix(rho)
+
+
+class TestStackedChecksBits:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("epsilon", [0, 0.1, 0.3, 0.5, 1])
+    def test_disturbance_checks_match_per_trial_loops(self, epsilon, dim, seed):
+        for trials in (0, 1, 2, 61):
+            for new, old in (
+                (distance_contraction_check, _old_distance_contraction_check),
+                (fidelity_disturbance_check, _old_fidelity_disturbance_check),
+            ):
+                s = SEED + 1000 * seed + trials
+                got = new(epsilon, dim, trials, np.random.default_rng(s))
+                assert got == old(epsilon, dim, trials, np.random.default_rng(s))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_joint_concavity_matches_per_trial_loop(self, dim, seed):
+        for trials in (0, 1, 2, 61):
+            s = SEED + 1000 * seed + trials
+            want = _old_joint_concavity_check(dim, trials, np.random.default_rng(s))
+            assert joint_concavity_check(dim, trials, np.random.default_rng(s)) == want
+
+    def test_one_chunk_and_one_trial(self):
+        # D = 8 keeps this fast: a chunk is 256 trials there, 4096 at D = 2
+        dim = 8
+        trials = _one_chunk(dim) + 1
+        s = SEED + 7000
+        for new, old in (
+            (distance_contraction_check, _old_distance_contraction_check),
+            (fidelity_disturbance_check, _old_fidelity_disturbance_check),
+        ):
+            got = new(0.3, dim, trials, np.random.default_rng(s))
+            assert got == old(0.3, dim, trials, np.random.default_rng(s))
+        got = joint_concavity_check(dim, trials, np.random.default_rng(s))
+        assert got == _old_joint_concavity_check(dim, trials, np.random.default_rng(s))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_odd_sized_chunks(self, dim, monkeypatch):
+        # three trials a chunk: chunks start on odd trials too, where the
+        # pure/mixed alternation must carry on from the previous chunk
+        monkeypatch.setattr(verify, "_STACK_CHUNK", 3 * dim**2)
+        s = SEED + 8000 + dim
+        for new, old in (
+            (distance_contraction_check, _old_distance_contraction_check),
+            (fidelity_disturbance_check, _old_fidelity_disturbance_check),
+        ):
+            got = new(0.5, dim, 13, np.random.default_rng(s))
+            assert got == old(0.5, dim, 13, np.random.default_rng(s))
+        got = joint_concavity_check(dim, 13, np.random.default_rng(s))
+        assert got == _old_joint_concavity_check(dim, 13, np.random.default_rng(s))
+
+    @pytest.mark.parametrize("dim", [*range(2, 9), 64])
+    def test_single_pair_functions_match_2d_kernels(self, dim):
+        rng = np.random.default_rng(SEED + 9000 + dim)
+        for _ in range(3):
+            for rho, sigma in _pairs(dim, rng):
+                assert fidelity_mixed(rho, sigma) == _old_fidelity_mixed(rho, sigma)
+                assert sqrt_fidelity_mixed(rho, sigma) == _old_sqrt_fidelity_mixed(
+                    rho, sigma
+                )
+                assert trace_distance(rho, sigma) == _old_trace_distance(rho, sigma)
+                channel = EpsilonDisturbedChannel(
+                    float(rng.uniform()), haar_unitary(dim, rng)
+                )
+                assert np.array_equal(
+                    channel_apply(channel, rho).matrix,
+                    _old_channel_apply(channel, rho).matrix,
+                )
+
+
+class TestStackedChecksGuards:
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, np.nan])
+    @pytest.mark.parametrize(
+        "check", [distance_contraction_check, fidelity_disturbance_check]
+    )
+    def test_epsilon_outside_unit_interval_rejected(self, check, epsilon):
+        with pytest.raises(InvalidQuantumObject):
+            check(epsilon, 4, 3, np.random.default_rng(SEED))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda rng: distance_contraction_check(0.3, 4, 0, rng),
+            lambda rng: fidelity_disturbance_check(0.3, 4, 0, rng),
+            lambda rng: joint_concavity_check(4, 0, rng),
+        ],
+        ids=["distance", "fidelity", "concavity"],
+    )
+    def test_zero_trials_pass_vacuously(self, run):
+        rep = run(np.random.default_rng(SEED))
+        assert (rep.trials, rep.violations, rep.passed) == (0, 0, True)
+        assert rep.worst_margin == float("inf")
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # D = 8: 256 trials a chunk.  Three chunks must peak where one does,
+        # under 6 MB; with one stack for all 768 trials the peak is ~11 MB
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                fidelity_disturbance_check(0.3, 8, trials, np.random.default_rng(SEED))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(_one_chunk(8)), peak(3 * _one_chunk(8))
+        assert three < 6 * 2**20
+        assert three < 1.1 * one
