@@ -35,6 +35,7 @@ from .numerics import (
     CONSTRUCTION_TOL,
     StateVector,
     UnitaryMatrix,
+    _haar_vector,
     apply,
     haar_state,
 )
@@ -145,7 +146,7 @@ class SubspaceAdversary:
     @staticmethod
     def _complement_draw(kn: SubspaceKnowledge, rng: np.random.Generator) -> np.ndarray:
         while True:
-            v = haar_state(kn.dim, rng).amplitudes.copy()
+            v = _haar_vector(kn.dim, rng)
             for b_out in kn.basis_out:
                 v -= np.vdot(b_out.amplitudes, v) * b_out.amplitudes
             norm = float(np.linalg.norm(v))

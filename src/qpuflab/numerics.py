@@ -89,7 +89,13 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         arr = _frozen_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", arr)
-        _check_density(arr)
+        if not (np.abs(arr - arr.conj().T).max() <= CONSTRUCTION_TOL):
+            raise InvalidQuantumObject("density matrix is not Hermitian")
+        tr = complex(np.trace(arr))
+        if not (abs(tr - 1.0) <= CONSTRUCTION_TOL):
+            raise InvalidQuantumObject(f"density matrix trace {tr!r} is not 1")
+        if not (np.linalg.eigvalsh(arr).min() >= -RANK_TOL):
+            raise InvalidQuantumObject("density matrix has a negative eigenvalue")
 
     @property
     def dim(self) -> int:
@@ -98,27 +104,6 @@ class DensityMatrix:
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
         return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-
-
-def _check_density(arr: np.ndarray) -> None:
-    """Raise unless every matrix of the ``(..., D, D)`` stack is a density matrix.
-
-    Hermitian and unit trace within ``CONSTRUCTION_TOL``, no eigenvalue below
-    ``-RANK_TOL``; each test runs over the whole stack at once.  The
-    ``eigvalsh`` is not negligible: one call per matrix was a third of the
-    time of the c08 disturbance audits, which now validate whole stacks.
-    Whole-array ``max``/``min`` keep a lone matrix as fast as 2-d code;
-    reducing over ``axis=(-2, -1)`` costs several microseconds more.
-    """
-    if not (np.abs(arr - arr.conj().swapaxes(-2, -1)).max() <= CONSTRUCTION_TOL):
-        raise InvalidQuantumObject("density matrix is not Hermitian")
-    tr = arr.trace(axis1=-2, axis2=-1)
-    dev = np.abs(tr - 1.0)
-    if not (dev.max() <= CONSTRUCTION_TOL):
-        bad = complex(tr.flat[np.argmax(dev)])
-        raise InvalidQuantumObject(f"density matrix trace {bad!r} is not 1")
-    if not (np.linalg.eigvalsh(arr).min() >= -RANK_TOL):
-        raise InvalidQuantumObject("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +269,14 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
         raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
     if dim > max_dim():
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
+    return StateVector(_haar_vector(dim, rng))
+
+
+def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The amplitudes :func:`haar_state` returns, with the same draws; not
+    validated, and the caller owns the (writable) array."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
@@ -304,10 +295,8 @@ def _haar_unitary_stack(
     """One Haar unitary per generator, stacked and not yet validated.
 
     Returns shape ``(len(rngs), dim, dim)``.  Each generator fills its own
-    Ginibre matrix, then one ``np.linalg.qr`` and one phase fix run over the
-    whole stack.  LAPACK factors each matrix of the stack on its own, so
-    entry ``k`` is bit for bit what :func:`haar_unitary` returns for
-    ``rngs[k]``.
+    Ginibre matrix, then :func:`_haar_qr` factors the stack, so entry ``k``
+    is bit for bit what :func:`haar_unitary` returns for ``rngs[k]``.
     """
     if dim < 1:
         raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
@@ -315,11 +304,26 @@ def _haar_unitary_stack(
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
     z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
     for k, rng in enumerate(rngs):
-        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        z[k] = _ginibre(dim, rng)
+    return _haar_qr(z)
+
+
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Gaussian matrix that one Haar unitary is factored from."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_qr(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a ``(T, D, D)`` stack of :func:`_ginibre` draws.
+
+    Overwrites ``z``.  One ``np.linalg.qr`` and one phase fix run over the
+    whole stack; LAPACK factors each matrix of it on its own, so entry ``k``
+    is bit for bit the unitary of draw ``k`` alone.
+    """
     z /= np.sqrt(2.0)
     # a lone matrix is factored unstacked: at D=64 a stack of one made each
     # haar_unitary call 7% slower, for the same bits
-    q, r = np.linalg.qr(z[0] if len(rngs) == 1 else z)
+    q, r = np.linalg.qr(z[0] if len(z) == 1 else z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., np.newaxis, :]
     return q.reshape(z.shape)

@@ -6,12 +6,17 @@ smallest slack seen across all trials of a check (negative means at least
 one violation), so a barely-passing check is visible as a small positive
 margin rather than a bare boolean.
 
+Every check validates its parameters on entry, before its first draw.
+
 The disturbance and concavity audits (``distance_contraction_check``,
-``fidelity_disturbance_check``, ``joint_concavity_check``) work a bounded
-chunk of trials at a time: they draw every trial's inputs in stream order,
-then validate and evaluate the chunk as ``(T, D, D)`` stacks with one
-``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each matrix
-of a stack on its own, so every margin is bit for bit the one-trial value.
+``fidelity_disturbance_check``, ``joint_concavity_check``) then work on
+plain arrays, a bounded chunk of trials at a time: they draw every trial's
+inputs in stream order, then evaluate the chunk as ``(T, D, D)`` stacks with
+one ``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each
+matrix of a stack on its own, so every margin is bit for bit the one-trial
+value.  What they build from Haar draws, mixtures and the epsilon-channel is
+a density matrix by construction and is not validated again; tests check
+that on sampled draws.
 
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
@@ -25,19 +30,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .emulator import QeConfig, run_full, run_stage1, closed_form_state
-from .errors import PostSelectionFailure
+from .errors import DimensionCapExceeded, InvalidQuantumObject, PostSelectionFailure
 # fidelity_mixed, trace_distance and channel_apply are not called here; the
 # traced benchmark patches them at these names, so they stay importable
 from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
-    _check_density,
     _disturb_stack,
     _fidelity_stack,
+    _ginibre,
+    _haar_qr,
+    _haar_vector,
     _trace_distance_stack,
     fidelity_mixed,
     haar_state,
     haar_unitary,
+    max_dim,
     span_projector,
     trace_distance,
 )
@@ -62,6 +70,28 @@ class CheckReport:
 
 def _report(name: str, margins: list[float], detail: str = "") -> CheckReport:
     return _report_chunks(name, [np.array(margins, dtype=np.float64)], detail)
+
+
+def _check_inputs(
+    trials: int,
+    least_trials: int = 0,
+    dim: int = 2,
+    least_dim: int = 2,
+    epsilon: float = 0.0,
+) -> None:
+    """Raise before any draw unless a check's parameters are in range.
+
+    Each test is written so that NaN fails it.  The disturbance and
+    concavity audits need ``dim >= 2``: their mixed pairs have rank 2 or more.
+    """
+    if not trials >= least_trials:
+        raise InvalidQuantumObject(f"trials={trials} is below {least_trials}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidQuantumObject(f"epsilon={epsilon} outside [0, 1]")
+    if not dim >= least_dim:
+        raise InvalidQuantumObject(f"dimension {dim} is below {least_dim}")
+    if dim > max_dim():
+        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
 
 
 def _report_chunks(name: str, chunks, detail: str = "") -> CheckReport:
@@ -93,15 +123,17 @@ def haar_subspace_weight_check(
     """Mean squared overlap of a Haar state with a d-dim subspace is d/D.
 
     Verified against the computational-basis projector (Haar invariance makes
-    the subspace choice irrelevant) within three empirical standard errors.
+    the subspace choice irrelevant) within three empirical standard errors,
+    which takes at least two trials.
     """
+    _check_inputs(trials, 2, dim, least_dim=1)
     if not 0 <= d <= dim:
-        raise ValueError(f"subspace dimension {d} outside 0..{dim}")
+        raise InvalidQuantumObject(f"subspace dimension {d} outside 0..{dim}")
     raw = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     weights = np.sum(np.abs(raw[:, :d]) ** 2, axis=1)
     mean = float(np.mean(weights))
-    stderr = float(np.std(weights, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(np.std(weights, ddof=1) / np.sqrt(trials))
     allowance = 3.0 * stderr + 1e-12
     margin = allowance - abs(mean - d / dim)
     return CheckReport(
@@ -159,6 +191,7 @@ def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
     Audited over random devices, sample sets (balanced between in-span and
     generic inputs), reference choices, and register sizes.
     """
+    _check_inputs(trials)
     margins: list[float] = []
     for _ in range(trials):
         cfg, psi, target = _random_qe_setup(rng)
@@ -192,6 +225,7 @@ def closed_form_check(trials: int, rng: np.random.Generator) -> CheckReport:
     Trace distance between the two joint pure states must stay below 1e-9
     (certified through the phase-aligned Euclidean upper bound).
     """
+    _check_inputs(trials)
     margins: list[float] = []
     for _ in range(trials):
         cfg, psi, _ = _random_qe_setup(rng, k_choices=(2, 3, 4))
@@ -208,6 +242,7 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
     every reflection's argument), so the success weight is exactly zero:
     ``p_succ_stage1 <= 1e-12`` and post-selection must raise.
     """
+    _check_inputs(trials)
     margins: list[float] = []
     for _ in range(trials):
         # at most 3 samples in D >= 4 leave a non-trivial complement
@@ -217,7 +252,7 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
         # orthogonal family, so sequential Gram-Schmidt would be wrong)
         proj = span_projector(cfg.samples_in).matrix
         while True:
-            v = haar_state(cfg.dim, rng).amplitudes
+            v = _haar_vector(cfg.dim, rng)
             v = v - proj @ v
             norm = float(np.linalg.norm(v))
             if norm > 1e-6:
@@ -251,7 +286,7 @@ def _random_mixed(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     weights = rng.dirichlet(np.ones(rank))
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for w in weights:
-        s = haar_state(dim, rng).amplitudes
+        s = _haar_vector(dim, rng)
         acc += w * np.outer(s, s.conj())
     return acc
 
@@ -259,52 +294,37 @@ def _random_mixed(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 def _random_pair(
     dim: int, rng: np.random.Generator, mixed: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two density matrices, not yet validated."""
+    """Two density matrices, as plain arrays."""
     if mixed:
         rank = int(rng.integers(2, dim + 1))
         return _random_mixed(dim, rank, rng), _random_mixed(dim, rank, rng)
-    a = haar_state(dim, rng).amplitudes
-    b = haar_state(dim, rng).amplitudes
+    a = _haar_vector(dim, rng)
+    b = _haar_vector(dim, rng)
     return np.outer(a, a.conj()), np.outer(b, b.conj())
-
-
-def _both_channels(
-    epsilon: float, dim: int, rng: np.random.Generator
-) -> tuple[EpsilonDisturbedChannel, ...]:
-    """The member at ``epsilon`` and, on the same unitary, the member at
-    ``epsilon * s``: depolarizing strength ``s`` drawn from [0.2, 1)."""
-    u = haar_unitary(dim, rng)
-    strength = float(rng.uniform(0.2, 1.0))
-    return (
-        EpsilonDisturbedChannel(epsilon, u),
-        EpsilonDisturbedChannel(epsilon * strength, u),
-    )
 
 
 def _disturbed_pairs(
     epsilon: float, dim: int, trials: range, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
-    """Validated inputs and outputs of a chunk of disturbance trials.
+    """Inputs and outputs of a chunk of disturbance trials.
 
-    Each trial draws its input pair (mixed on odd trials), then the unitary
-    and strength of :func:`_both_channels`.  Returns ``rho, sigma`` as
-    ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both outputs as
-    ``(T, 2, D, D)``.
+    Each trial draws its input pair (mixed on odd trials), then the Ginibre
+    matrix of a Haar unitary and a depolarizing strength ``s`` from
+    [0.2, 1): the members at ``epsilon`` and ``epsilon * s`` share that
+    unitary.  One stacked QR factors the chunk's unitaries.  Returns ``rho,
+    sigma`` as ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both
+    outputs as ``(T, 2, D, D)``.
     """
     rho = np.empty((len(trials), dim, dim), dtype=np.complex128)
     sigma = np.empty_like(rho)
-    u = np.empty_like(rho)
+    ginibre = np.empty_like(rho)
     eps = np.empty((len(trials), 2))
     for k, t in enumerate(trials):
         rho[k], sigma[k] = _random_pair(dim, rng, mixed=bool(t % 2))
-        channels = _both_channels(epsilon, dim, rng)
-        u[k] = channels[0].unitary.matrix
-        eps[k] = [c.epsilon for c in channels]
-    out_r = _disturb_stack(u, rho, eps)
-    out_s = _disturb_stack(u, sigma, eps)
-    for stack in (rho, sigma, out_r, out_s):
-        _check_density(stack)
-    return rho, sigma, eps, out_r, out_s
+        ginibre[k] = _ginibre(dim, rng)
+        eps[k] = epsilon, epsilon * float(rng.uniform(0.2, 1.0))
+    u = _haar_qr(ginibre)
+    return rho, sigma, eps, _disturb_stack(u, rho, eps), _disturb_stack(u, sigma, eps)
 
 
 def _contraction_margins(
@@ -333,6 +353,7 @@ def distance_contraction_check(
     ``epsilon`` is the extremal one: it meets the shrinkage bound with
     equality.  Audited on pure and mixed input pairs.
     """
+    _check_inputs(trials, dim=dim, epsilon=epsilon)
     margins = (
         _contraction_margins(epsilon, dim, chunk, rng)
         for chunk in _chunks(dim, trials)
@@ -379,6 +400,7 @@ def fidelity_disturbance_check(
     law is necessary: for ``rho = I/2`` vs a basis state on one qubit at
     ``eps = 0.1`` the gain exceeds the bound in both conventions.
     """
+    _check_inputs(trials, dim=dim, epsilon=epsilon)
     margins = (
         _disturbance_margins(epsilon, dim, chunk, rng)
         for chunk in _chunks(dim, trials)
@@ -395,27 +417,23 @@ def _concavity_margins(
 
     Each trial draws 2 or 3 parts and their weights, then one pair per part
     for the rhos (keeping the first matrix) and one per part for the sigmas
-    (keeping the second).  Every drawn matrix is validated.
+    (keeping the second).
     """
     weights = np.zeros((len(trials), 3))  # padded with zero weights
     drawn = np.zeros(weights.shape, dtype=bool)
-    mix_r, mix_s, part_r, part_s, unused = [], [], [], [], []
+    mix_r, mix_s, part_r, part_s = [], [], [], []
     for i in range(len(trials)):
         parts = int(rng.integers(2, 4))
         w = weights[i, :parts] = rng.dirichlet(np.ones(parts))
         drawn[i, :parts] = True
         odd = [bool(k % 2) for k in range(parts)]
-        rhos, unused_r = zip(*(_random_pair(dim, rng, mixed) for mixed in odd))
-        unused_s, sigmas = zip(*(_random_pair(dim, rng, mixed) for mixed in odd))
+        rhos = [_random_pair(dim, rng, mixed)[0] for mixed in odd]
+        sigmas = [_random_pair(dim, rng, mixed)[1] for mixed in odd]
         mix_r.append(sum(p * r for p, r in zip(w, rhos)))
         mix_s.append(sum(p * s for p, s in zip(w, sigmas)))
         part_r += rhos
         part_s += sigmas
-        unused += unused_r + unused_s
-    stacks = [np.array(x) for x in (mix_r, mix_s, part_r, part_s, unused)]
-    for stack in stacks:
-        _check_density(stack)
-    mix_r, mix_s, part_r, part_s, _ = stacks
+    mix_r, mix_s, part_r, part_s = map(np.array, (mix_r, mix_s, part_r, part_s))
     lhs = np.sqrt(_fidelity_stack(mix_r, mix_s))
     g = np.zeros_like(weights)
     g[drawn] = np.sqrt(_fidelity_stack(part_r, part_s))
@@ -435,6 +453,7 @@ def joint_concavity_check(
     violates it), which is why the laboratory's mixture arguments go through
     the square-root form.
     """
+    _check_inputs(trials, dim=dim)
     margins = (_concavity_margins(dim, chunk, rng) for chunk in _chunks(dim, trials))
     return _report_chunks(
         "sqrt-fidelity-joint-concavity", margins, detail=f"D={dim}"
@@ -454,6 +473,7 @@ def swap_statistics_check(
     checked within three binomial standard errors, and the deterministic
     cells exactly (F = 1 always accepts).
     """
+    _check_inputs(trials, 1)
     margins: list[float] = []
     details: list[str] = []
     for f in (0.0, 0.5, 1.0):
@@ -488,14 +508,15 @@ def negative_control_check(trials: int, rng: np.random.Generator) -> CheckReport
     inputs distinguishable.  It cannot: the mixing floor alone pushes the
     output fidelity of orthogonal pure inputs far above 0.1.  A passing
     harness therefore reports violations here; if this check ever passes,
-    the harness itself is broken.
+    the harness itself is broken, and so it needs at least one trial.
     """
+    _check_inputs(trials, 1)
     dim = 4
     channel = EpsilonDisturbedChannel(epsilon=0.5, unitary=haar_unitary(dim, rng))
     margins: list[float] = []
     for _ in range(trials):
-        a = haar_state(dim, rng).amplitudes
-        b = haar_state(dim, rng).amplitudes.copy()
+        a = _haar_vector(dim, rng)
+        b = _haar_vector(dim, rng)
         b -= np.vdot(a, b) * a
         b /= np.linalg.norm(b)
         rho = DensityMatrix.from_state(StateVector(a))

@@ -95,8 +95,8 @@ def _negative_eigenvalue(m):
     m[...] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])
 
 
-class TestStackedValidation:
-    """The stack validator runs every DensityMatrix test on every matrix."""
+class TestDensityCorruptions:
+    """DensityMatrix rejects each corruption of a valid mixed state."""
 
     @staticmethod
     def stack(rng, n=6, dim=4):
@@ -106,10 +106,9 @@ class TestStackedValidation:
             out[k] = 0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj())
         return out
 
-    def test_valid_stacks_pass(self):
-        good = self.stack(np.random.default_rng(SEED))
-        numerics._check_density(good)
-        numerics._check_density(good.reshape(3, 2, 4, 4))
+    def test_valid_mixtures_pass(self):
+        for m in self.stack(np.random.default_rng(SEED)):
+            DensityMatrix(m)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("index", [0, 3, 5])
@@ -117,15 +116,11 @@ class TestStackedValidation:
         "corrupt",
         [_nan_entry, _inf_entry, _not_hermitian, _wrong_trace, _negative_eigenvalue],
     )
-    def test_one_bad_matrix_among_good_ones_is_rejected(self, corrupt, index):
-        stack = self.stack(np.random.default_rng(SEED + index))
-        corrupt(stack[index])
+    def test_corrupted_matrix_is_rejected(self, corrupt, index):
+        m = self.stack(np.random.default_rng(SEED + index))[index]
+        corrupt(m)
         with pytest.raises(InvalidQuantumObject):
-            DensityMatrix(stack[index])
-        with pytest.raises(InvalidQuantumObject):
-            numerics._check_density(stack)
-        with pytest.raises(InvalidQuantumObject):
-            numerics._check_density(stack.reshape(3, 2, 4, 4))
+            DensityMatrix(m)
 
 
 class TestUnitaryAndProjector:
@@ -295,6 +290,19 @@ class TestHaarSampling:
         rng = np.random.default_rng(SEED)
         with pytest.raises(DimensionCapExceeded):
             haar_state(9, rng)
+
+
+class TestHaarVector:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 64])
+    def test_same_bits_and_stream_as_haar_state(self, dim):
+        raw = np.random.default_rng(SEED + dim)
+        checked = np.random.default_rng(SEED + dim)
+        for _ in range(5):
+            v = numerics._haar_vector(dim, raw)
+            assert v.tobytes() == haar_state(dim, checked).amplitudes.tobytes()
+            StateVector(v)  # the unvalidated draw passes the checked constructor
+            assert v.flags.writeable  # the caller owns it
+        assert raw.random() == checked.random()
 
 
 def ginibre_qr_reference(dim, rng):

@@ -8,6 +8,7 @@ import pytest
 from qpuflab import numerics, verify
 from qpuflab import (
     CheckReport,
+    DimensionCapExceeded,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
     StateVector,
@@ -26,6 +27,7 @@ from qpuflab import (
     swap_statistics_check,
     trace_distance,
     DensityMatrix,
+    UnitaryMatrix,
     channel_apply,
     fidelity_mixed,
     sqrt_fidelity_mixed,
@@ -386,13 +388,16 @@ class TestStackedChecksBits:
 
 
 class TestStackedChecksGuards:
+    @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("epsilon", [-0.1, 1.5, np.nan])
     @pytest.mark.parametrize(
         "check", [distance_contraction_check, fidelity_disturbance_check]
     )
-    def test_epsilon_outside_unit_interval_rejected(self, check, epsilon):
+    def test_epsilon_outside_unit_interval_rejected(self, check, epsilon, trials):
+        rng = np.random.default_rng(SEED)
         with pytest.raises(InvalidQuantumObject):
-            check(epsilon, 4, 3, np.random.default_rng(SEED))
+            check(epsilon, 4, trials, rng)
+        assert rng.random() == np.random.default_rng(SEED).random()  # no draw
 
     @pytest.mark.parametrize(
         "run",
@@ -422,3 +427,134 @@ class TestStackedChecksGuards:
         one, three = peak(_one_chunk(8)), peak(3 * _one_chunk(8))
         assert three < 6 * 2**20
         assert three < 1.1 * one
+
+
+def _density_matrices(*stacks):
+    """Build a DensityMatrix from every matrix of the ``(..., D, D)`` stacks."""
+    for stack in stacks:
+        for m in stack.reshape(-1, *stack.shape[-2:]):
+            DensityMatrix(m)
+
+
+class TestUnvalidatedProducers:
+    """What the audits build as plain arrays passes the checked constructors."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_random_pairs_and_mixtures(self, dim):
+        rng = np.random.default_rng(SEED + 100 + dim)
+        for _ in range(10):
+            for mixed in (False, True):
+                _density_matrices(np.array(verify._random_pair(dim, rng, mixed)))
+            for rank in range(1, dim + 1):
+                _density_matrices(verify._random_mixed(dim, rank, rng))
+
+    @pytest.mark.parametrize("epsilon", [0, 0.3, 1])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_disturbed_pairs_and_channel_outputs(self, dim, epsilon, monkeypatch):
+        factored = []
+        qr = verify._haar_qr
+
+        def kept_qr(z):
+            factored.append(qr(z))
+            return factored[-1]
+
+        monkeypatch.setattr(verify, "_haar_qr", kept_qr)
+        rng = np.random.default_rng(SEED + 200 + dim)
+        rho, sigma, eps, out_r, out_s = verify._disturbed_pairs(
+            epsilon, dim, range(12), rng
+        )
+        assert out_r.shape == out_s.shape == (12, 2, dim, dim)
+        assert np.all((0.0 <= eps) & (eps <= epsilon))
+        _density_matrices(rho, sigma, out_r, out_s)
+        (unitaries,) = factored
+        for u in unitaries:
+            UnitaryMatrix(u)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_concavity_mixtures_and_parts(self, dim, monkeypatch):
+        # every stack the concavity audit hands to the fidelity kernel: the
+        # two mixtures of each trial, then the parts
+        stacks = []
+        kernel = verify._fidelity_stack
+
+        def checked(rhos, sigmas):
+            _density_matrices(rhos, sigmas)
+            stacks.append(len(rhos))
+            return kernel(rhos, sigmas)
+
+        monkeypatch.setattr(verify, "_fidelity_stack", checked)
+        rep = joint_concavity_check(dim, 12, np.random.default_rng(SEED + 300 + dim))
+        assert rep.passed
+        assert stacks[0] == 12 and stacks[1] >= 24
+
+
+def _bad_inputs():
+    """(id, check call, error) for each parameter a check must refuse on entry."""
+    big = 10**6  # a draw at this size would need terabytes
+    # epsilon outside [0, 1]: TestStackedChecksGuards
+    for check in (distance_contraction_check, fidelity_disturbance_check):
+        name = check.__name__
+        for dim in (0, 1):
+            yield (f"{name}-D{dim}", lambda rng, c=check, d=dim: c(0.3, d, 3, rng),
+                   InvalidQuantumObject)
+        yield (f"{name}-D{big}", lambda rng, c=check: c(0.3, big, 3, rng),
+               DimensionCapExceeded)
+        yield (f"{name}-t-1", lambda rng, c=check: c(0.3, 4, -1, rng),
+               InvalidQuantumObject)
+    for dim in (0, 1):
+        yield (f"concavity-D{dim}", lambda rng, d=dim: joint_concavity_check(d, 3, rng),
+               InvalidQuantumObject)
+    yield ("concavity-D-big", lambda rng: joint_concavity_check(big, 3, rng),
+           DimensionCapExceeded)
+    yield ("concavity-t-1", lambda rng: joint_concavity_check(4, -1, rng),
+           InvalidQuantumObject)
+    yield ("swap-t0", lambda rng: swap_statistics_check(0, rng), InvalidQuantumObject)
+    for trials in (0, 1):
+        yield (f"weight-t{trials}",
+               lambda rng, t=trials: haar_subspace_weight_check(1, 2, t, rng),
+               InvalidQuantumObject)
+    yield ("weight-D0", lambda rng: haar_subspace_weight_check(0, 0, 100, rng),
+           InvalidQuantumObject)
+    for d in (-1, 3):
+        yield (f"weight-d{d}",
+               lambda rng, d=d: haar_subspace_weight_check(d, 2, 100, rng),
+               InvalidQuantumObject)
+    yield ("weight-D-big", lambda rng: haar_subspace_weight_check(1, big, 2, rng),
+           DimensionCapExceeded)
+    yield ("negative-control-t0", lambda rng: negative_control_check(0, rng),
+           InvalidQuantumObject)
+    for check in (recovery_floor_check, closed_form_check, orthogonal_challenge_check):
+        yield (f"{check.__name__}-t-1", lambda rng, c=check: c(-1, rng),
+               InvalidQuantumObject)
+
+
+_BAD_INPUTS = list(_bad_inputs())
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize(
+        "run, error",
+        [case[1:] for case in _BAD_INPUTS],
+        ids=[case[0] for case in _BAD_INPUTS],
+    )
+    def test_bad_parameters_raise_before_any_draw(self, run, error):
+        rng = np.random.default_rng(SEED)
+        with pytest.raises(error):
+            run(rng)
+        assert rng.random() == np.random.default_rng(SEED).random()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda rng: haar_subspace_weight_check(0, 1, 2, rng),
+            lambda rng: haar_subspace_weight_check(1, 1, 2, rng),
+            lambda rng: distance_contraction_check(0.0, 2, 1, rng),
+            lambda rng: fidelity_disturbance_check(1.0, 2, 1, rng),
+            lambda rng: joint_concavity_check(2, 1, rng),
+            lambda rng: negative_control_check(1, rng),
+        ],
+        ids=["weight-D1-d0", "weight-D1-d1", "distance-eps0", "fidelity-eps1",
+             "concavity-D2", "negative-control-t1"],
+    )
+    def test_smallest_valid_parameters_run(self, run):
+        assert isinstance(run(np.random.default_rng(SEED)), CheckReport)
