@@ -36,6 +36,7 @@ from .numerics import (
     StateVector,
     UnitaryMatrix,
     _haar_vector,
+    _unchecked,
     apply,
     haar_state,
 )
@@ -45,7 +46,7 @@ from .qpuf import QPufInstance, qeval
 def _basis_state(dim: int, index: int) -> StateVector:
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
-    return StateVector(v)
+    return _unchecked(StateVector, amplitudes=v)
 
 
 class RandomGuesser:
@@ -121,8 +122,8 @@ class SubspaceAdversary:
             raise InvalidQuantumObject(f"subspace dim {self._d} exceeds space {dim}")
         basis_in = tuple(_basis_state(dim, i) for i in range(self._d))
         basis_out = tuple(oracle.query(b) for b in basis_in)
-        self.knowledge = SubspaceKnowledge(
-            dim=dim, basis_in=basis_in, basis_out=basis_out
+        self.knowledge = _unchecked(
+            SubspaceKnowledge, dim=dim, basis_in=basis_in, basis_out=basis_out
         )
 
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
@@ -141,7 +142,7 @@ class SubspaceAdversary:
         # short of unit norm by round-off must not wait for one
         if rest > 1e-12 and kn.d < kn.dim:
             guess += np.sqrt(rest) * self._complement_draw(kn, rng)
-        return StateVector(guess / np.linalg.norm(guess))
+        return _unchecked(StateVector, amplitudes=guess / np.linalg.norm(guess))
 
     @staticmethod
     def _complement_draw(kn: SubspaceKnowledge, rng: np.random.Generator) -> np.ndarray:
@@ -199,7 +200,7 @@ class TomographyAdversary:
         for i in range(dim):
             response = oracle.query(_basis_state(dim, i))
             cols[:, i] = self._readout.amplitudes(response)
-        self.reconstructed = UnitaryMatrix(cols)
+        self.reconstructed = _unchecked(UnitaryMatrix, matrix=cols)
 
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
         if self.reconstructed is None:
@@ -289,7 +290,7 @@ def _principal_state(rho: np.ndarray) -> StateVector:
     vec = v[:, -1]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
-    return StateVector(vec / np.linalg.norm(vec))
+    return _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
 
 
 class QeForger:

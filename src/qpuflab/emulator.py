@@ -38,7 +38,7 @@ from .errors import (
     InvalidQuantumObject,
     PostSelectionFailure,
 )
-from .numerics import DensityMatrix, StateVector, max_dim
+from .numerics import DensityMatrix, StateVector, _unchecked, max_dim
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -203,7 +203,7 @@ def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
     if psi.dim != cfg.dim:
         raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
     joint = _run_blocks(_initial_joint(cfg, psi), cfg, cfg.samples_in)
-    return StateVector(joint.reshape(-1))
+    return _unchecked(StateVector, amplitudes=joint.reshape(-1))
 
 
 def _system_vector(cfg: QeConfig, psi: StateVector, label: int) -> np.ndarray:
@@ -293,6 +293,8 @@ def run_full(
     it as ``pass_prob``, before anything is drawn.
     """
     d = cfg.dim
+    if target is not None and target.dim != d:
+        raise DimensionMismatch(f"target dim {target.dim} != system dim {d}")
     ref_in = cfg.samples_in[cfg.reference_index].amplitudes
     ref_out = cfg.samples_out[cfg.reference_index].amplitudes
 
@@ -320,13 +322,11 @@ def run_full(
         final = _run_blocks(
             np.multiply.outer(ref_out, omega), cfg, cfg.samples_out, reverse=True
         )
-    rho_sys = _reduced_system(final, d)
-    rho_sys = 0.5 * (rho_sys + rho_sys.conj().T)
-    output_mixed = DensityMatrix(rho_sys / float(np.trace(rho_sys).real))
+    rho = _reduced_system(final, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    output_mixed = _unchecked(DensityMatrix, matrix=rho / float(np.trace(rho).real))
     fidelity = None
     if target is not None:
-        if target.dim != d:
-            raise DimensionMismatch(f"target dim {target.dim} != system dim {d}")
         t = target.amplitudes
         fidelity = float(np.real(t.conj() @ output_mixed.matrix @ t))
     return QeRunResult(

@@ -241,19 +241,21 @@ def estimate_win_rate(
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
     with ``rng_k`` built from the ``k``-th child of
-    ``SeedSequence(cfg.seed)``.  The devices are drawn a chunk of trials
-    at a time (one stacked QR, about ``_DRAW_CHUNK`` entries), each from
-    the first draw of its own trial's stream, so every stream is consumed
-    in the same order as by ``run_game``.
+    ``SeedSequence(cfg.seed)``.  The children are spawned and the devices
+    drawn a chunk of trials at a time (one stacked QR, about
+    ``_DRAW_CHUNK`` entries), each device from the first draw of its own
+    trial's stream, so every stream is consumed in the same order as by
+    ``run_game``.
     """
     if trials < 1:
         raise InvalidQuantumObject("at least one trial is required")
-    children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    seeds = np.random.SeedSequence(cfg.seed)
     per_chunk = max(1, _DRAW_CHUNK // 4**cfg.gen.qubits)
     wins = 0
     kept: list[Transcript] = []
     for start in range(0, trials, per_chunk):
-        rngs = [np.random.default_rng(c) for c in children[start : start + per_chunk]]
+        children = seeds.spawn(min(per_chunk, trials - start))
+        rngs = [np.random.default_rng(c) for c in children]
         devices = _qgen_chunk(cfg.gen.qubits, [_device_seed(rng) for rng in rngs])
         for rng, instance in zip(rngs, devices):
             transcript = _play(cfg, adversary_factory(), instance, rng)

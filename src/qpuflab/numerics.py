@@ -50,7 +50,7 @@ def max_dim() -> int:
         raise DimensionCapExceeded(f"QPUF_MAX_DIM is not an integer: {raw!r}") from None
 
 
-def _frozen_array(values, shape_kind: str) -> np.ndarray:
+def _frozen_array(values, shape_kind: str = "") -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if shape_kind == "vector" and arr.ndim != 1:
         raise InvalidQuantumObject(f"expected a 1-d array, got shape {arr.shape}")
@@ -58,6 +58,16 @@ def _frozen_array(values, shape_kind: str) -> np.ndarray:
         raise InvalidQuantumObject(f"expected a square matrix, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` minus ``__post_init__``, for values an invariant-keeping
+    step built from checked inputs; arrays still become read-only complex128 copies."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        frozen = _frozen_array(value) if isinstance(value, np.ndarray) else value
+        object.__setattr__(obj, name, frozen)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +113,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        return _unchecked(cls, matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +159,7 @@ def apply(u: UnitaryMatrix, psi: StateVector) -> StateVector:
     """Evolve ``psi`` by ``u``; norm is preserved by unitarity."""
     if u.dim != psi.dim:
         raise DimensionMismatch(f"unitary dim {u.dim} != state dim {psi.dim}")
-    return StateVector(u.matrix @ psi.amplitudes)
+    return _unchecked(StateVector, amplitudes=u.matrix @ psi.amplitudes)
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
@@ -269,7 +279,7 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
         raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
     if dim > max_dim():
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
-    return StateVector(_haar_vector(dim, rng))
+    return _unchecked(StateVector, amplitudes=_haar_vector(dim, rng))
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -286,7 +296,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     the phase of the corresponding diagonal entry of ``R`` fixes the measure
     (Mezzadri, math-ph/0609050).
     """
-    return UnitaryMatrix(_haar_unitary_stack(dim, [rng])[0])
+    return _unchecked(UnitaryMatrix, matrix=_haar_unitary_stack(dim, [rng])[0])
 
 
 def _haar_unitary_stack(

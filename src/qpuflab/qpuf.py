@@ -32,6 +32,7 @@ from .numerics import (
     UnitaryMatrix,
     _disturb_stack,
     _haar_unitary_stack,
+    _unchecked,
     apply,
     fidelity_mixed,
     haar_unitary,
@@ -108,14 +109,14 @@ def qgen(params: QPufGenParams) -> QPufInstance:
 def _qgen_chunk(qubits: int, seeds: Sequence[int]) -> list[QPufInstance]:
     """``[qgen(QPufGenParams(qubits, s)) for s in seeds]`` with one stacked QR.
 
-    Same checks, ids and unitaries as one ``qgen`` call per seed; each device
-    still passes ``UnitaryMatrix`` validation.  Memory grows with
-    ``len(seeds) * 4**qubits``, so callers bound the chunk.
+    Same checks, ids and unitaries as one ``qgen`` call per seed; like
+    ``haar_unitary``, the QR factors are not validated again.  Memory grows
+    with ``len(seeds) * 4**qubits``, so callers bound the chunk.
     """
     params = [QPufGenParams(qubits=qubits, seed=s) for s in seeds]
     rngs = [np.random.default_rng(p.seed) for p in params]
-    stack = _haar_unitary_stack(2**qubits, rngs)
-    return [_device(p, UnitaryMatrix(u)) for p, u in zip(params, stack)]
+    us = _haar_unitary_stack(2**qubits, rngs)
+    return [_device(p, _unchecked(UnitaryMatrix, matrix=u)) for p, u in zip(params, us)]
 
 
 def _device(params: QPufGenParams, u: UnitaryMatrix) -> QPufInstance:
@@ -133,7 +134,7 @@ def channel_apply(channel: EpsilonDisturbedChannel, rho: DensityMatrix) -> Densi
     if channel.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} != state dim {rho.dim}")
     out = _disturb_stack(channel.unitary.matrix, rho.matrix, [channel.epsilon])
-    return DensityMatrix(out[0])
+    return _unchecked(DensityMatrix, matrix=out[0])
 
 
 def check_collision(
@@ -144,8 +145,10 @@ def check_collision(
 ) -> bool:
     """Do delta_c-distinguishable inputs stay distinguishable?
 
-    Precondition: ``F(rho, sigma) <= 1 - delta_c``.
+    Precondition: ``F(rho, sigma) <= 1 - delta_c``, with ``0 <= delta_c <= 1``.
     """
+    if not 0.0 <= delta_c <= 1.0:
+        raise InvalidQuantumObject(f"delta_c={delta_c} outside [0, 1]")
     f_in = fidelity_mixed(rho, sigma)
     if f_in > 1.0 - delta_c + DERIVED_TOL:
         raise PreconditionViolation(

@@ -36,12 +36,15 @@ from .errors import DimensionCapExceeded, InvalidQuantumObject, PostSelectionFai
 from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
+    UnitaryMatrix,
     _disturb_stack,
     _fidelity_stack,
     _ginibre,
     _haar_qr,
     _haar_vector,
     _trace_distance_stack,
+    _unchecked,
+    apply,
     fidelity_mixed,
     haar_state,
     haar_unitary,
@@ -152,14 +155,14 @@ def haar_subspace_weight_check(
 
 def _random_qe_config(
     rng: np.random.Generator, n_choices: tuple[int, ...], k_choices: tuple[int, ...]
-) -> tuple[QeConfig, np.ndarray]:
-    """Random device + sample set + reference; returns (cfg, device matrix)."""
+) -> tuple[QeConfig, UnitaryMatrix]:
+    """Random device + sample set + reference; returns (cfg, device)."""
     n = int(rng.choice(n_choices))
     k = int(rng.choice(k_choices))
     dim = 2**n
-    u = haar_unitary(dim, rng).matrix
+    u = haar_unitary(dim, rng)
     samples_in = tuple(haar_state(dim, rng) for _ in range(k))
-    samples_out = tuple(StateVector(u @ s.amplitudes) for s in samples_in)
+    samples_out = tuple(apply(u, s) for s in samples_in)
     ref = int(rng.integers(k))
     cfg = QeConfig(
         samples_in=samples_in, samples_out=samples_out, reference_index=ref
@@ -178,10 +181,10 @@ def _random_qe_setup(
     if rng.random() < 0.5:
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         vec = sum(c * s.amplitudes for c, s in zip(coeffs, cfg.samples_in))
-        psi = StateVector(vec / np.linalg.norm(vec))
+        psi = _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
     else:
         psi = haar_state(cfg.dim, rng)
-    target = StateVector(u @ psi.amplitudes)
+    target = apply(u, psi)
     return cfg, psi, target
 
 
@@ -257,7 +260,7 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
             norm = float(np.linalg.norm(v))
             if norm > 1e-6:
                 break
-        psi = StateVector(v / norm)
+        psi = _unchecked(StateVector, amplitudes=v / norm)
         try:
             res = run_full(cfg, psi)
         except PostSelectionFailure as exc:

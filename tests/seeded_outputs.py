@@ -4,7 +4,7 @@ Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT]
 
-Runs fifteen seeded subcommands with the ``qpuflab`` package of this checkout
+Runs sixteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
 ``.manifest.json``, into OUT.  PARENT_OUT is the OUT of the same script run
 from a checkout of the parent commit (copy this file into that checkout's
@@ -43,6 +43,9 @@ RUNS: dict[str, tuple[list[str], int]] = {
     "game-forger-n4-mu0.75.jsonl": (_FORGER + ["--qubits", "4", "--mu", "0.75"], 0),
     "game-subspace-d3-n3.jsonl": (_SUBSPACE + ["--d", "3", "--qubits", "3"], 0),
     "game-subspace-d8-n6.jsonl": (_SUBSPACE + ["--d", "8", "--qubits", "6"], 0),
+    # a spanning basis (d = D): the guess skips the complement draw, and its
+    # fidelity_of_guess shows the last bits of the normalised guess
+    "game-subspace-d4-n2.jsonl": (_SUBSPACE + ["--d", "4", "--qubits", "2"], 0),
     "game-random.jsonl": (["game", "--mode", "qsel", "--adversary", "random"], 0),
     "game-tomography.jsonl": (
         ["game", "--mode", "qsel", "--adversary", "tomography", "--privileged"], 0

@@ -564,6 +564,14 @@ class TestStage2Modes:
         twin.random()
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_wrong_size_target_raises_before_the_draw(self):
+        cfg, plan, _ = self._forger_setup(0.9, margin=0.05)
+        rng = np.random.default_rng(62)
+        before = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch):
+            run_full(cfg, plan.phi3, rng=rng, target=basis(8, 0))
+        assert rng.bit_generator.state == before
+
     def test_no_target_reports_none(self):
         cfg, plan, _ = self._forger_setup(0.5)
         assert run_full(cfg, plan.phi3).fidelity_vs_target is None

@@ -356,6 +356,21 @@ class TestWinRateEstimate:
         with pytest.raises(BudgetExceeded, match="budget of 2 queries"):
             estimate_win_rate(sel_config(budget=2), Glutton, trials=3)
 
+    def test_spawns_one_chunk_of_children_at_a_time(self, monkeypatch):
+        # spawning every trial's child up front held them all at once (a
+        # million trials peaked at 352 MB before the first game)
+        asked = []
+
+        class SpySeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                asked.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+        monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4**2)
+        estimate_win_rate(sel_config(qubits=2, delta=0.3), RandomGuesser, trials=8)
+        assert asked == [3, 3, 2]
+
     def test_memory_stays_bounded(self):
         # one stacked draw of every device would hold 300 * 64**2 complex
         # entries (about 20 MB) several times over; chunks keep the peak small

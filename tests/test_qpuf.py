@@ -151,6 +151,17 @@ class TestRequirementChecks:
         with pytest.raises(PreconditionViolation):
             check_collision(ch, rho, rho, delta_c=0.9)
 
+    @pytest.mark.parametrize("delta_c", [float("nan"), -0.5, 1.5])
+    def test_collision_threshold_outside_unit_interval_rejected(self, delta_c):
+        # NaN used to return a silent False, -0.5 a vacuous True, and 1.5 a
+        # PreconditionViolation that blamed the inputs
+        inst = qgen(QPufGenParams(qubits=2, seed=16))
+        ch = EpsilonDisturbedChannel(0.0, inst.unitary)
+        rho = DensityMatrix.from_state(basis(4, 0))
+        sigma = DensityMatrix.from_state(basis(4, 1))
+        with pytest.raises(InvalidQuantumObject, match="delta_c"):
+            check_collision(ch, rho, sigma, delta_c=delta_c)
+
     def test_collision_fails_for_half_disturbed_device(self):
         """Mixing floor pushes orthogonal inputs to fidelity ~0.654 > 0.1.
 

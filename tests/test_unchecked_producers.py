@@ -1,0 +1,226 @@
+"""What the library builds without re-validating passes the checked constructors.
+
+States, unitaries, density matrices and subspace knowledge that the library
+makes from checked inputs (a unitary applied, a Haar QR, a normalisation, a
+reduced state) skip their ``__post_init__`` through ``numerics._unchecked``.
+Each test here samples one such producer at D in {2, 4, 8, 64} and rebuilds
+its output through the public constructor, which must accept it.  The first
+class pins what the helper itself keeps: read-only complex128 copies with the
+constructor's memory layout.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from qpuflab import adversaries, numerics, qpuf, verify
+from qpuflab import (
+    DensityMatrix,
+    EpsilonDisturbedChannel,
+    PrivilegedReadout,
+    QeConfig,
+    QeForger,
+    QPufGenParams,
+    SealedOracle,
+    StateVector,
+    SubspaceAdversary,
+    SubspaceKnowledge,
+    TomographyAdversary,
+    UnitaryMatrix,
+    apply,
+    channel_apply,
+    haar_state,
+    haar_unitary,
+    orthogonal_challenge_check,
+    qeval,
+    qgen,
+    run_full,
+    run_stage1,
+)
+
+SEED = 31337
+DIMS = [2, 4, 8, 64]
+
+
+def checked(obj):
+    """Rebuild ``obj`` through its public constructor; return ``obj``."""
+    if isinstance(obj, StateVector):
+        arr = obj.amplitudes
+        StateVector(arr)
+    elif isinstance(obj, (DensityMatrix, UnitaryMatrix)):
+        arr = obj.matrix
+        type(obj)(arr)
+    else:
+        raise TypeError(type(obj))
+    assert arr.dtype == np.complex128 and not arr.flags.writeable
+    return obj
+
+
+def device_oracle(dim, seed):
+    inst = qgen(QPufGenParams(qubits=dim.bit_length() - 1, seed=seed))
+    return inst, SealedOracle(lambda psi: qeval(inst, psi))
+
+
+class TestUncheckedHelper:
+    def test_arrays_become_read_only_complex128_copies(self):
+        src = np.array([0.6, 0.8])
+        psi = numerics._unchecked(StateVector, amplitudes=src)
+        assert psi.amplitudes.dtype == np.complex128
+        assert not psi.amplitudes.flags.writeable
+        assert not np.shares_memory(psi.amplitudes, src)
+        src[0] = 5.0
+        assert psi.amplitudes.tolist() == [0.6, 0.8]
+
+    def test_same_layout_as_the_checked_constructor(self):
+        u = haar_unitary(8, np.random.default_rng(SEED)).matrix
+        for src in (u, u.T):  # C- and Fortran-ordered
+            fast = numerics._unchecked(UnitaryMatrix, matrix=src).matrix
+            slow = UnitaryMatrix(src).matrix
+            assert fast.strides == slow.strides
+            assert fast.tobytes(order="A") == slow.tobytes(order="A")
+
+    def test_post_init_is_not_run(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        rho = numerics._unchecked(DensityMatrix, matrix=np.eye(2) / 2)
+        assert rho.dim == 2
+
+    def test_other_fields_are_kept_as_given(self):
+        basis = (numerics._unchecked(StateVector, amplitudes=np.array([1.0, 0.0])),)
+        kn = numerics._unchecked(
+            SubspaceKnowledge, dim=2, basis_in=basis, basis_out=basis
+        )
+        assert kn.dim == 2 and kn.basis_in is basis and kn.d == 1
+
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestNumerics:
+    def test_haar_draws_and_apply(self, dim):
+        rng = np.random.default_rng(SEED + dim)
+        for _ in range(3):
+            u = checked(haar_unitary(dim, rng))
+            psi = checked(haar_state(dim, rng))
+            checked(apply(u, psi))
+
+    def test_from_state(self, dim):
+        rng = np.random.default_rng(SEED + 10 + dim)
+        for psi in (haar_state(dim, rng), adversaries._basis_state(dim, dim - 1)):
+            checked(DensityMatrix.from_state(psi))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestQpuf:
+    def test_chunk_devices(self, dim):
+        for inst in qpuf._qgen_chunk(dim.bit_length() - 1, range(5)):
+            checked(inst.unitary)
+
+    @pytest.mark.parametrize("epsilon", [0, 0.3, 1])
+    def test_channel_apply(self, dim, epsilon):
+        rng = np.random.default_rng(SEED + 20 + dim)
+        channel = EpsilonDisturbedChannel(epsilon, haar_unitary(dim, rng))
+        a, b = haar_state(dim, rng), haar_state(dim, rng)
+        mixed = DensityMatrix(
+            0.3 * DensityMatrix.from_state(a).matrix
+            + 0.7 * DensityMatrix.from_state(b).matrix
+        )
+        for rho in (DensityMatrix.from_state(a), mixed):
+            checked(channel_apply(channel, rho))
+
+
+def random_setup(dim, k, rng):
+    u = haar_unitary(dim, rng)
+    samples_in = tuple(haar_state(dim, rng) for _ in range(k))
+    samples_out = tuple(apply(u, s) for s in samples_in)
+    cfg = QeConfig(samples_in, samples_out, reference_index=int(rng.integers(k)))
+    return cfg, haar_state(dim, rng)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestEmulator:
+    def test_stage1_joint_state(self, dim):
+        rng = np.random.default_rng(SEED + 30 + dim)
+        for k in (1, 2, 3):
+            cfg, psi = random_setup(dim, k, rng)
+            checked(run_stage1(cfg, psi))
+
+    @pytest.mark.parametrize(
+        "draw, bit", [(None, 0), (0.0, 0), (1.0, 1)],
+        ids=["conditioned", "sampled-pass", "sampled-fail"],
+    )
+    def test_run_full_output(self, dim, draw, bit):
+        rng = np.random.default_rng(SEED + 40 + dim)
+        for k in (2, 3):
+            cfg, psi = random_setup(dim, k, rng)
+            # a sampled run's one uniform, fixed: 0.0 always passes, 1.0 fails
+            stage2 = None if draw is None else SimpleNamespace(random=lambda: draw)
+            res = run_full(cfg, psi, rng=stage2)
+            assert res.stage2_bit == bit
+            checked(res.output_mixed)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestAdversaries:
+    def test_basis_states(self, dim):
+        for i in (0, dim // 2, dim - 1):
+            checked(adversaries._basis_state(dim, i))
+
+    def test_subspace_knowledge_and_guess(self, dim):
+        rng = np.random.default_rng(SEED + 50 + dim)
+        _, oracle = device_oracle(dim, SEED + dim)
+        for d in sorted({0, 1, dim // 2, dim - 1, dim}):
+            adv = SubspaceAdversary(d)
+            adv.learn(oracle, dim, d, rng)
+            kn = adv.knowledge
+            SubspaceKnowledge(dim=kn.dim, basis_in=kn.basis_in, basis_out=kn.basis_out)
+            for b in kn.basis_in + kn.basis_out:
+                checked(b)
+            for _ in range(3):
+                checked(adv.respond(haar_state(dim, rng), rng))
+
+    def test_tomography_reconstruction(self, dim):
+        rng = np.random.default_rng(SEED + 60 + dim)
+        inst, oracle = device_oracle(dim, SEED + 1 + dim)
+        adv = TomographyAdversary(PrivilegedReadout())
+        adv.learn(oracle, dim, dim, rng)
+        assert adv.reconstructed.matrix.tobytes() == inst.unitary.matrix.tobytes()
+        checked(adv.reconstructed)
+        checked(adv.respond(haar_state(dim, rng), rng))
+
+    @pytest.mark.parametrize("mu", [0.5, 0.75])
+    def test_forger_guess(self, dim, mu):
+        rng = np.random.default_rng(SEED + 70 + dim)
+        _, oracle = device_oracle(dim, SEED + 2 + dim)
+        for _ in range(4):
+            adv = QeForger(mu)
+            adv.learn(oracle, dim, 2, rng)
+            checked(adv.respond(adv.choose_challenge(rng), rng))
+            checked(adv.last_result.output_mixed)
+
+
+class TestVerifyAudits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_emulator_audit_samples_inputs_and_targets(self, n):
+        rng = np.random.default_rng(SEED + 80 + n)
+        for _ in range(12):
+            cfg, psi, target = verify._random_qe_setup(rng, (n,), (2, 3))
+            for s in cfg.samples_in + cfg.samples_out + (psi, target):
+                checked(s)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_orthogonal_challenge_inputs(self, n, monkeypatch):
+        seen = []
+        config = verify._random_qe_config
+        monkeypatch.setattr(
+            verify, "_random_qe_config", lambda rng, _, k: config(rng, (n,), k)
+        )
+
+        def checked_run(cfg, psi, **kw):
+            seen.append(checked(psi).dim)
+            return run_full(cfg, psi, **kw)
+
+        monkeypatch.setattr(verify, "run_full", checked_run)
+        assert orthogonal_challenge_check(6, np.random.default_rng(SEED + 90 + n)).passed
+        assert seen == [2**n] * 6
