@@ -28,7 +28,6 @@ from .numerics import (
     DERIVED_TOL,
     RANK_TOL,
     DensityMatrix,
-    Projector,
     StateVector,
     UnitaryMatrix,
     apply,
@@ -37,7 +36,6 @@ from .numerics import (
     haar_state,
     haar_unitary,
     max_dim,
-    span_projector,
     sqrt_fidelity_mixed,
     trace_distance,
 )
@@ -130,13 +128,11 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "UnitaryMatrix",
-    "Projector",
     "apply",
     "fidelity_pure",
     "fidelity_mixed",
     "sqrt_fidelity_mixed",
     "trace_distance",
-    "span_projector",
     "haar_state",
     "haar_unitary",
     "max_dim",

@@ -35,7 +35,7 @@ from .numerics import (
     CONSTRUCTION_TOL,
     StateVector,
     UnitaryMatrix,
-    _haar_vector,
+    _complement_vector,
     _unchecked,
     apply,
     haar_state,
@@ -130,6 +130,8 @@ class SubspaceAdversary:
         kn = self.knowledge
         if kn is None:
             raise InvalidQuantumObject("respond called before learn")
+        if challenge.dim != kn.dim:
+            raise DimensionMismatch(f"challenge dim {challenge.dim} != space {kn.dim}")
         psi = challenge.amplitudes
         guess = np.zeros(kn.dim, dtype=np.complex128)
         in_weight = 0.0
@@ -141,18 +143,9 @@ class SubspaceAdversary:
         # a spanning basis leaves no complement to draw from; a challenge
         # short of unit norm by round-off must not wait for one
         if rest > 1e-12 and kn.d < kn.dim:
-            guess += np.sqrt(rest) * self._complement_draw(kn, rng)
+            images = [b.amplitudes for b in kn.basis_out]
+            guess += np.sqrt(rest) * _complement_vector(images, kn.dim, rng)
         return _unchecked(StateVector, amplitudes=guess / np.linalg.norm(guess))
-
-    @staticmethod
-    def _complement_draw(kn: SubspaceKnowledge, rng: np.random.Generator) -> np.ndarray:
-        while True:
-            v = _haar_vector(kn.dim, rng)
-            for b_out in kn.basis_out:
-                v -= np.vdot(b_out.amplitudes, v) * b_out.amplitudes
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-6:  # fails only on a measure-zero draw
-                return v / norm
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +240,8 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
     fidelity floor degenerates as mu -> 1, so a non-negligible margin is part
     of its contract.  A margin outside ``[0, 1]`` raises too.
     """
+    if dim < 2:
+        raise InvalidQuantumObject(f"the forger needs dimension >= 2, got {dim}")
     if margin is None:
         margin = 0.5 / dim
     if not 0.0 <= margin <= 1.0:

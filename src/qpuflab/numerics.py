@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,23 +136,26 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent operator together with its rank."""
+    """Orthogonal projector, held as its orthonormal basis rows ``(rank, dim)``."""
 
-    matrix: np.ndarray
-    rank: int = field(init=False)
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_array(self.matrix, "matrix")
-        object.__setattr__(self, "matrix", arr)
-        if not (np.max(np.abs(arr - arr.conj().T)) <= CONSTRUCTION_TOL):
-            raise InvalidQuantumObject("projector is not Hermitian")
-        if not (np.max(np.abs(arr @ arr - arr)) <= CONSTRUCTION_TOL):
-            raise InvalidQuantumObject("projector is not idempotent")
-        object.__setattr__(self, "rank", int(round(float(np.trace(arr).real))))
+        arr = _frozen_array(self.basis)
+        object.__setattr__(self, "basis", arr)
+        if arr.ndim != 2:
+            raise InvalidQuantumObject(f"expected a 2-d array, got shape {arr.shape}")
+        dev = np.abs(arr.conj() @ arr.T - np.eye(len(arr))).max(initial=0.0)
+        if not (dev <= CONSTRUCTION_TOL):
+            raise InvalidQuantumObject(f"rows not orthonormal (deviation {dev:.3e})")
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[1]
 
 
 def apply(u: UnitaryMatrix, psi: StateVector) -> StateVector:
@@ -247,7 +250,7 @@ def _disturb_stack(
 
 
 def span_projector(states: Sequence[StateVector]) -> Projector:
-    """Orthogonal projector onto the span of the given states.
+    """Orthogonal projector onto the span of the given states, as its basis.
 
     Uses modified Gram-Schmidt with one re-orthogonalization pass; input
     vectors whose residual norm falls below ``RANK_TOL`` are treated as
@@ -267,10 +270,22 @@ def span_projector(states: Sequence[StateVector]) -> Projector:
         norm = float(np.linalg.norm(v))
         if norm > RANK_TOL:
             basis.append(v / norm)
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    for e in basis:
-        proj += np.outer(e, e.conj())
-    return Projector(proj)
+    return Projector(np.array(basis))
+
+
+def _complement_vector(basis, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit vector orthogonal to the r orthonormal ``basis`` rows.
+
+    The rows must span less than the whole space (r < ``dim``), or no draw
+    leaves a residual.  Not validated.
+    """
+    while True:
+        v = _haar_vector(dim, rng)
+        for e in basis:
+            v -= np.vdot(e, v) * e
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-6:  # fails only on a measure-zero draw
+            return v / norm
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:

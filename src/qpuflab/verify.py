@@ -37,6 +37,7 @@ from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _complement_vector,
     _disturb_stack,
     _fidelity_stack,
     _ginibre,
@@ -250,17 +251,9 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
     for _ in range(trials):
         # at most 3 samples in D >= 4 leave a non-trivial complement
         cfg, _ = _random_qe_config(rng, (2, 3), (2, 3))
-        # draw the input from the orthogonal complement of the sample span
-        # (project with the span projector -- the raw samples are not an
-        # orthogonal family, so sequential Gram-Schmidt would be wrong)
-        proj = span_projector(cfg.samples_in).matrix
-        while True:
-            v = _haar_vector(cfg.dim, rng)
-            v = v - proj @ v
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-6:
-                break
-        psi = _unchecked(StateVector, amplitudes=v / norm)
+        # the samples are not orthogonal: draw against their span's orthonormal basis
+        v = _complement_vector(span_projector(cfg.samples_in).basis, cfg.dim, rng)
+        psi = _unchecked(StateVector, amplitudes=v)
         try:
             res = run_full(cfg, psi)
         except PostSelectionFailure as exc:

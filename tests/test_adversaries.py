@@ -76,6 +76,13 @@ class TestForgerPlan:
         with pytest.raises(PreconditionViolation):
             make_forger_plan(-0.05, 4)
 
+    @pytest.mark.parametrize("margin", [None, 0.1])
+    @pytest.mark.parametrize("dim", [-1, 0, 1])
+    def test_dimension_below_two_rejected(self, dim, margin):
+        # the challenge |1> needs a second basis state
+        with pytest.raises(InvalidQuantumObject, match="dimension"):
+            make_forger_plan(0.5, dim, margin=margin)
+
     @pytest.mark.parametrize("margin", [-1.0, -1e-9, 1.5, float("nan")])
     def test_margin_outside_unit_interval_rejected(self, margin):
         # a negative margin would otherwise let mu > 1 through to sqrt(1 - mu)
@@ -294,6 +301,15 @@ class TestSubspaceAdversary:
         np.testing.assert_allclose(
             guess.amplitudes, want / np.linalg.norm(want), atol=1e-12
         )
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_challenge_of_another_dimension_rejected(self, d):
+        adv, _ = self._learned(dim=4, d=d)
+        rng = np.random.default_rng(SEED)
+        before = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch):
+            adv.respond(basis(8, 0), rng)
         assert rng.bit_generator.state == before
 
     def test_respond_before_learn(self):

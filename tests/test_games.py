@@ -30,9 +30,9 @@ from qpuflab import (
     haar_state,
     mu_check,
     run_game,
-    span_projector,
     transcript_record,
 )
+from qpuflab.numerics import span_projector
 
 SEED = 7201
 
@@ -287,6 +287,24 @@ class TestWinRateEstimate:
         )
         assert est.trials == 5
         assert est.transcripts == ()
+
+    def test_kept_transcripts_span_through_games(self, monkeypatch):
+        # the traced games.d_spanned phase wraps this module attribute
+        calls = []
+
+        def counting(states):
+            calls.append(len(states))
+            return span_projector(states)
+
+        monkeypatch.setattr(games, "span_projector", counting)
+        est = estimate_win_rate(
+            sel_config(budget=2, delta=0.3),
+            lambda: SubspaceAdversary(2),
+            trials=3,
+            keep_transcripts=True,
+        )
+        assert [t.d_spanned for t in est.transcripts] == [2, 2, 2]
+        assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize(
         "factory, want",

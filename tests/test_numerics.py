@@ -14,7 +14,6 @@ from qpuflab import (
     DimensionCapExceeded,
     DimensionMismatch,
     InvalidQuantumObject,
-    Projector,
     StateVector,
     UnitaryMatrix,
     apply,
@@ -23,10 +22,10 @@ from qpuflab import (
     haar_state,
     haar_unitary,
     max_dim,
-    span_projector,
     sqrt_fidelity_mixed,
     trace_distance,
 )
+from qpuflab.numerics import Projector, span_projector
 
 SEED = 20240817
 
@@ -128,13 +127,29 @@ class TestUnitaryAndProjector:
         with pytest.raises(InvalidQuantumObject):
             UnitaryMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
-    def test_projector_rank_from_trace(self):
-        p = Projector(np.diag([1.0, 1.0, 0.0, 0.0]))
-        assert p.rank == 2
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_projector_rank_is_the_row_count(self, rank):
+        rows = haar_unitary(6, np.random.default_rng(SEED + rank)).matrix[:rank]
+        p = Projector(rows)
+        assert (p.rank, p.dim) == (rank, 6)
+        assert p.basis.dtype == np.complex128 and not p.basis.flags.writeable
 
-    def test_projector_rejects_non_idempotent(self):
+    def test_projector_accepts_rows_within_tolerance(self):
+        assert Projector(np.eye(4)[:2] * (1.0 + 2e-11)).rank == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[1.0, 0.0], [1.0, 1.0]]) / np.sqrt([[1.0], [2.0]]),
+            np.eye(4)[:2] * 1.001,
+            np.array([1.0, 0.0]),
+            np.eye(2)[np.newaxis],
+        ],
+        ids=["non-orthonormal", "scaled-1.001", "1-d", "3-d"],
+    )
+    def test_projector_rejects_bad_rows(self, rows):
         with pytest.raises(InvalidQuantumObject):
-            Projector(np.diag([0.5, 0.5]))
+            Projector(rows)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -238,31 +253,84 @@ class TestTraceDistance:
         assert trace_distance(rho, sigma) == pytest.approx(0.5, abs=1e-12)
 
 
+def dense(p: Projector) -> np.ndarray:
+    """The ``D x D`` operator ``sum_i |e_i><e_i|`` of the basis rows ``e_i``."""
+    b = p.basis
+    return b.T @ b.conj()
+
+
 class TestSpanProjector:
     def test_duplicates_collapse(self):
         s = state(1, 1j, 0)
         p = span_projector([s, s, s])
         assert p.rank == 1
-        np.testing.assert_allclose(p.matrix @ s.amplitudes, s.amplitudes, atol=1e-10)
+        np.testing.assert_allclose(dense(p) @ s.amplitudes, s.amplitudes, atol=1e-10)
 
     def test_rank_and_complement(self):
         rng = np.random.default_rng(SEED + 6)
         states = [haar_state(5, rng) for _ in range(3)]
         p = span_projector(states)
         assert p.rank == 3
+        proj = dense(p)
         # any member of the family is fixed; a vector orthogonalized against
         # the span is annihilated
         for s in states:
-            np.testing.assert_allclose(
-                p.matrix @ s.amplitudes, s.amplitudes, atol=1e-9
-            )
+            np.testing.assert_allclose(proj @ s.amplitudes, s.amplitudes, atol=1e-9)
         v = haar_state(5, rng).amplitudes
-        v = v - p.matrix @ v
-        np.testing.assert_allclose(p.matrix @ v, 0.0, atol=1e-9)
+        v = v - proj @ v
+        np.testing.assert_allclose(proj @ v, 0.0, atol=1e-9)
 
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidQuantumObject):
             span_projector([])
+
+
+def old_complement_draw(basis_out, dim, rng):
+    """The subspace adversary's complement loop before it moved to numerics."""
+    while True:
+        v = numerics._haar_vector(dim, rng)
+        for b_out in basis_out:
+            v -= np.vdot(b_out.amplitudes, v) * b_out.amplitudes
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-6:
+            return v / norm
+
+
+class TestComplementVector:
+    @staticmethod
+    def family(dim, r, rng):
+        states = [haar_state(dim, rng) for _ in range(r)]
+        rows = span_projector(states).basis if r else np.empty((0, dim))
+        return rows, [StateVector(e) for e in rows]
+
+    @pytest.mark.parametrize("dim, r", [(2, 0), (2, 1), (4, 2), (8, 7), (64, 8)])
+    def test_unit_norm_and_orthogonal_to_every_row(self, dim, r):
+        rng = np.random.default_rng(SEED + 100 * dim + r)
+        rows, _ = self.family(dim, r, rng)
+        for _ in range(5):
+            v = numerics._complement_vector(rows, dim, rng)
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            for e in rows:
+                assert abs(np.vdot(e, v)) <= 1e-12
+
+    @pytest.mark.parametrize("dim, r", [(2, 0), (4, 1), (4, 3), (16, 5), (64, 8)])
+    def test_same_bits_and_stream_as_the_old_loop(self, dim, r):
+        rows, states = self.family(dim, r, np.random.default_rng(SEED + dim + r))
+        new = np.random.default_rng(SEED + 7 * dim)
+        old = np.random.default_rng(SEED + 7 * dim)
+        # the audit passes the basis array, the subspace adversary a list
+        for form in (rows, [s.amplitudes for s in states]) * 3:
+            v = numerics._complement_vector(form, dim, new)
+            assert v.tobytes() == old_complement_draw(states, dim, old).tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
+
+    def test_retries_a_draw_inside_the_span(self, monkeypatch):
+        rows = np.eye(4, dtype=np.complex128)[:2]
+        draws = [rows[1].copy(), np.full(4, 0.5, dtype=np.complex128)]
+        monkeypatch.setattr(numerics, "_haar_vector", lambda dim, rng: draws.pop(0))
+        v = numerics._complement_vector(rows, 4, np.random.default_rng(SEED))
+        assert draws == []
+        np.testing.assert_allclose(v, [0, 0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
 
 class TestHaarSampling:

@@ -11,6 +11,7 @@ from qpuflab import (
     DimensionCapExceeded,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
+    PostSelectionFailure,
     StateVector,
     closed_form_check,
     distance_contraction_check,
@@ -31,7 +32,9 @@ from qpuflab import (
     channel_apply,
     fidelity_mixed,
     sqrt_fidelity_mixed,
+    run_full,
 )
+from qpuflab.numerics import span_projector
 
 SEED = 884422
 
@@ -385,6 +388,41 @@ class TestStackedChecksBits:
                     channel_apply(channel, rho).matrix,
                     _old_channel_apply(channel, rho).matrix,
                 )
+
+
+def _old_orthogonal_challenge_check(trials, rng):
+    """The check as it was when it projected with the D x D span projector."""
+    margins = []
+    for _ in range(trials):
+        cfg, _ = verify._random_qe_config(rng, (2, 3), (2, 3))
+        proj = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+        for e in span_projector(cfg.samples_in).basis:
+            proj += np.outer(e, e.conj())
+        while True:
+            v = numerics._haar_vector(cfg.dim, rng)
+            v = v - proj @ v
+            norm = float(np.linalg.norm(v))
+            if norm > 1e-6:
+                break
+        try:
+            res = run_full(cfg, StateVector(v / norm))
+        except PostSelectionFailure as exc:
+            margins.append(1e-12 - exc.pass_prob**2)
+        else:
+            margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
+    return _old_report("orthogonal-challenge-rejection", margins)
+
+
+class TestOrthogonalChallengeBits:
+    # the new input draw differs from the projected one in the last bits, so
+    # this compares what the check reports and how far it moves the stream
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_projector_loop(self, seed):
+        new = np.random.default_rng(SEED + 11000 + seed)
+        old = np.random.default_rng(SEED + 11000 + seed)
+        want = _old_orthogonal_challenge_check(8, old)
+        assert orthogonal_challenge_check(8, new) == want
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 class TestStackedChecksGuards:
