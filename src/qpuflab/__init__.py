@@ -26,7 +26,6 @@ from .errors import (
 from .numerics import (
     CONSTRUCTION_TOL,
     DERIVED_TOL,
-    RANK_TOL,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
@@ -60,16 +59,12 @@ from .emulator import (
     stage1_closed_form,
 )
 from .testers import (
-    IDEAL,
-    SWAP,
     TestConfig,
     TestOutcome,
     expected_acceptance,
     run_test,
 )
 from .games import (
-    QEX,
-    QSEL,
     AdversaryInterface,
     GameConfig,
     SealedOracle,
@@ -124,7 +119,6 @@ __all__ = [
     # numerics
     "CONSTRUCTION_TOL",
     "DERIVED_TOL",
-    "RANK_TOL",
     "StateVector",
     "DensityMatrix",
     "UnitaryMatrix",
@@ -155,15 +149,11 @@ __all__ = [
     "closed_form_state",
     "run_full",
     # equality tests
-    "SWAP",
-    "IDEAL",
     "TestConfig",
     "TestOutcome",
     "expected_acceptance",
     "run_test",
     # games
-    "QEX",
-    "QSEL",
     "AdversaryInterface",
     "SealedOracle",
     "GameConfig",

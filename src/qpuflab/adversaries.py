@@ -35,6 +35,7 @@ from .numerics import (
     CONSTRUCTION_TOL,
     StateVector,
     UnitaryMatrix,
+    _check_dim,
     _complement_vector,
     _unchecked,
     apply,
@@ -83,13 +84,12 @@ class SubspaceKnowledge:
         if len(self.basis_in) != len(self.basis_out):
             raise DimensionMismatch("basis_in and basis_out lengths differ")
         for family in (self.basis_in, self.basis_out):
-            for i, a in enumerate(family):
-                if a.dim != self.dim:
-                    raise DimensionMismatch("basis state dimension mismatch")
-                for j, b in enumerate(family):
-                    want = 1.0 if i == j else 0.0
-                    if abs(np.vdot(a.amplitudes, b.amplitudes) - want) > 1e-9:
-                        raise InvalidQuantumObject("basis family is not orthonormal")
+            if any(s.dim != self.dim for s in family):
+                raise DimensionMismatch("basis state dimension mismatch")
+            rows = np.array([s.amplitudes for s in family])  # (d, D), or (0,) at d = 0
+            dev = np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max(initial=0.0)
+            if not dev <= 1e-9:
+                raise InvalidQuantumObject("basis family is not orthonormal")
 
     @property
     def d(self) -> int:
@@ -240,8 +240,7 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
     fidelity floor degenerates as mu -> 1, so a non-negligible margin is part
     of its contract.  A margin outside ``[0, 1]`` raises too.
     """
-    if dim < 2:
-        raise InvalidQuantumObject(f"the forger needs dimension >= 2, got {dim}")
+    _check_dim(dim, 2)  # the challenge |1> needs a second basis state
     if margin is None:
         margin = 0.5 / dim
     if not 0.0 <= margin <= 1.0:

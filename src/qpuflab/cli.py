@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -125,7 +126,6 @@ def _cmd_forge_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_selective_bound(args: argparse.Namespace) -> int:
-    dim = 2**args.qubits
     cfg = GameConfig(
         mode="qsel",
         gen=QPufGenParams(qubits=args.qubits, seed=args.seed),
@@ -133,6 +133,7 @@ def _cmd_selective_bound(args: argparse.Namespace) -> int:
         learning_budget=args.d,
         seed=args.seed,
     )
+    dim = 2**args.qubits  # the generator parameters above capped it
     estimate = estimate_win_rate(cfg, lambda: SubspaceAdversary(args.d), args.trials)
     header = ["d", "D", "delta", "empirical_rate", "bound", "stderr", "trials"]
     rows = [
@@ -167,38 +168,33 @@ def _make_test_config(args: argparse.Namespace) -> TestConfig:
     return TestConfig(kind="swap", kappa1=args.kappa1, kappa2=args.kappa2)
 
 
-def _cmd_game(args: argparse.Namespace) -> int:
+def _game_adversary(args: argparse.Namespace) -> tuple[str, Callable, int]:
+    """The adversary's game mode, factory and learning budget."""
     if args.adversary == "forger":
-        if args.mode != "qex":
-            raise QpufLabError("the emulation forger plays the existential game")
         if args.mu is None:
             raise QpufLabError("qex games need --mu")
-        factory = lambda: QeForger(args.mu)  # noqa: E731
-        budget = 2
-    elif args.adversary == "subspace":
-        if args.mode != "qsel":
-            raise QpufLabError("the subspace adversary plays the selective game")
-        factory = lambda: SubspaceAdversary(args.d)  # noqa: E731
-        budget = args.d
-    elif args.adversary == "random":
-        if args.mode != "qsel":
-            raise QpufLabError("the random guesser plays the selective game")
-        factory = RandomGuesser
-        budget = 0
-    else:  # "tomography", the last of the parser's choices
-        if args.mode != "qsel":
-            raise QpufLabError("the tomography adversary plays the selective game")
-        if not args.privileged:
-            raise PrivilegeRequired(
-                "tomography reads amplitudes; pass --privileged to grant that"
-            )
-        readout = PrivilegedReadout()
-        factory = lambda: TomographyAdversary(readout)  # noqa: E731
-        budget = 2**args.qubits
+        return "qex", lambda: QeForger(args.mu), 2
+    if args.adversary == "subspace":
+        return "qsel", lambda: SubspaceAdversary(args.d), args.d
+    if args.adversary == "random":
+        return "qsel", RandomGuesser, 0
+    # "tomography", the last of the parser's choices
+    if not args.privileged:
+        raise PrivilegeRequired(
+            "tomography reads amplitudes; pass --privileged to grant that"
+        )
+    readout = PrivilegedReadout()
+    return "qsel", lambda: TomographyAdversary(readout), 2**args.qubits
 
+
+def _cmd_game(args: argparse.Namespace) -> int:
+    gen = QPufGenParams(qubits=args.qubits, seed=args.seed)  # caps 2**qubits
+    mode, factory, budget = _game_adversary(args)
+    if args.mode != mode:
+        raise QpufLabError(f"the {args.adversary} adversary plays the {mode} game")
     cfg = GameConfig(
         mode=args.mode,
-        gen=QPufGenParams(qubits=args.qubits, seed=args.seed),
+        gen=gen,
         test=_make_test_config(args),
         learning_budget=budget,
         seed=args.seed,

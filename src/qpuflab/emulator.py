@@ -32,13 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionCapExceeded,
-    DimensionMismatch,
-    InvalidQuantumObject,
-    PostSelectionFailure,
-)
-from .numerics import DensityMatrix, StateVector, _unchecked, max_dim
+from .errors import DimensionMismatch, InvalidQuantumObject, PostSelectionFailure
+from .numerics import DensityMatrix, StateVector, _check_qubits, _unchecked
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -74,10 +69,7 @@ class QeConfig:
             raise InvalidQuantumObject(
                 f"reference_index {self.reference_index} outside 0..{k - 1}"
             )
-        if dim * 2 ** (k - 1) > max_dim():
-            raise DimensionCapExceeded(
-                f"joint dimension {dim * 2 ** (k - 1)} exceeds cap {max_dim()}"
-            )
+        _check_qubits(k - 1, least=0, factor=dim)  # one ancilla per block
 
     @property
     def dim(self) -> int:

@@ -129,7 +129,7 @@ class Transcript:
     """One scored game: queries, challenge, outcome and the guess's fidelity.
 
     ``d_spanned`` is computed on read, not stored: most callers count wins
-    and never look at it, and its rank costs a full ``D x D`` projector.
+    and never look at it, and its rank costs a Gram-Schmidt pass over them.
     """
 
     queries: tuple[StateVector, ...]

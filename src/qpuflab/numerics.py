@@ -50,6 +50,26 @@ def max_dim() -> int:
         raise DimensionCapExceeded(f"QPUF_MAX_DIM is not an integer: {raw!r}") from None
 
 
+def _check_dim(dim, least: int = 1) -> None:
+    """The size rule: raise unless ``least <= dim <= max_dim()``; NaN fails."""
+    if not dim >= least:
+        raise InvalidQuantumObject(f"dimension {dim} is below {least}")
+    if not dim <= (cap := max_dim()):
+        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {cap}")
+
+
+def _check_qubits(qubits, least: int = 1, factor: int = 1) -> None:
+    """The size rule for ``factor * 2**qubits`` dimensions, never forming
+    ``2**qubits``: it exceeds the cap iff ``2**qubits > room = cap // factor``,
+    that is iff ``room < 1`` or ``qubits >= room.bit_length()``."""
+    if not qubits >= least:
+        raise InvalidQuantumObject(f"qubits must be >= {least}, got {qubits}")
+    room = (cap := max_dim()) // factor
+    if room < 1 or qubits >= room.bit_length():
+        size = f"2**{qubits}" if factor == 1 else f"{factor} * 2**{qubits}"
+        raise DimensionCapExceeded(f"dimension {size} exceeds cap {cap}")
+
+
 def _frozen_array(values, shape_kind: str = "") -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if shape_kind == "vector" and arr.ndim != 1:
@@ -290,10 +310,7 @@ def _complement_vector(basis, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of i.i.d. complex Gaussians."""
-    if dim < 1:
-        raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
-    if dim > max_dim():
-        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
+    _check_dim(dim)
     return _unchecked(StateVector, amplitudes=_haar_vector(dim, rng))
 
 
@@ -323,10 +340,7 @@ def _haar_unitary_stack(
     Ginibre matrix, then :func:`_haar_qr` factors the stack, so entry ``k``
     is bit for bit what :func:`haar_unitary` returns for ``rngs[k]``.
     """
-    if dim < 1:
-        raise InvalidQuantumObject(f"dimension must be positive, got {dim}")
-    if dim > max_dim():
-        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
+    _check_dim(dim)
     z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
     for k, rng in enumerate(rngs):
         z[k] = _ginibre(dim, rng)

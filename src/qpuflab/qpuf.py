@@ -19,24 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionCapExceeded,
-    DimensionMismatch,
-    InvalidQuantumObject,
-    PreconditionViolation,
-)
+from .errors import DimensionMismatch, InvalidQuantumObject, PreconditionViolation
 from .numerics import (
     DERIVED_TOL,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _check_qubits,
     _disturb_stack,
     _haar_unitary_stack,
     _unchecked,
     apply,
     fidelity_mixed,
     haar_unitary,
-    max_dim,
 )
 
 
@@ -48,12 +43,7 @@ class QPufGenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.qubits < 1:
-            raise InvalidQuantumObject(f"qubits must be >= 1, got {self.qubits}")
-        if 2**self.qubits > max_dim():
-            raise DimensionCapExceeded(
-                f"2**{self.qubits} exceeds the simulation cap {max_dim()}"
-            )
+        _check_qubits(self.qubits)
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidQuantumObject("seed must fit in an unsigned 64-bit integer")
 

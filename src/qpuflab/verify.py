@@ -30,13 +30,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .emulator import QeConfig, run_full, run_stage1, closed_form_state
-from .errors import DimensionCapExceeded, InvalidQuantumObject, PostSelectionFailure
+from .errors import InvalidQuantumObject, PostSelectionFailure
 # fidelity_mixed, trace_distance and channel_apply are not called here; the
 # traced benchmark patches them at these names, so they stay importable
 from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _check_dim,
     _complement_vector,
     _disturb_stack,
     _fidelity_stack,
@@ -49,7 +50,6 @@ from .numerics import (  # noqa: F401
     fidelity_mixed,
     haar_state,
     haar_unitary,
-    max_dim,
     span_projector,
     trace_distance,
 )
@@ -92,10 +92,7 @@ def _check_inputs(
         raise InvalidQuantumObject(f"trials={trials} is below {least_trials}")
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidQuantumObject(f"epsilon={epsilon} outside [0, 1]")
-    if not dim >= least_dim:
-        raise InvalidQuantumObject(f"dimension {dim} is below {least_dim}")
-    if dim > max_dim():
-        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {max_dim()}")
+    _check_dim(dim, least_dim)
 
 
 def _report_chunks(name: str, chunks, detail: str = "") -> CheckReport:
@@ -323,6 +320,15 @@ def _disturbed_pairs(
     return rho, sigma, eps, _disturb_stack(u, rho, eps), _disturb_stack(u, sigma, eps)
 
 
+def _disturbance_audit(
+    name: str, margins_of, epsilon: float, dim: int, trials: int, rng
+) -> CheckReport:
+    """Check the parameters, then report ``margins_of`` over chunks of trials."""
+    _check_inputs(trials, dim=dim, epsilon=epsilon)
+    margins = (margins_of(epsilon, dim, chunk, rng) for chunk in _chunks(dim, trials))
+    return _report_chunks(name, margins, detail=f"eps={epsilon} D={dim}")
+
+
 def _contraction_margins(
     epsilon: float, dim: int, trials: range, rng: np.random.Generator
 ) -> np.ndarray:
@@ -349,13 +355,8 @@ def distance_contraction_check(
     ``epsilon`` is the extremal one: it meets the shrinkage bound with
     equality.  Audited on pure and mixed input pairs.
     """
-    _check_inputs(trials, dim=dim, epsilon=epsilon)
-    margins = (
-        _contraction_margins(epsilon, dim, chunk, rng)
-        for chunk in _chunks(dim, trials)
-    )
-    return _report_chunks(
-        "distance-contraction", margins, detail=f"eps={epsilon} D={dim}"
+    return _disturbance_audit(
+        "distance-contraction", _contraction_margins, epsilon, dim, trials, rng
     )
 
 
@@ -396,13 +397,8 @@ def fidelity_disturbance_check(
     law is necessary: for ``rho = I/2`` vs a basis state on one qubit at
     ``eps = 0.1`` the gain exceeds the bound in both conventions.
     """
-    _check_inputs(trials, dim=dim, epsilon=epsilon)
-    margins = (
-        _disturbance_margins(epsilon, dim, chunk, rng)
-        for chunk in _chunks(dim, trials)
-    )
-    return _report_chunks(
-        "fidelity-disturbance", margins, detail=f"eps={epsilon} D={dim}"
+    return _disturbance_audit(
+        "fidelity-disturbance", _disturbance_margins, epsilon, dim, trials, rng
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qpuflab import (
     BudgetRefusal,
+    DimensionCapExceeded,
     DimensionMismatch,
     ForgerPlan,
     GameConfig,
@@ -26,11 +27,13 @@ from qpuflab import (
     forgery_fidelity_bound,
     haar_unitary,
     make_forger_plan,
+    max_dim,
     qeval,
     qgen,
     run_forgery,
     run_game,
 )
+from qpuflab.numerics import _unchecked
 
 SEED = 5150
 
@@ -82,6 +85,10 @@ class TestForgerPlan:
         # the challenge |1> needs a second basis state
         with pytest.raises(InvalidQuantumObject, match="dimension"):
             make_forger_plan(0.5, dim, margin=margin)
+
+    def test_dimension_above_the_cap_rejected(self):
+        with pytest.raises(DimensionCapExceeded):
+            make_forger_plan(0.5, max_dim() + 1)
 
     @pytest.mark.parametrize("margin", [-1.0, -1e-9, 1.5, float("nan")])
     def test_margin_outside_unit_interval_rejected(self, margin):
@@ -239,6 +246,16 @@ class TestSubspaceKnowledge:
             SubspaceKnowledge(dim=2, basis_in=(basis(2, 0),), basis_out=())
         with pytest.raises(DimensionMismatch):
             SubspaceKnowledge(dim=2, basis_in=(basis(4, 0),), basis_out=(basis(2, 0),))
+
+    @pytest.mark.parametrize("side", ["basis_in", "basis_out"])
+    def test_nan_amplitudes_fail_the_orthonormality_check(self, side):
+        nan = _unchecked(StateVector, amplitudes=np.array([np.nan, 0.0]))
+        other = "basis_out" if side == "basis_in" else "basis_in"
+        with pytest.raises(InvalidQuantumObject):
+            SubspaceKnowledge(dim=2, **{side: (nan,), other: (basis(2, 0),)})
+
+    def test_empty_basis_is_zero_dimensional_knowledge(self):
+        assert SubspaceKnowledge(dim=4, basis_in=(), basis_out=()).d == 0
 
     def test_d_counts_the_basis(self):
         kn = SubspaceKnowledge(

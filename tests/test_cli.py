@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -302,6 +303,27 @@ class TestExitCodes:
     def test_malformed_dimension_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("QPUF_MAX_DIM", "abc")
         self.assert_usage_error(["qe-demo", "--qubits", "2"], capsys, "QPUF_MAX_DIM")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--mode", "qsel", "--adversary", "random"],
+            ["game", "--mode", "qsel", "--adversary", "tomography", "--privileged"],
+            ["selective-bound"],
+        ],
+        ids=["game-random", "game-tomography", "selective-bound"],
+    )
+    def test_huge_register_exits_before_forming_its_size(self, argv, capsys):
+        # 2**(10**9) alone is a 125 MB integer; the cap is decided without it
+        tracemalloc.start()
+        try:
+            self.assert_usage_error(
+                argv + ["--qubits", "1000000000", "--trials", "1"], capsys, "cap"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_replay_of_a_missing_manifest(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.manifest.json")

@@ -603,6 +603,12 @@ class TestQeConfig:
         assert cfg.n_blocks == 2
         assert cfg.block_sample_indices == (0, 2)
 
+    def test_joint_dimension_cap_with_many_samples(self):
+        # dim * 2**(k - 1) has over 6000 digits: the message must not print it
+        many = (basis(2, 0),) * 20000
+        with pytest.raises(DimensionCapExceeded, match=r"2 \* 2\*\*19999"):
+            QeConfig(samples_in=many, samples_out=many, reference_index=0)
+
     def test_joint_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("QPUF_MAX_DIM", "4")
         with pytest.raises(DimensionCapExceeded):

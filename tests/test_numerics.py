@@ -359,6 +359,11 @@ class TestHaarSampling:
         with pytest.raises(DimensionCapExceeded):
             haar_state(9, rng)
 
+    @pytest.mark.parametrize("dim", [0, -1, float("nan")])
+    def test_dimension_below_one_or_nan_rejected(self, dim):
+        with pytest.raises(InvalidQuantumObject):
+            haar_state(dim, np.random.default_rng(SEED))
+
 
 class TestHaarVector:
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 64])

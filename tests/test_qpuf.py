@@ -1,6 +1,8 @@
 """Device model: generation, the disturbed-channel family, the collision
 check and the closed-form diamond distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,26 @@ class TestGeneration:
             QPufGenParams(qubits=0, seed=1)
         with pytest.raises(InvalidQuantumObject):
             QPufGenParams(qubits=2, seed=-1)
+
+    @pytest.mark.parametrize("cap", [-5, 0, 1, 2, 3, 8, 16384])
+    def test_cap_decided_without_forming_the_dimension(self, cap, monkeypatch):
+        monkeypatch.setenv("QPUF_MAX_DIM", str(cap))
+        for qubits in range(1, 17):
+            if 2**qubits > cap:
+                with pytest.raises(DimensionCapExceeded):
+                    QPufGenParams(qubits=qubits, seed=0)
+            else:
+                QPufGenParams(qubits=qubits, seed=0)
+
+    def test_huge_qubit_count_raises_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapExceeded):
+                QPufGenParams(qubits=10**9, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_chunk_draw_matches_one_qgen_per_seed(self):
         seeds = [0, 7, 2**63 - 1, 12345]
