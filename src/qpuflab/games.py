@@ -12,7 +12,9 @@ Two challenge modes:
   hands it to the adversary as one unclonable copy.
 
 The oracle handle exposes ``query`` and nothing else; adversaries never see
-the device's unitary.  Simulation note: queries and challenges are numpy
+the device's unitary, so a game samples its device lazily (``_LazyDevice``):
+a Haar isometry on the span it touches stands in for ``qgen``'s unitary.
+Simulation note: queries and challenges are numpy
 state vectors, so "one copy" is an interface discipline, not an enforcement
 mechanism -- adversaries that read amplitudes they were not granted (see
 ``adversaries``) are modeling explicitly stronger attackers.
@@ -20,23 +22,26 @@ mechanism -- adversaries that read amplitudes they were not granted (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidQuantumObject, MuViolation
-from .numerics import StateVector, fidelity_pure, haar_state, span_projector
-from .qpuf import QPufGenParams, QPufInstance, _qgen_chunk, qeval, qgen
+from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
+from .numerics import RANK_TOL, StateVector, _complement_vector, _ginibre, _haar_qr
+from .numerics import _unchecked, fidelity_pure, haar_state, span_projector
+# qgen and qeval are not called here; the traced benchmark patches them at
+# these names, so they stay importable
+from .qpuf import QPufGenParams, qeval, qgen  # noqa: F401
 from .testers import TestConfig, run_test
 
 QEX = "qex"
 QSEL = "qsel"
 
-#: complex entries per stacked device draw in ``estimate_win_rate``: 64
-#: devices at D=8, 16 at D=16, 4 at D=32 and one from D=64 up.  It bounds
-#: memory; stacks of 2 and 4 at D=64 measured slower in the benchmark's
-#: (d=8, n=6) calls than one device at a time
+#: complex entries per stacked draw of devices' ``(D, k)`` blocks in
+#: ``estimate_win_rate``.  It bounds memory; one QR of the stack costs a
+#: fraction of one ``np.linalg.qr`` call per device at D <= 16
 _DRAW_CHUNK = 2**12
 
 
@@ -72,8 +77,71 @@ class SealedOracle:
         self.query = query
 
 
+class _LazyDevice:
+    """A Haar-random device sampled only on the span a game touches.
+
+    On the span of the inputs seen so far a Haar unitary is a Haar isometry
+    (Mezzadri, math-ph/0609050; Ma-Huang, arXiv:2410.10116): the device keeps
+    their orthonormal rows and image columns.  A new direction takes the next
+    column of the ``(D, k)`` block ``images``, past it a complement draw.
+    """
+
+    __slots__ = ("dim", "_rng", "_images", "_rows", "_conj", "_rank")
+
+    def __init__(self, rng: np.random.Generator, images: np.ndarray) -> None:
+        self.dim, k = images.shape
+        self._rng, self._images, self._rank = rng, images, 0
+        # rows past the rank stay zero, so products need not slice them off
+        self._rows = np.zeros((k, self.dim), dtype=np.complex128)
+        self._conj = np.zeros_like(self._rows)  # the rows' conjugates
+
+    def __call__(self, psi: StateVector) -> StateVector:
+        if psi.dim != self.dim:
+            raise DimensionMismatch(f"unitary dim {self.dim} != state dim {psi.dim}")
+        v, r = psi.amplitudes, self._rank
+        if r:  # Gram-Schmidt; a second pass only for a short residual
+            c = np.dot(self._conj, v)
+            v = v - np.dot(c, self._rows)
+            if RANK_TOL < (norm := math.sqrt(np.vdot(v, v).real)) < 0.5:
+                extra = np.dot(self._conj, v)
+                v -= np.dot(extra, self._rows)
+                c += extra
+                norm = math.sqrt(np.vdot(v, v).real)
+        else:
+            c, norm = np.zeros(len(self._rows), complex), math.sqrt(np.vdot(v, v).real)
+        if norm > RANK_TOL:
+            if r == len(self._rows):  # past the block: one more row and image
+                w = _complement_vector(self._images.T, self.dim, self._rng)
+                self._images = np.column_stack((self._images, w))
+                self._rows = np.vstack((self._rows, np.zeros(self.dim)))
+                self._conj = np.vstack((self._conj, np.zeros(self.dim)))
+                c = np.append(c, 0.0)
+            np.divide(v, norm, out=self._rows[r])
+            np.conjugate(self._rows[r], out=self._conj[r])
+            c[r], self._rank = norm, r + 1
+        return _unchecked(StateVector, amplitudes=np.dot(self._images, c))
+
+
+def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDevice]:
+    """One lazy device per game stream, seeded by the stream's first draw.
+
+    A game's queries and challenge span at most ``k = min(budget + 1, D)``
+    dimensions.  One stacked QR factors each device's ``(D, k)`` Ginibre
+    block, so device ``t`` is bit for bit the one ``rngs[t]`` alone gives.
+    """
+    params = [QPufGenParams(cfg.gen.qubits, _device_seed(rng)) for rng in rngs]
+    gens = [np.random.default_rng(p.seed) for p in params]
+    dim, k = _block_shape(cfg)
+    blocks = np.array([_ginibre(dim, gen, k) for gen in gens])
+    return [_LazyDevice(gen, w) for gen, w in zip(gens, _haar_qr(blocks))]
+
+
+def _block_shape(cfg: "GameConfig") -> tuple[int, int]:
+    return 2**cfg.gen.qubits, min(cfg.learning_budget + 1, 2**cfg.gen.qubits)
+
+
 def _make_oracle(
-    instance: QPufInstance, budget: int, log: list[StateVector]
+    device: _LazyDevice, budget: int, log: list[StateVector]
 ) -> SealedOracle:
     used = 0
 
@@ -82,7 +150,7 @@ def _make_oracle(
         if used >= budget:
             raise BudgetExceeded(f"learning budget of {budget} queries exhausted")
         used += 1
-        out = qeval(instance, psi)
+        out = device(psi)
         log.append(psi)
         return out
 
@@ -166,8 +234,7 @@ def run_game(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    instance = qgen(QPufGenParams(qubits=cfg.gen.qubits, seed=_device_seed(rng)))
-    return _play(cfg, adversary, instance, rng)
+    return _play(cfg, adversary, _devices(cfg, [rng])[0], rng)
 
 
 def _device_seed(rng: np.random.Generator) -> int:
@@ -178,15 +245,15 @@ def _device_seed(rng: np.random.Generator) -> int:
 def _play(
     cfg: GameConfig,
     adversary: AdversaryInterface,
-    instance: QPufInstance,
+    device: _LazyDevice,
     rng: np.random.Generator,
 ) -> Transcript:
     """Learning, challenge, guess and test on a device already drawn from ``rng``."""
     if cfg.mode == QEX and not hasattr(adversary, "choose_challenge"):
         raise InvalidQuantumObject("qex games need an adversary with choose_challenge")
-    dim = instance.dim
+    dim = device.dim
     log: list[StateVector] = []
-    oracle = _make_oracle(instance, cfg.learning_budget, log)
+    oracle = _make_oracle(device, cfg.learning_budget, log)
     adversary.learn(oracle, dim, cfg.learning_budget, rng)
     queries = tuple(log)
 
@@ -201,7 +268,7 @@ def _play(
     else:
         challenge = haar_state(dim, rng)
 
-    true_response = qeval(instance, challenge)
+    true_response = device(challenge)
     guess = adversary.respond(challenge, rng)
     if guess.dim != dim:
         raise InvalidQuantumObject("guess dimension mismatch")
@@ -241,8 +308,8 @@ def estimate_win_rate(
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
     with ``rng_k`` built from the ``k``-th child of
-    ``SeedSequence(cfg.seed)``.  The children are spawned and the devices
-    drawn a chunk of trials at a time (one stacked QR, about
+    ``SeedSequence(cfg.seed)``.  The children are spawned and the devices'
+    blocks drawn a chunk of trials at a time (one stacked QR, about
     ``_DRAW_CHUNK`` entries), each device from the first draw of its own
     trial's stream, so every stream is consumed in the same order as by
     ``run_game``.
@@ -250,15 +317,14 @@ def estimate_win_rate(
     if trials < 1:
         raise InvalidQuantumObject("at least one trial is required")
     seeds = np.random.SeedSequence(cfg.seed)
-    per_chunk = max(1, _DRAW_CHUNK // 4**cfg.gen.qubits)
+    per_chunk = max(1, _DRAW_CHUNK // math.prod(_block_shape(cfg)))
     wins = 0
     kept: list[Transcript] = []
     for start in range(0, trials, per_chunk):
         children = seeds.spawn(min(per_chunk, trials - start))
         rngs = [np.random.default_rng(c) for c in children]
-        devices = _qgen_chunk(cfg.gen.qubits, [_device_seed(rng) for rng in rngs])
-        for rng, instance in zip(rngs, devices):
-            transcript = _play(cfg, adversary_factory(), instance, rng)
+        for rng, device in zip(rngs, _devices(cfg, rngs)):
+            transcript = _play(cfg, adversary_factory(), device, rng)
             wins += transcript.outcome_b
             if keep_transcripts:
                 kept.append(transcript)

@@ -50,12 +50,18 @@ def max_dim() -> int:
         raise DimensionCapExceeded(f"QPUF_MAX_DIM is not an integer: {raw!r}") from None
 
 
+def _shown(size) -> str:
+    """``size`` for a message; ``str`` refuses integers of over 4300 digits."""
+    long = isinstance(size, int) and size.bit_length() > 64
+    return f"({'-' * (size < 0)}{size.bit_length()}-bit integer)" if long else str(size)
+
+
 def _check_dim(dim, least: int = 1) -> None:
     """The size rule: raise unless ``least <= dim <= max_dim()``; NaN fails."""
     if not dim >= least:
-        raise InvalidQuantumObject(f"dimension {dim} is below {least}")
+        raise InvalidQuantumObject(f"dimension {_shown(dim)} is below {least}")
     if not dim <= (cap := max_dim()):
-        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {cap}")
+        raise DimensionCapExceeded(f"dimension {_shown(dim)} exceeds cap {cap}")
 
 
 def _check_qubits(qubits, least: int = 1, factor: int = 1) -> None:
@@ -63,10 +69,10 @@ def _check_qubits(qubits, least: int = 1, factor: int = 1) -> None:
     ``2**qubits``: it exceeds the cap iff ``2**qubits > room = cap // factor``,
     that is iff ``room < 1`` or ``qubits >= room.bit_length()``."""
     if not qubits >= least:
-        raise InvalidQuantumObject(f"qubits must be >= {least}, got {qubits}")
+        raise InvalidQuantumObject(f"qubits must be >= {least}, got {_shown(qubits)}")
     room = (cap := max_dim()) // factor
     if room < 1 or qubits >= room.bit_length():
-        size = f"2**{qubits}" if factor == 1 else f"{factor} * 2**{qubits}"
+        size = ("" if factor == 1 else f"{factor} * ") + f"2**{_shown(qubits)}"
         raise DimensionCapExceeded(f"dimension {size} exceeds cap {cap}")
 
 
@@ -328,36 +334,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     the phase of the corresponding diagonal entry of ``R`` fixes the measure
     (Mezzadri, math-ph/0609050).
     """
-    return _unchecked(UnitaryMatrix, matrix=_haar_unitary_stack(dim, [rng])[0])
-
-
-def _haar_unitary_stack(
-    dim: int, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """One Haar unitary per generator, stacked and not yet validated.
-
-    Returns shape ``(len(rngs), dim, dim)``.  Each generator fills its own
-    Ginibre matrix, then :func:`_haar_qr` factors the stack, so entry ``k``
-    is bit for bit what :func:`haar_unitary` returns for ``rngs[k]``.
-    """
     _check_dim(dim)
-    z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
-    for k, rng in enumerate(rngs):
-        z[k] = _ginibre(dim, rng)
-    return _haar_qr(z)
+    return _unchecked(UnitaryMatrix, matrix=_haar_qr(_ginibre(dim, rng)[np.newaxis])[0])
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex Gaussian matrix that one Haar unitary is factored from."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _ginibre(dim: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """The complex Gaussian ``dim x cols`` matrix (square by default) that one
+    Haar unitary or isometry is factored from."""
+    shape = (dim, dim if cols is None else cols)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _haar_qr(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a ``(T, D, D)`` stack of :func:`_ginibre` draws.
+    """Haar isometries from a ``(T, D, k)`` stack of :func:`_ginibre` draws.
 
-    Overwrites ``z``.  One ``np.linalg.qr`` and one phase fix run over the
-    whole stack; LAPACK factors each matrix of it on its own, so entry ``k``
-    is bit for bit the unitary of draw ``k`` alone.
+    Entry ``t`` is distributed as the first ``k <= D`` columns of a Haar
+    unitary.  Overwrites ``z``.  One ``np.linalg.qr`` and one phase fix run
+    over the whole stack; LAPACK factors each matrix of it on its own, so
+    entry ``t`` is bit for bit the isometry of draw ``t`` alone.
     """
     z /= np.sqrt(2.0)
     # a lone matrix is factored unstacked: at D=64 a stack of one made each

@@ -14,7 +14,6 @@ so no semidefinite programming is needed.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .numerics import (
     UnitaryMatrix,
     _check_qubits,
     _disturb_stack,
-    _haar_unitary_stack,
     _unchecked,
     apply,
     fidelity_mixed,
@@ -92,24 +90,7 @@ def qgen(params: QPufGenParams) -> QPufInstance:
 
     Deterministic in ``params``: the same seed always yields the same device.
     """
-    rng = np.random.default_rng(params.seed)
-    return _device(params, haar_unitary(2**params.qubits, rng))
-
-
-def _qgen_chunk(qubits: int, seeds: Sequence[int]) -> list[QPufInstance]:
-    """``[qgen(QPufGenParams(qubits, s)) for s in seeds]`` with one stacked QR.
-
-    Same checks, ids and unitaries as one ``qgen`` call per seed; like
-    ``haar_unitary``, the QR factors are not validated again.  Memory grows
-    with ``len(seeds) * 4**qubits``, so callers bound the chunk.
-    """
-    params = [QPufGenParams(qubits=qubits, seed=s) for s in seeds]
-    rngs = [np.random.default_rng(p.seed) for p in params]
-    us = _haar_unitary_stack(2**qubits, rngs)
-    return [_device(p, _unchecked(UnitaryMatrix, matrix=u)) for p, u in zip(params, us)]
-
-
-def _device(params: QPufGenParams, u: UnitaryMatrix) -> QPufInstance:
+    u = haar_unitary(2**params.qubits, np.random.default_rng(params.seed))
     ident = f"qpuf-n{params.qubits}-{params.seed:016x}"
     return QPufInstance(id=ident, qubits=params.qubits, unitary=u)
 

@@ -25,6 +25,7 @@ exists to prove the harness can reject, and is only included on request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -241,7 +242,8 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
 
     The blocks act trivially on such an input (it is a -1 eigenvector of
     every reflection's argument), so the success weight is exactly zero:
-    ``p_succ_stage1 <= 1e-12`` and post-selection must raise.
+    ``p_succ_stage1 <= 1e-12`` and post-selection must raise.  Margins are in
+    decades, ``-12 - log10(pass_prob**2)``, so a drift of ``pass_prob`` shows.
     """
     _check_inputs(trials)
     margins: list[float] = []
@@ -254,10 +256,17 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
         try:
             res = run_full(cfg, psi)
         except PostSelectionFailure as exc:
-            margins.append(1e-12 - exc.pass_prob**2)
+            margins.append(_log_margin(exc.pass_prob**2))
         else:
             margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
     return _report("orthogonal-challenge-rejection", margins)
+
+
+def _log_margin(p2: float) -> float:
+    """``-12 - log10(p2)``: negative iff ``p2 > 1e-12``, also within an ulp
+    of it; a ``p2`` under 1e-300, 0 included, counts as 1e-300."""
+    margin = -12.0 - math.log10(max(p2, 1e-300))
+    return min(margin, -1e-300) if p2 > 1e-12 else max(margin, 0.0)
 
 
 # ---------------------------------------------------------------------------

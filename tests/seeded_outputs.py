@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/seeded_outputs.py OUT [PARENT_OUT]
+    python tests/seeded_outputs.py OUT [PARENT_OUT [--changed NAME ...]]
 
 Runs sixteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
@@ -13,13 +13,20 @@ the parent's bytes, and every parent manifest is replayed with this code into
 ``OUT/replay/`` and compared too.  Manifests themselves are not compared:
 they record the wall-clock time of the run.
 
-Exits 1 if any output or replay differs from the parent's, or if a run exits
-with another code than the one listed here; 0 otherwise.  Pytest does not
+``--changed`` names the outputs a change to the random stream or to a
+report is meant to alter.  Each of them must differ from the parent's bytes,
+and its own new manifest must replay to the new bytes; the parent's
+manifest is not replayed for it.  Every other output is held to the parent's
+bytes as above.
+
+Exits 1 if an output or replay breaks these rules, or if a run exits with
+another code than the one listed here; 0 otherwise.  Pytest does not
 collect this file, because its name lacks the ``test_`` prefix.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -50,9 +57,8 @@ RUNS: dict[str, tuple[list[str], int]] = {
     "game-tomography.jsonl": (
         ["game", "--mode", "qsel", "--adversary", "tomography", "--privileged"], 0
     ),
-    # trial counts that are no multiple of the device-draw chunk (4 games at
-    # n=5, 16 at n=4), so the last chunk is a partial one; from n=6 up every
-    # chunk holds one device
+    # trial counts that are no multiple of the device-draw chunk (14 games at
+    # (d=8, n=5), 85 at (d=2, n=4)), so the last chunk is a partial one
     "game-subspace-d8-n5-t31.jsonl": (
         _SUBSPACE + ["--d", "8", "--qubits", "5", "--trials", "31"], 0
     ),
@@ -76,36 +82,64 @@ def _same_bytes(a: Path, b: Path) -> bool:
         return False
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="seeded_outputs.py", description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument("out", type=Path)
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("--changed", nargs="+", default=[], metavar="NAME")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.changed) - set(RUNS))
+    if unknown:
+        parser.error(f"--changed names no seeded output: {', '.join(unknown)}")
+    if args.changed and args.parent is None:
+        parser.error("--changed needs PARENT_OUT")
+    return args
+
+
+def _replay(manifest: Path, out: Path, want: Path, code: int, whose: str) -> list[str]:
+    """Replay ``manifest`` into ``out``; problems unless it exits ``code``
+    and writes the bytes of ``want``."""
+    problems = []
+    got = qpuflab_main(["replay", "--manifest", str(manifest), "--out", str(out)])
+    if got != code:
+        problems.append(f"{out.name}: replay exit {got}, expected {code}")
+    if not _same_bytes(out, want):
+        problems.append(f"{out.name}: replay of the {whose} manifest differs")
+    return problems
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = Path(argv[0])
+    args = _parse(argv)
+    out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     problems: list[str] = []
-    for name, (args, code) in RUNS.items():
-        got = qpuflab_main(args + ["--out", str(out / name)])
+    for name, (cmd, code) in RUNS.items():
+        got = qpuflab_main(cmd + ["--out", str(out / name)])
         if got != code:
             problems.append(f"{name}: exit {got}, expected {code}")
-    if len(argv) == 2:
-        parent = Path(argv[1])
+    if args.parent is not None:
+        parent: Path = args.parent
         replay = out / "replay"
         replay.mkdir(exist_ok=True)
         for name, (_, code) in RUNS.items():
-            if not _same_bytes(out / name, parent / name):
-                problems.append(f"{name}: output differs from the parent's")
-            manifest = parent / (name + ".manifest.json")
-            got = qpuflab_main(
-                ["replay", "--manifest", str(manifest), "--out", str(replay / name)]
-            )
-            if got != code:
-                problems.append(f"{name}: replay exit {got}, expected {code}")
-            if not _same_bytes(replay / name, parent / name):
-                problems.append(f"{name}: replay of the parent manifest differs")
+            manifest = name + ".manifest.json"
+            if name in args.changed:
+                if _same_bytes(out / name, parent / name):
+                    problems.append(f"{name}: listed as changed, but equals the parent's")
+                problems += _replay(out / manifest, replay / name, out / name, code, "new")
+            else:
+                if not _same_bytes(out / name, parent / name):
+                    problems.append(f"{name}: output differs from the parent's")
+                problems += _replay(
+                    parent / manifest, replay / name, parent / name, code, "parent"
+                )
     for line in problems:
         print("DIFFERS", line)
-    checked = "outputs and replays" if len(argv) == 2 else "outputs"
-    print(f"{len(RUNS)} {checked}: {len(problems)} problems")
+    checked = "outputs" if args.parent is None else "outputs and replays"
+    changed = f" ({len(args.changed)} listed as changed)" if args.changed else ""
+    print(f"{len(RUNS)} {checked}{changed}: {len(problems)} problems")
     return 1 if problems else 0
 
 

@@ -4,6 +4,7 @@ Adversary behavior itself is covered in test_adversaries; the adversaries
 here are minimal probes written for one protocol property each.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from qpuflab import games
 from qpuflab import (
     AdversaryInterface,
     BudgetExceeded,
+    DimensionCapExceeded,
+    DimensionMismatch,
     GameConfig,
     InvalidQuantumObject,
     MuViolation,
@@ -26,6 +29,7 @@ from qpuflab import (
     TestConfig,
     TomographyAdversary,
     Transcript,
+    UnitaryMatrix,
     estimate_win_rate,
     haar_state,
     mu_check,
@@ -252,6 +256,99 @@ class TestRunGame:
         assert isinstance(RandomGuesser(), AdversaryInterface)
 
 
+def lazy_devices(cfg, count, seed=SEED):
+    """``count`` game devices of ``cfg``, drawn as ``estimate_win_rate`` draws them."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    return games._devices(cfg, [np.random.default_rng(c) for c in children])
+
+
+def hoeffding(trials, width, alpha=1e-6):
+    """Half-width at two-sided false-alarm rate ``alpha`` of the mean of
+    ``trials`` independent draws from an interval of ``width``."""
+    return width * math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+
+
+def gram(states):
+    rows = np.array([s.amplitudes for s in states])
+    return rows.conj() @ rows.T
+
+
+class TestLazyDevice:
+    def test_first_moments_are_haar(self):
+        # for Haar U, E<e_j|U|e_j> = 0 and E|<e_1|U|e_0>|^2 = 1/D; a QR
+        # without the phase fix reads a mean Re<e_0|U|e_0> of about -0.20
+        # here.  Each bound holds at alpha = 1e-6 (t = 0.085 on the diagonal)
+        dim, trials = 8, 4000
+        first, second = [], []
+        for device in lazy_devices(sel_config(qubits=3, budget=1), trials):
+            first.append(device(basis(dim, 0)).amplitudes)
+            second.append(device(basis(dim, 1)).amplitudes)
+        first, second = np.array(first), np.array(second)
+        assert abs(first[:, 0].real.mean()) <= hoeffding(trials, 2.0)
+        assert abs(second[:, 1].real.mean()) <= hoeffding(trials, 2.0)
+        weight = (abs(first[:, 1]) ** 2).mean()
+        assert abs(weight - 1.0 / dim) <= hoeffding(trials, 1.0)
+
+    def test_responses_keep_the_gram_matrix(self):
+        # a query 1e-7 off the first, whose short residual needs the second
+        # Gram-Schmidt pass to keep later queries consistent; an in-span
+        # mixture; a basis state
+        rng = np.random.default_rng(SEED + 1)
+        haar = [haar_state(8, rng) for _ in range(4)]
+        mix = 0.6 * haar[0].amplitudes + 0.8j * haar[1].amplitudes
+        near = haar[0].amplitudes + 1e-7 * haar_state(8, rng).amplitudes
+        queries = [haar[0], StateVector(near / np.linalg.norm(near))] + haar[1:]
+        queries += [StateVector(mix / np.linalg.norm(mix)), basis(8, 3)]
+        (device,) = lazy_devices(sel_config(qubits=3, budget=6), 1)
+        responses = [device(q) for q in queries]
+        assert np.abs(gram(responses) - gram(queries)).max() <= 1e-12
+
+    def test_repeated_query_returns_the_same_response(self):
+        rng = np.random.default_rng(SEED + 2)
+        psi = haar_state(8, rng)
+        (device,) = lazy_devices(sel_config(qubits=3, budget=2), 1)
+        first = device(psi).amplitudes
+        device(haar_state(8, rng))
+        assert np.abs(device(psi).amplitudes - first).max() <= 1e-12
+
+    def test_query_past_the_block_extends_the_isometry(self):
+        # budget 0 pre-draws one column; two more come from the device's own
+        # generator, so the same seed extends the same way
+        rng = np.random.default_rng(SEED + 3)
+        queries = [haar_state(4, rng) for _ in range(3)]
+        cfg = sel_config(qubits=2, budget=0)
+        (device,) = lazy_devices(cfg, 1)
+        responses = [device(q) for q in queries]
+        assert device._images.shape == (4, 3)
+        assert np.abs(gram(responses) - gram(queries)).max() <= 1e-12
+        (again,) = lazy_devices(cfg, 1)
+        assert [again(q).amplitudes.tobytes() for q in queries] == [
+            r.amplitudes.tobytes() for r in responses
+        ]
+
+    @pytest.mark.parametrize("budget", [0, 4], ids=["extended", "pre-drawn"])
+    def test_tomography_reads_a_unitary(self, budget):
+        (device,) = lazy_devices(sel_config(qubits=2, budget=budget), 1)
+        cols = [device(basis(4, i)).amplitudes for i in range(4)]
+        UnitaryMatrix(np.array(cols).T)
+
+    def test_wrong_dimension_query_rejected(self):
+        (device,) = lazy_devices(sel_config(qubits=2, budget=1), 1)
+        with pytest.raises(DimensionMismatch):
+            device(basis(8, 0))
+
+    def test_device_seed_keeps_the_generator_check(self, monkeypatch):
+        monkeypatch.setattr(games, "_device_seed", lambda rng: 2**64)
+        with pytest.raises(InvalidQuantumObject):
+            lazy_devices(sel_config(), 1)
+
+    def test_device_draw_keeps_the_size_cap(self, monkeypatch):
+        cfg = sel_config(qubits=4)
+        monkeypatch.setenv("QPUF_MAX_DIM", "8")
+        with pytest.raises(DimensionCapExceeded):
+            lazy_devices(cfg, 1)
+
+
 class TestWinRateEstimate:
     def test_deterministic_given_seed(self):
         cfg = sel_config(delta=0.3)
@@ -353,7 +450,8 @@ class TestWinRateEstimate:
         # run_game over the same child streams plays; 7 trials end in a
         # partial chunk of the 3-device draw
         if chunk != "default":
-            monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4**cfg.gen.qubits)
+            dim, k = games._block_shape(cfg)
+            monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * dim * k)
         est = estimate_win_rate(cfg, factory, trials, keep_transcripts=True)
         children = np.random.SeedSequence(cfg.seed).spawn(trials)
         loop = [run_game(cfg, factory(), np.random.default_rng(c)) for c in children]
@@ -385,7 +483,7 @@ class TestWinRateEstimate:
                 return super().spawn(n_children)
 
         monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
-        monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4**2)
+        monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4)  # 3 blocks of 4 x 1
         estimate_win_rate(sel_config(qubits=2, delta=0.3), RandomGuesser, trials=8)
         assert asked == [3, 3, 2]
 

@@ -8,7 +8,7 @@ moments), never from the functions under test.
 import numpy as np
 import pytest
 
-from qpuflab import games, numerics
+from qpuflab import numerics
 from qpuflab import (
     DensityMatrix,
     DimensionCapExceeded,
@@ -364,6 +364,16 @@ class TestHaarSampling:
         with pytest.raises(InvalidQuantumObject):
             haar_state(dim, np.random.default_rng(SEED))
 
+    @pytest.mark.parametrize(
+        "dim, error",
+        [(10**5000, DimensionCapExceeded), (-(10**5000), InvalidQuantumObject)],
+        ids=["huge", "huge-negative"],
+    )
+    def test_dimension_too_long_to_print_rejected(self, dim, error):
+        # str() refuses integers of more than 4300 digits
+        with pytest.raises(error, match="16610-bit integer"):
+            haar_state(dim, np.random.default_rng(SEED))
+
 
 class TestHaarVector:
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 64])
@@ -388,39 +398,32 @@ def ginibre_qr_reference(dim, rng):
 
 class TestStackedHaarDraw:
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64])
-    def test_byte_identical_to_one_draw_per_generator(self, dim):
-        # stack sizes 1, 3, the estimate_win_rate chunk and one past it;
-        # stacks of the same generators agree on their common prefix
-        chunk = max(1, games._DRAW_CHUNK // dim**2)
-        counts = sorted({1, 3, chunk, chunk + 1})
-        children = np.random.SeedSequence([SEED, dim]).spawn(counts[-1])
+    def test_haar_unitary_is_the_ginibre_qr_reference(self, dim):
+        children = np.random.SeedSequence([SEED, dim]).spawn(3)
+        for child in children:
+            want = ginibre_qr_reference(dim, np.random.default_rng(child))
+            got = haar_unitary(dim, np.random.default_rng(child)).matrix
+            assert got.tobytes() == want.tobytes()
 
-        def rngs(count):
-            return [np.random.default_rng(c) for c in children[:count]]
-
-        one_by_one = np.stack([haar_unitary(dim, g).matrix for g in rngs(counts[-1])])
-        for ref, want in zip(rngs(3), one_by_one):
-            assert ginibre_qr_reference(dim, ref).tobytes() == want.tobytes()
-        for count in counts:
-            stack = numerics._haar_unitary_stack(dim, rngs(count))
-            assert stack.shape == (count, dim, dim)
-            assert stack.tobytes() == one_by_one[:count].tobytes()
-
-    def test_leaves_each_generator_where_one_draw_does(self):
-        stacked = [np.random.default_rng(k) for k in range(3)]
-        numerics._haar_unitary_stack(4, stacked)
-        for k, rng in enumerate(stacked):
-            alone = np.random.default_rng(k)
-            haar_unitary(4, alone)
-            assert rng.random() == alone.random()
+    @pytest.mark.parametrize("dim, cols", [(4, 1), (8, 3), (16, 16), (64, 9)])
+    def test_isometry_stack_is_each_block_alone(self, dim, cols):
+        # games factor a chunk of devices' (D, k) blocks in one stacked QR
+        rng = np.random.default_rng(SEED + dim + cols)
+        blocks = np.array([numerics._ginibre(dim, rng, cols) for _ in range(5)])
+        alone = [numerics._haar_qr(b[np.newaxis].copy())[0] for b in blocks]
+        stack = numerics._haar_qr(blocks)
+        assert stack.shape == (5, dim, cols)
+        assert stack.tobytes() == np.array(alone).tobytes()
+        dev = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(cols)).max()
+        assert dev <= 1e-12
 
     def test_dimension_checks(self, monkeypatch):
-        rngs = [np.random.default_rng(SEED)]
+        rng = np.random.default_rng(SEED)
         with pytest.raises(InvalidQuantumObject):
-            numerics._haar_unitary_stack(0, rngs)
+            haar_unitary(0, rng)
         monkeypatch.setenv("QPUF_MAX_DIM", "8")
         with pytest.raises(DimensionCapExceeded):
-            numerics._haar_unitary_stack(16, rngs)
+            haar_unitary(16, rng)
 
 
 def test_apply_matches_matrix_product():

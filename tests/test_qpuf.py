@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpuflab import qpuf
 from qpuflab import (
     DensityMatrix,
     DimensionCapExceeded,
@@ -66,6 +65,16 @@ class TestGeneration:
             else:
                 QPufGenParams(qubits=qubits, seed=0)
 
+    @pytest.mark.parametrize(
+        "qubits, error",
+        [(10**5000, DimensionCapExceeded), (-(10**5000), InvalidQuantumObject)],
+        ids=["huge", "huge-negative"],
+    )
+    def test_qubit_count_too_long_to_print_rejected(self, qubits, error):
+        # str() refuses integers of more than 4300 digits
+        with pytest.raises(error, match="16610-bit integer"):
+            QPufGenParams(qubits=qubits, seed=0)
+
     def test_huge_qubit_count_raises_in_constant_memory(self):
         tracemalloc.start()
         try:
@@ -75,24 +84,6 @@ class TestGeneration:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-    def test_chunk_draw_matches_one_qgen_per_seed(self):
-        seeds = [0, 7, 2**63 - 1, 12345]
-        chunk = qpuf._qgen_chunk(3, seeds)
-        for seed, inst in zip(seeds, chunk, strict=True):
-            one = qgen(QPufGenParams(qubits=3, seed=seed))
-            assert inst.id == one.id
-            assert inst.qubits == one.qubits
-            assert inst.unitary.matrix.tobytes() == one.unitary.matrix.tobytes()
-
-    def test_chunk_draw_keeps_the_generator_checks(self, monkeypatch):
-        with pytest.raises(InvalidQuantumObject):
-            qpuf._qgen_chunk(2, [1, 2**64])
-        with pytest.raises(InvalidQuantumObject):
-            qpuf._qgen_chunk(0, [1])
-        monkeypatch.setenv("QPUF_MAX_DIM", "8")
-        with pytest.raises(DimensionCapExceeded):
-            qpuf._qgen_chunk(4, [1])
 
     def test_instance_dim_consistency(self):
         u = qgen(QPufGenParams(qubits=2, seed=3)).unitary

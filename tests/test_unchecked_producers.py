@@ -14,10 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qpuflab import adversaries, numerics, qpuf, verify
+from qpuflab import adversaries, games, numerics, verify
 from qpuflab import (
     DensityMatrix,
     EpsilonDisturbedChannel,
+    GameConfig,
     PrivilegedReadout,
     QeConfig,
     QeForger,
@@ -26,6 +27,7 @@ from qpuflab import (
     StateVector,
     SubspaceAdversary,
     SubspaceKnowledge,
+    TestConfig,
     TomographyAdversary,
     UnitaryMatrix,
     apply,
@@ -112,11 +114,26 @@ class TestNumerics:
 
 
 @pytest.mark.parametrize("dim", DIMS)
-class TestQpuf:
-    def test_chunk_devices(self, dim):
-        for inst in qpuf._qgen_chunk(dim.bit_length() - 1, range(5)):
-            checked(inst.unitary)
+class TestGames:
+    def test_lazy_device_responses(self, dim):
+        # new directions from the pre-drawn block and, from D=4 up, past it;
+        # then an in-span basis state and a repeated query
+        rng = np.random.default_rng(SEED + 40 + dim)
+        cfg = GameConfig(
+            mode="qsel",
+            gen=QPufGenParams(qubits=dim.bit_length() - 1, seed=0),
+            test=TestConfig(kind="ideal", delta=0.5),
+            learning_budget=1,
+            seed=SEED,
+        )
+        (device,) = games._devices(cfg, [rng])
+        states = [haar_state(dim, rng) for _ in range(min(dim, 3))]
+        for psi in states + [adversaries._basis_state(dim, 0), states[0]]:
+            checked(device(psi))
 
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestQpuf:
     @pytest.mark.parametrize("epsilon", [0, 0.3, 1])
     def test_channel_apply(self, dim, epsilon):
         rng = np.random.default_rng(SEED + 20 + dim)

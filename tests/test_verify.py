@@ -1,6 +1,9 @@
 """The audit battery must pass on honest claims and flag the planted false one."""
 
+import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -391,7 +394,8 @@ class TestStackedChecksBits:
 
 
 def _old_orthogonal_challenge_check(trials, rng):
-    """The check as it was when it projected with the D x D span projector."""
+    """The check's draws as when it projected with the D x D span projector,
+    with its margins in decades."""
     margins = []
     for _ in range(trials):
         cfg, _ = verify._random_qe_config(rng, (2, 3), (2, 3))
@@ -407,22 +411,65 @@ def _old_orthogonal_challenge_check(trials, rng):
         try:
             res = run_full(cfg, StateVector(v / norm))
         except PostSelectionFailure as exc:
-            margins.append(1e-12 - exc.pass_prob**2)
+            margins.append(-12.0 - math.log10(max(exc.pass_prob**2, 1e-300)))
         else:
             margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
     return _old_report("orthogonal-challenge-rejection", margins)
 
 
 class TestOrthogonalChallengeBits:
-    # the new input draw differs from the projected one in the last bits, so
-    # this compares what the check reports and how far it moves the stream
+    # the new input draw differs from the projected one in the last bits, and
+    # the margins, in decades of a round-off pass_prob, differ with it; so
+    # this compares the counts and verdict the check reports, that both
+    # margins clear the limit by 12 decades, and how far it moves the stream
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_the_projector_loop(self, seed):
         new = np.random.default_rng(SEED + 11000 + seed)
         old = np.random.default_rng(SEED + 11000 + seed)
         want = _old_orthogonal_challenge_check(8, old)
-        assert orthogonal_challenge_check(8, new) == want
+        got = orthogonal_challenge_check(8, new)
+        assert replace(got, worst_margin=0.0) == replace(want, worst_margin=0.0)
+        assert got.worst_margin > 12.0 and want.worst_margin > 12.0
         assert new.bit_generator.state == old.bit_generator.state
+
+
+class TestOrthogonalChallengeMargin:
+    def test_margin_moves_with_the_seed(self):
+        # the old margin 1e-12 - pass_prob**2 read exactly 1e-12 at every seed
+        margins = {
+            orthogonal_challenge_check(5, np.random.default_rng(SEED + s)).worst_margin
+            for s in range(4)
+        }
+        assert len(margins) == 4 and all(12.0 < m < 288.0 for m in margins)
+
+    @pytest.mark.parametrize(
+        "p2, want",
+        [
+            (0.0, 288.0),
+            (1e-300, 288.0),
+            (1e-14, 2.0),
+            (1e-12, 0.0),
+            (np.nextafter(1e-12, 1.0), None),
+            (1e-10, -2.0),
+            (1.0, -12.0),
+        ],
+    )
+    def test_pass_iff_at_most_the_limit(self, p2, want):
+        margin = verify._log_margin(p2)
+        assert (margin >= 0.0) == (p2 <= 1e-12)
+        assert math.isfinite(margin) and json.loads(json.dumps(margin)) == margin
+        if want is not None:
+            assert margin == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("pass_prob, passed", [(0.0, True), (1e-5, False)])
+    def test_check_reports_the_log_margin(self, monkeypatch, pass_prob, passed):
+        def failing_run_full(cfg, psi):
+            raise PostSelectionFailure("stage 2 cannot pass", pass_prob=pass_prob)
+
+        monkeypatch.setattr(verify, "run_full", failing_run_full)
+        rep = orthogonal_challenge_check(3, np.random.default_rng(SEED))
+        assert rep.passed is passed and rep.violations == (0 if passed else 3)
+        assert rep.worst_margin == verify._log_margin(pass_prob**2)
 
 
 class TestStackedChecksGuards:
@@ -558,6 +605,10 @@ def _bad_inputs():
                lambda rng, d=d: haar_subspace_weight_check(d, 2, 100, rng),
                InvalidQuantumObject)
     yield ("weight-D-big", lambda rng: haar_subspace_weight_check(1, big, 2, rng),
+           DimensionCapExceeded)
+    # more than 4300 digits: too long for str(), so the message names its bits
+    yield ("weight-D-huge",
+           lambda rng: haar_subspace_weight_check(1, 10**5000, 2, rng),
            DimensionCapExceeded)
     yield ("negative-control-t0", lambda rng: negative_control_check(0, rng),
            InvalidQuantumObject)
