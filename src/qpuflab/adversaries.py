@@ -37,6 +37,7 @@ from .numerics import (
     UnitaryMatrix,
     _check_dim,
     _complement_vector,
+    _gram_deviation,
     _unchecked,
     apply,
     haar_state,
@@ -87,8 +88,7 @@ class SubspaceKnowledge:
             if any(s.dim != self.dim for s in family):
                 raise DimensionMismatch("basis state dimension mismatch")
             rows = np.array([s.amplitudes for s in family])  # (d, D), or (0,) at d = 0
-            dev = np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max(initial=0.0)
-            if not dev <= 1e-9:
+            if not _gram_deviation(rows) <= 1e-9:
                 raise InvalidQuantumObject("basis family is not orthonormal")
 
     @property

@@ -33,6 +33,7 @@ from .adversaries import (
 )
 from .errors import PrivilegeRequired, QpufLabError
 from .games import GameConfig, estimate_win_rate, transcript_record
+from .numerics import _check_seed
 from .qpuf import QPufGenParams, qgen
 from .testers import TestConfig
 from .verify import run_all_checks
@@ -302,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forge_sweep)
 
     p = sub.add_parser(
-        "selective-bound", help="subspace-adversary win rate vs (d + 1) / D"
+        "selective-bound",
+        help="subspace-adversary win rate beside (d + 1) / D, its mean-fidelity bound",
     )
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--d", type=int, default=1, help="learned subspace dimension")
@@ -358,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= getattr(args, "seed", 0) < 2**64:
-            raise QpufLabError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(getattr(args, "seed", 0))
         return args.func(args)
     except QpufLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

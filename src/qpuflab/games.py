@@ -29,7 +29,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
-from .numerics import RANK_TOL, StateVector, _complement_vector, _ginibre, _haar_qr
+from .numerics import RANK_TOL, StateVector, _as_int, _check_seed, _ginibre, _haar_qr
 from .numerics import _unchecked, fidelity_pure, haar_state, span_projector
 # qgen and qeval are not called here; the traced benchmark patches them at
 # these names, so they stay importable
@@ -83,14 +83,19 @@ class _LazyDevice:
     On the span of the inputs seen so far a Haar unitary is a Haar isometry
     (Mezzadri, math-ph/0609050; Ma-Huang, arXiv:2410.10116): the device keeps
     their orthonormal rows and image columns.  A new direction takes the next
-    column of the ``(D, k)`` block ``images``, past it a complement draw.
+    column of the ``(D, k)`` block ``images``.  The block is all a game can
+    reach: the oracle refuses query ``budget + 1`` and ``_play`` evaluates the
+    challenge once, and each of these ``budget + 1`` calls adds at most one
+    row, so ``k = min(budget + 1, D)`` rows suffice; after ``D`` rows every
+    residual is round-off, below ``RANK_TOL``.  A call past the block raises
+    ``IndexError``; no game can make one.
     """
 
-    __slots__ = ("dim", "_rng", "_images", "_rows", "_conj", "_rank")
+    __slots__ = ("dim", "_images", "_rows", "_conj", "_rank")
 
-    def __init__(self, rng: np.random.Generator, images: np.ndarray) -> None:
+    def __init__(self, images: np.ndarray) -> None:
         self.dim, k = images.shape
-        self._rng, self._images, self._rank = rng, images, 0
+        self._images, self._rank = images, 0
         # rows past the rank stay zero, so products need not slice them off
         self._rows = np.zeros((k, self.dim), dtype=np.complex128)
         self._conj = np.zeros_like(self._rows)  # the rows' conjugates
@@ -110,12 +115,6 @@ class _LazyDevice:
         else:
             c, norm = np.zeros(len(self._rows), complex), math.sqrt(np.vdot(v, v).real)
         if norm > RANK_TOL:
-            if r == len(self._rows):  # past the block: one more row and image
-                w = _complement_vector(self._images.T, self.dim, self._rng)
-                self._images = np.column_stack((self._images, w))
-                self._rows = np.vstack((self._rows, np.zeros(self.dim)))
-                self._conj = np.vstack((self._conj, np.zeros(self.dim)))
-                c = np.append(c, 0.0)
             np.divide(v, norm, out=self._rows[r])
             np.conjugate(self._rows[r], out=self._conj[r])
             c[r], self._rank = norm, r + 1
@@ -133,7 +132,7 @@ def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDe
     gens = [np.random.default_rng(p.seed) for p in params]
     dim, k = _block_shape(cfg)
     blocks = np.array([_ginibre(dim, gen, k) for gen in gens])
-    return [_LazyDevice(gen, w) for gen, w in zip(gens, _haar_qr(blocks))]
+    return [_LazyDevice(w) for w in _haar_qr(blocks)]
 
 
 def _block_shape(cfg: "GameConfig") -> tuple[int, int]:
@@ -183,7 +182,8 @@ class GameConfig:
                 )
         elif self.mu is not None:
             raise InvalidQuantumObject("qsel mode takes no mu")
-        if self.learning_budget < 0:
+        _check_seed(self.seed)
+        if _as_int(self.learning_budget, "learning budget") < 0:
             raise InvalidQuantumObject("learning budget must be non-negative")
         cap = 4 * self.gen.qubits**2
         if self.learning_budget > cap:
@@ -314,7 +314,7 @@ def estimate_win_rate(
     trial's stream, so every stream is consumed in the same order as by
     ``run_game``.
     """
-    if trials < 1:
+    if _as_int(trials, "trials") < 1:
         raise InvalidQuantumObject("at least one trial is required")
     seeds = np.random.SeedSequence(cfg.seed)
     per_chunk = max(1, _DRAW_CHUNK // math.prod(_block_shape(cfg)))

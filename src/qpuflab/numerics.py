@@ -15,6 +15,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,9 +57,23 @@ def _shown(size) -> str:
     return f"({'-' * (size < 0)}{size.bit_length()}-bit integer)" if long else str(size)
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a float, NaN too, raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidQuantumObject(f"{what} must be an integer: {value!r}") from None
+
+
+def _check_seed(seed) -> None:
+    """The seed rule: an integer with ``0 <= seed < 2**64``."""
+    if not 0 <= _as_int(seed, "seed") < 2**64:
+        raise InvalidQuantumObject("seed must fit in an unsigned 64-bit integer")
+
+
 def _check_dim(dim, least: int = 1) -> None:
-    """The size rule: raise unless ``least <= dim <= max_dim()``; NaN fails."""
-    if not dim >= least:
+    """The size rule: raise unless ``dim`` is an integer in ``least..max_dim()``."""
+    if not _as_int(dim, "dimension") >= least:
         raise InvalidQuantumObject(f"dimension {_shown(dim)} is below {least}")
     if not dim <= (cap := max_dim()):
         raise DimensionCapExceeded(f"dimension {_shown(dim)} exceeds cap {cap}")
@@ -68,7 +83,7 @@ def _check_qubits(qubits, least: int = 1, factor: int = 1) -> None:
     """The size rule for ``factor * 2**qubits`` dimensions, never forming
     ``2**qubits``: it exceeds the cap iff ``2**qubits > room = cap // factor``,
     that is iff ``room < 1`` or ``qubits >= room.bit_length()``."""
-    if not qubits >= least:
+    if not _as_int(qubits, "qubits") >= least:
         raise InvalidQuantumObject(f"qubits must be >= {least}, got {_shown(qubits)}")
     room = (cap := max_dim()) // factor
     if room < 1 or qubits >= room.bit_length():
@@ -84,6 +99,11 @@ def _frozen_array(values, shape_kind: str = "") -> np.ndarray:
         raise InvalidQuantumObject(f"expected a square matrix, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _gram_deviation(rows: np.ndarray) -> float:
+    """``max |rows* rows^T - I|`` of ``(r, D)`` rows; NaN propagates, r = 0 reads 0."""
+    return float(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max(initial=0.0))
 
 
 def _unchecked(cls, **fields):
@@ -151,7 +171,7 @@ class UnitaryMatrix:
     def __post_init__(self) -> None:
         arr = _frozen_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", arr)
-        dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
+        dev = _gram_deviation(arr.T)  # U^dag U = I: orthonormal columns
         if not (dev <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject(f"matrix is not unitary (deviation {dev:.3e})")
 
@@ -171,7 +191,7 @@ class Projector:
         object.__setattr__(self, "basis", arr)
         if arr.ndim != 2:
             raise InvalidQuantumObject(f"expected a 2-d array, got shape {arr.shape}")
-        dev = np.abs(arr.conj() @ arr.T - np.eye(len(arr))).max(initial=0.0)
+        dev = _gram_deviation(arr)
         if not (dev <= CONSTRUCTION_TOL):
             raise InvalidQuantumObject(f"rows not orthonormal (deviation {dev:.3e})")
 

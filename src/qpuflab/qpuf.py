@@ -25,6 +25,7 @@ from .numerics import (
     StateVector,
     UnitaryMatrix,
     _check_qubits,
+    _check_seed,
     _disturb_stack,
     _unchecked,
     apply,
@@ -42,8 +43,7 @@ class QPufGenParams:
 
     def __post_init__(self) -> None:
         _check_qubits(self.qubits)
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidQuantumObject("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidQuantumObject
-from .numerics import StateVector, fidelity_pure
+from .errors import InvalidQuantumObject
+from .numerics import StateVector, _as_int, fidelity_pure
 
 SWAP = "swap"
 IDEAL = "ideal"
@@ -45,7 +45,7 @@ class TestConfig:
     def __post_init__(self) -> None:
         if self.kind not in (SWAP, IDEAL):
             raise InvalidQuantumObject(f"unknown test kind {self.kind!r}")
-        if self.kappa1 < 1 or self.kappa2 < 1:
+        if _as_int(self.kappa1, "kappa1") < 1 or _as_int(self.kappa2, "kappa2") < 1:
             raise InvalidQuantumObject("copy counts must be at least 1")
         if self.kind == IDEAL:
             if self.delta is None or not 0.0 < self.delta <= 1.0:
@@ -88,13 +88,12 @@ def run_test(
     The state arguments are classical descriptions standing in for the copy
     bundles; ``cfg`` says how many copies each side holds.
     """
-    if target.dim != guess.dim:
-        raise DimensionMismatch(f"state dims differ: {target.dim} vs {guess.dim}")
+    f = fidelity_pure(target, guess)  # raises DimensionMismatch on differing dims
     if cfg.kind == IDEAL:
-        accepted = fidelity_pure(target, guess) >= cfg.delta - 1e-12
+        accepted = f >= cfg.delta - 1e-12
         return TestOutcome(accepted=accepted, pass_count=int(accepted), pairs_run=1)
     c = cfg.pairs
-    p = expected_acceptance(fidelity_pure(target, guess), 1)
+    p = expected_acceptance(f, 1)
     passes = 0
     for start in range(0, c, _DRAW_CHUNK):
         draws = rng.random(min(_DRAW_CHUNK, c - start))

@@ -38,7 +38,9 @@ from .numerics import (  # noqa: F401
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _as_int,
     _check_dim,
+    _check_seed,
     _complement_vector,
     _disturb_stack,
     _fidelity_stack,
@@ -89,7 +91,7 @@ def _check_inputs(
     Each test is written so that NaN fails it.  The disturbance and
     concavity audits need ``dim >= 2``: their mixed pairs have rank 2 or more.
     """
-    if not trials >= least_trials:
+    if not _as_int(trials, "trials") >= least_trials:
         raise InvalidQuantumObject(f"trials={trials} is below {least_trials}")
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidQuantumObject(f"epsilon={epsilon} outside [0, 1]")
@@ -535,6 +537,7 @@ def run_all_checks(
     seed: int, include_negative_control: bool = False
 ) -> list[CheckReport]:
     """The standard battery at CLI-scale trial counts."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     reports = [
         haar_subspace_weight_check(1, 2, 20000, rng),

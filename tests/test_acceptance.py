@@ -230,7 +230,12 @@ def test_c06_haar_average_subspace_weight(announce):
 
 
 def test_c07_selective_subspace_bound(announce):
-    """Informed subspace adversary never beats (d+1)/D plus 3 sigma."""
+    """Informed subspace adversary never beats (d+1)/D plus 3 sigma on this grid.
+
+    (d+1)/D bounds the adversary's mean fidelity.  It bounds the win rate at
+    threshold delta only through (d+1)/(D delta) (ROADMAP item 9), so the
+    rate is checked against (d+1)/D only on the delta in {0.3, 0.5, 0.9} grid.
+    """
     cells = ((0, 3), (1, 3), (2, 4), (4, 4), (8, 6))  # (d, qubits)
     trials = 2000
     worst_excess = -1.0

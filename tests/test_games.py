@@ -123,6 +123,24 @@ class WrongDimGuess:
         return basis(2 * self.dim, 0)
 
 
+class LateProbe:
+    """Spends nothing in learn; queries ``budget + extra`` fresh Haar states
+    in respond, after the challenge has taken its call of the device."""
+
+    def __init__(self, extra=0):
+        self.extra = extra
+
+    def learn(self, oracle, dim, budget, rng):
+        self.oracle, self.dim, self.budget = oracle, dim, budget
+
+    def respond(self, challenge, rng):
+        self.queries = [haar_state(self.dim, rng) for _ in range(self.budget)]
+        self.responses = [self.oracle.query(q) for q in self.queries]
+        for _ in range(self.extra):
+            self.oracle.query(haar_state(self.dim, rng))
+        return challenge
+
+
 class NoisyProbe:
     """Draws from the game's stream in learn and in respond."""
 
@@ -174,6 +192,16 @@ class TestGameConfig:
     def test_negative_budget(self):
         with pytest.raises(InvalidQuantumObject):
             sel_config(budget=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # estimate_win_rate used to raise numpy's ValueError on seed -1
+        with pytest.raises(InvalidQuantumObject, match="^seed must"):
+            sel_config(seed=seed)
+
+    def test_non_integer_budget_rejected(self):
+        with pytest.raises(InvalidQuantumObject, match="learning budget"):
+            sel_config(budget=1.0)
 
     def test_default_cap_is_quadratic_in_qubits(self):
         assert sel_config(qubits=3, budget=36).learning_budget == 36
@@ -232,6 +260,24 @@ class TestRunGame:
         run_game(cfg, second, np.random.default_rng(2))
         overlap = abs(np.vdot(first.seen.amplitudes, second.seen.amplitudes))
         assert overlap < 1.0 - 1e-6
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 4, 5])
+    def test_queries_after_the_challenge_stay_in_the_block(self, budget):
+        # the challenge and ``budget`` queries are all the calls a game makes
+        # of its device, so its block of min(budget + 1, D) columns serves
+        # them, and at budget >= D its span is the whole space
+        probe = LateProbe()
+        transcript = run_game(sel_config(qubits=2, budget=budget), probe)
+        assert transcript.queries == ()
+        assert len(probe.responses) == budget
+        if budget:
+            gap = gram(probe.responses) - gram(probe.queries)
+            assert np.abs(gap).max() <= 1e-12
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 4, 5])
+    def test_one_query_past_the_budget_is_refused(self, budget):
+        with pytest.raises(BudgetExceeded):
+            run_game(sel_config(qubits=2, budget=budget), LateProbe(extra=1))
 
     def test_qex_challenge_respecting_mu(self):
         transcript = run_game(ex_config(mu=0.5), EchoProbe())
@@ -311,24 +357,9 @@ class TestLazyDevice:
         device(haar_state(8, rng))
         assert np.abs(device(psi).amplitudes - first).max() <= 1e-12
 
-    def test_query_past_the_block_extends_the_isometry(self):
-        # budget 0 pre-draws one column; two more come from the device's own
-        # generator, so the same seed extends the same way
-        rng = np.random.default_rng(SEED + 3)
-        queries = [haar_state(4, rng) for _ in range(3)]
-        cfg = sel_config(qubits=2, budget=0)
-        (device,) = lazy_devices(cfg, 1)
-        responses = [device(q) for q in queries]
-        assert device._images.shape == (4, 3)
-        assert np.abs(gram(responses) - gram(queries)).max() <= 1e-12
-        (again,) = lazy_devices(cfg, 1)
-        assert [again(q).amplitudes.tobytes() for q in queries] == [
-            r.amplitudes.tobytes() for r in responses
-        ]
-
-    @pytest.mark.parametrize("budget", [0, 4], ids=["extended", "pre-drawn"])
-    def test_tomography_reads_a_unitary(self, budget):
-        (device,) = lazy_devices(sel_config(qubits=2, budget=budget), 1)
+    def test_tomography_reads_a_unitary(self):
+        # tomography's budget is D, so its block is already square
+        (device,) = lazy_devices(sel_config(qubits=2, budget=4), 1)
         cols = [device(basis(4, i)).amplitudes for i in range(4)]
         UnitaryMatrix(np.array(cols).T)
 
@@ -366,6 +397,10 @@ class TestWinRateEstimate:
     def test_requires_at_least_one_trial(self):
         with pytest.raises(InvalidQuantumObject):
             estimate_win_rate(sel_config(), RandomGuesser, trials=0)
+
+    def test_non_integer_trials_rejected(self):
+        with pytest.raises(InvalidQuantumObject, match="trials"):
+            estimate_win_rate(sel_config(), RandomGuesser, trials=2.0)
 
     def test_transcripts_kept_only_on_request(self):
         cfg = sel_config(delta=0.3)

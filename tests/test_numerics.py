@@ -5,6 +5,8 @@ formulas (commuting-state fidelity, the pure-state trace-distance law, Haar
 moments), never from the functions under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,37 @@ class TestUnitaryAndProjector:
     def test_projector_rejects_bad_rows(self, rows):
         with pytest.raises(InvalidQuantumObject):
             Projector(rows)
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), True])
+    def test_unsigned_64_bit_integers_accepted(self, seed):
+        numerics._check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**100)])
+    def test_out_of_range_rejected(self, seed):
+        with pytest.raises(InvalidQuantumObject) as info:
+            numerics._check_seed(seed)
+        assert str(info.value) == "seed must fit in an unsigned 64-bit integer"
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, float("nan"), "7", None])
+    def test_non_integer_rejected(self, seed):
+        with pytest.raises(InvalidQuantumObject, match="seed must be an integer"):
+            numerics._check_seed(seed)
+
+
+class TestGramDeviation:
+    def test_empty_family_reads_zero(self):
+        assert numerics._gram_deviation(np.zeros((0, 4))) == 0.0
+        assert numerics._gram_deviation(np.array([])) == 0.0
+
+    def test_reads_the_largest_entry(self):
+        rows = np.eye(3)[:2] * np.array([[1.0], [1.5]])
+        assert numerics._gram_deviation(rows) == 1.25
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_propagates(self):
+        assert math.isnan(numerics._gram_deviation(np.array([[np.nan, 0.0]])))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -363,6 +396,15 @@ class TestHaarSampling:
     def test_dimension_below_one_or_nan_rejected(self, dim):
         with pytest.raises(InvalidQuantumObject):
             haar_state(dim, np.random.default_rng(SEED))
+
+    @pytest.mark.parametrize("dim", [4.0, np.float64(4.0), "4"])
+    def test_non_integer_dimension_rejected(self, dim):
+        # haar_unitary used to raise a bare TypeError on 4.0
+        rng = np.random.default_rng(SEED)
+        for draw in (haar_unitary, haar_state):
+            with pytest.raises(InvalidQuantumObject, match="must be an integer"):
+                draw(dim, rng)
+        assert rng.random() == np.random.default_rng(SEED).random()  # no draw
 
     @pytest.mark.parametrize(
         "dim, error",

@@ -55,6 +55,18 @@ class TestGeneration:
         with pytest.raises(InvalidQuantumObject):
             QPufGenParams(qubits=2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "qubits, seed", [(3.5, 0), (2.0, 0), (2, 1.5), (2, 2**64), (2, "7")]
+    )
+    def test_non_integer_or_wide_params_rejected(self, qubits, seed):
+        # qgen used to raise a bare TypeError on these
+        with pytest.raises(InvalidQuantumObject):
+            QPufGenParams(qubits=qubits, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        params = QPufGenParams(qubits=np.int64(2), seed=np.uint64(2**64 - 1))
+        assert qgen(params).id == "qpuf-n2-ffffffffffffffff"
+
     @pytest.mark.parametrize("cap", [-5, 0, 1, 2, 3, 8, 16384])
     def test_cap_decided_without_forming_the_dimension(self, cap, monkeypatch):
         monkeypatch.setenv("QPUF_MAX_DIM", str(cap))

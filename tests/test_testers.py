@@ -64,6 +64,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidQuantumObject):
             TestConfig(kind="swap", kappa1=k1, kappa2=k2)
 
+    @pytest.mark.parametrize("k1,k2", [(2.0, 1), (1, 1.5)])
+    def test_copy_counts_integer(self, k1, k2):
+        with pytest.raises(InvalidQuantumObject, match="kappa"):
+            TestConfig(kind="swap", kappa1=k1, kappa2=k2)
+
     def test_pairs_is_smaller_budget(self):
         assert TestConfig(kind="swap", kappa1=3, kappa2=7).pairs == 3
 
@@ -122,9 +127,10 @@ class TestIdealTest:
         assert results == {True}
 
     def test_dimension_mismatch(self):
-        cfg = TestConfig(kind="ideal", delta=0.5)
-        with pytest.raises(DimensionMismatch):
-            run_test(cfg, basis(2, 0), basis(4, 0), np.random.default_rng(SEED))
+        # fidelity_pure's check is the only one, for either test kind
+        for cfg in (TestConfig(kind="ideal", delta=0.5), TestConfig(kind="swap")):
+            with pytest.raises(DimensionMismatch, match="state dims differ: 2 vs 4"):
+                run_test(cfg, basis(2, 0), basis(4, 0), np.random.default_rng(SEED))
 
 
 class TestSwapTest:

@@ -116,14 +116,15 @@ class TestNumerics:
 @pytest.mark.parametrize("dim", DIMS)
 class TestGames:
     def test_lazy_device_responses(self, dim):
-        # new directions from the pre-drawn block and, from D=4 up, past it;
-        # then an in-span basis state and a repeated query
+        # new directions from the block, then an in-span basis state and a
+        # repeated query; budget 3 covers the three fresh states and the
+        # basis state, as a game's budget covers its calls
         rng = np.random.default_rng(SEED + 40 + dim)
         cfg = GameConfig(
             mode="qsel",
             gen=QPufGenParams(qubits=dim.bit_length() - 1, seed=0),
             test=TestConfig(kind="ideal", delta=0.5),
-            learning_budget=1,
+            learning_budget=3,
             seed=SEED,
         )
         (device,) = games._devices(cfg, [rng])

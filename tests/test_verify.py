@@ -157,6 +157,11 @@ class TestFullBattery:
         failed = [r.name for r in reports if not r.passed]
         assert failed == ["negative-control-collision"]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(InvalidQuantumObject, match="^seed must"):
+            run_all_checks(seed=seed)
+
     def test_reproducible_across_runs(self):
         a = [r.as_dict() for r in run_all_checks(seed=9)]
         b = [r.as_dict() for r in run_all_checks(seed=9)]
@@ -482,6 +487,17 @@ class TestStackedChecksGuards:
         rng = np.random.default_rng(SEED)
         with pytest.raises(InvalidQuantumObject):
             check(epsilon, 4, trials, rng)
+        assert rng.random() == np.random.default_rng(SEED).random()  # no draw
+
+    @pytest.mark.parametrize("dim, trials", [(4.0, 3), (4, 3.0)])
+    @pytest.mark.parametrize(
+        "check", [distance_contraction_check, fidelity_disturbance_check]
+    )
+    def test_non_integer_size_rejected(self, check, dim, trials):
+        # a float dimension used to raise a bare TypeError
+        rng = np.random.default_rng(SEED)
+        with pytest.raises(InvalidQuantumObject, match="must be an integer"):
+            check(0.3, dim, trials, rng)
         assert rng.random() == np.random.default_rng(SEED).random()  # no draw
 
     @pytest.mark.parametrize(
