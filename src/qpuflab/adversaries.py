@@ -35,6 +35,7 @@ from .numerics import (
     CONSTRUCTION_TOL,
     StateVector,
     UnitaryMatrix,
+    _as_int,
     _check_dim,
     _complement_vector,
     _gram_deviation,
@@ -80,6 +81,7 @@ class SubspaceKnowledge:
     basis_out: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
+        _as_int(self.dim, "dimension")
         object.__setattr__(self, "basis_in", tuple(self.basis_in))
         object.__setattr__(self, "basis_out", tuple(self.basis_out))
         if len(self.basis_in) != len(self.basis_out):
@@ -106,7 +108,7 @@ class SubspaceAdversary:
     """
 
     def __init__(self, d: int) -> None:
-        if d < 0:
+        if _as_int(d, "subspace dimension") < 0:
             raise InvalidQuantumObject(f"subspace dimension {d} is negative")
         self._d = d
         self.knowledge: SubspaceKnowledge | None = None
@@ -279,6 +281,12 @@ def forgery_fidelity_bound(mu: float) -> float:
     return (1.0 - mu) * (1.0 + 4.0 * mu * (1.0 - mu))
 
 
+def _forger_circuit(plan: ForgerPlan, responses: tuple) -> QeConfig:
+    """The emulation circuit on the plan's two queries, ``phi2`` as reference."""
+    samples = (plan.phi1, plan.phi2)
+    return QeConfig(samples_in=samples, samples_out=responses, reference_index=1)
+
+
 def _principal_state(rho: np.ndarray) -> StateVector:
     w, v = np.linalg.eigh(rho)
     vec = v[:, -1]
@@ -327,11 +335,7 @@ class QeForger:
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
-        cfg = QeConfig(
-            samples_in=(self.plan.phi1, self.plan.phi2),
-            samples_out=self._responses,
-            reference_index=1,
-        )
+        cfg = _forger_circuit(self.plan, self._responses)
         self.last_result = run_full(cfg, challenge, rng=rng)
         return _principal_state(self.last_result.output_mixed.matrix)
 
@@ -359,11 +363,8 @@ def run_forgery(
     challenge.
     """
     plan = make_forger_plan(mu, instance.dim, margin=margin)
-    cfg = QeConfig(
-        samples_in=(plan.phi1, plan.phi2),
-        samples_out=(qeval(instance, plan.phi1), qeval(instance, plan.phi2)),
-        reference_index=1,
-    )
+    responses = (qeval(instance, plan.phi1), qeval(instance, plan.phi2))
+    cfg = _forger_circuit(plan, responses)
     result = run_full(cfg, plan.phi3, target=qeval(instance, plan.phi3))
     return ForgeryReport(
         mu=mu,

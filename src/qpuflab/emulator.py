@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidQuantumObject, PostSelectionFailure
-from .numerics import DensityMatrix, StateVector, _check_qubits, _unchecked
+from .numerics import DensityMatrix, StateVector, _as_int, _check_qubits, _unchecked
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -65,7 +65,7 @@ class QeConfig:
         for s in self.samples_in + self.samples_out:
             if s.dim != dim:
                 raise DimensionMismatch("all samples must share one dimension")
-        if not 0 <= self.reference_index < k:
+        if not 0 <= _as_int(self.reference_index, "reference_index") < k:
             raise InvalidQuantumObject(
                 f"reference_index {self.reference_index} outside 0..{k - 1}"
             )

@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
 from .numerics import RANK_TOL, StateVector, _as_int, _check_seed, _ginibre, _haar_qr
-from .numerics import _unchecked, fidelity_pure, haar_state, span_projector
-# qgen and qeval are not called here; the traced benchmark patches them at
-# these names, so they stay importable
+from .numerics import _unchecked, fidelity_pure, haar_state
+# qgen, qeval and span_projector are not called here; the traced benchmark
+# patches them at these names, so they stay importable
+from .numerics import span_projector  # noqa: F401
 from .qpuf import QPufGenParams, qeval, qgen  # noqa: F401
 from .testers import TestConfig, run_test
 
@@ -88,14 +89,15 @@ class _LazyDevice:
     challenge once, and each of these ``budget + 1`` calls adds at most one
     row, so ``k = min(budget + 1, D)`` rows suffice; after ``D`` rows every
     residual is round-off, below ``RANK_TOL``.  A call past the block raises
-    ``IndexError``; no game can make one.
+    ``IndexError``; no game can make one.  ``rank`` is the dimension of the
+    span of the inputs seen so far.
     """
 
-    __slots__ = ("dim", "_images", "_rows", "_conj", "_rank")
+    __slots__ = ("dim", "rank", "_images", "_rows", "_conj")
 
     def __init__(self, images: np.ndarray) -> None:
         self.dim, k = images.shape
-        self._images, self._rank = images, 0
+        self._images, self.rank = images, 0
         # rows past the rank stay zero, so products need not slice them off
         self._rows = np.zeros((k, self.dim), dtype=np.complex128)
         self._conj = np.zeros_like(self._rows)  # the rows' conjugates
@@ -103,7 +105,7 @@ class _LazyDevice:
     def __call__(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:
             raise DimensionMismatch(f"unitary dim {self.dim} != state dim {psi.dim}")
-        v, r = psi.amplitudes, self._rank
+        v, r = psi.amplitudes, self.rank
         if r:  # Gram-Schmidt; a second pass only for a short residual
             c = np.dot(self._conj, v)
             v = v - np.dot(c, self._rows)
@@ -117,7 +119,7 @@ class _LazyDevice:
         if norm > RANK_TOL:
             np.divide(v, norm, out=self._rows[r])
             np.conjugate(self._rows[r], out=self._conj[r])
-            c[r], self._rank = norm, r + 1
+            c[r], self.rank = norm, r + 1
         return _unchecked(StateVector, amplitudes=np.dot(self._images, c))
 
 
@@ -196,19 +198,15 @@ class GameConfig:
 class Transcript:
     """One scored game: queries, challenge, outcome and the guess's fidelity.
 
-    ``d_spanned`` is computed on read, not stored: most callers count wins
-    and never look at it, and its rank costs a Gram-Schmidt pass over them.
+    ``d_spanned`` is the dimension of the span of the learning queries (0 if
+    none): the device's rank when learning ends.
     """
 
     queries: tuple[StateVector, ...]
+    d_spanned: int
     challenge: StateVector
     outcome_b: int
     fidelity_of_guess: float
-
-    @property
-    def d_spanned(self) -> int:
-        """Dimension of the span of the learning queries (0 if none)."""
-        return span_projector(self.queries).rank if self.queries else 0
 
 
 def mu_check(
@@ -255,7 +253,7 @@ def _play(
     log: list[StateVector] = []
     oracle = _make_oracle(device, cfg.learning_budget, log)
     adversary.learn(oracle, dim, cfg.learning_budget, rng)
-    queries = tuple(log)
+    queries, d_spanned = tuple(log), device.rank
 
     if cfg.mode == QEX:
         challenge = adversary.choose_challenge(rng)  # type: ignore[attr-defined]
@@ -276,6 +274,7 @@ def _play(
     outcome = run_test(cfg.test, true_response, guess, rng)
     return Transcript(
         queries=queries,
+        d_spanned=d_spanned,
         challenge=challenge,
         outcome_b=int(outcome.accepted),
         fidelity_of_guess=fidelity_pure(true_response, guess),
@@ -303,8 +302,7 @@ def estimate_win_rate(
     an independent child random stream derived from ``cfg.seed``, so results
     are reproducible and order-independent.  The standard error is the
     binomial one, ``sqrt(r (1 - r) / trials)``.  Transcripts are dropped
-    after scoring unless ``keep_transcripts`` is set; a dropped transcript
-    never computes its ``d_spanned``.
+    after scoring unless ``keep_transcripts`` is set.
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
     with ``rng_k`` built from the ``k``-th child of

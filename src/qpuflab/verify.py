@@ -131,7 +131,7 @@ def haar_subspace_weight_check(
     which takes at least two trials.
     """
     _check_inputs(trials, 2, dim, least_dim=1)
-    if not 0 <= d <= dim:
+    if not 0 <= _as_int(d, "subspace dimension") <= dim:
         raise InvalidQuantumObject(f"subspace dimension {d} outside 0..{dim}")
     raw = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)

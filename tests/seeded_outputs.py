@@ -19,6 +19,9 @@ and its own new manifest must replay to the new bytes; the parent's
 manifest is not replayed for it.  Every other output is held to the parent's
 bytes as above.
 
+The summary also reports this checkout's ``src/qpuflab`` source lines and
+``len(qpuflab.__all__)``, the two code-size figures ROADMAP tracks.
+
 Exits 1 if an output or replay breaks these rules, or if a run exits with
 another code than the one listed here; 0 otherwise.  Pytest does not
 collect this file, because its name lacks the ``test_`` prefix.
@@ -30,8 +33,10 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
+import qpuflab  # noqa: E402
 from qpuflab.cli import main as qpuflab_main  # noqa: E402
 
 _FORGER = [
@@ -140,6 +145,8 @@ def main(argv: list[str]) -> int:
     checked = "outputs" if args.parent is None else "outputs and replays"
     changed = f" ({len(args.changed)} listed as changed)" if args.changed else ""
     print(f"{len(RUNS)} {checked}{changed}: {len(problems)} problems")
+    lines = sum(len(f.read_text().splitlines()) for f in (SRC / "qpuflab").glob("*.py"))
+    print(f"src/qpuflab: {lines} lines, {len(qpuflab.__all__)} names in __all__")
     return 1 if problems else 0
 
 

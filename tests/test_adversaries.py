@@ -254,6 +254,11 @@ class TestSubspaceKnowledge:
         with pytest.raises(InvalidQuantumObject):
             SubspaceKnowledge(dim=2, **{side: (nan,), other: (basis(2, 0),)})
 
+    def test_float_dimension_rejected(self):
+        # 2.0 equals every basis state's dim, so the size checks let it through
+        with pytest.raises(InvalidQuantumObject, match="dimension must be an integer"):
+            SubspaceKnowledge(dim=2.0, basis_in=(basis(2, 0),), basis_out=(basis(2, 1),))
+
     def test_empty_basis_is_zero_dimensional_knowledge(self):
         assert SubspaceKnowledge(dim=4, basis_in=(), basis_out=()).d == 0
 
@@ -332,6 +337,11 @@ class TestSubspaceAdversary:
     def test_respond_before_learn(self):
         with pytest.raises(InvalidQuantumObject):
             SubspaceAdversary(d=2).respond(basis(4, 0), np.random.default_rng(0))
+
+    def test_float_subspace_dimension_rejected(self):
+        # it used to pass construction and end in a bare TypeError in learn
+        with pytest.raises(InvalidQuantumObject, match="subspace dimension must be"):
+            SubspaceAdversary(1.5)
 
     def test_subspace_cannot_exceed_space(self):
         inst = qgen(QPufGenParams(qubits=1, seed=SEED))

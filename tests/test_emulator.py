@@ -594,6 +594,15 @@ class TestQeConfig:
                 reference_index=1,
             )
 
+    def test_float_reference_index_rejected(self):
+        # it used to pass construction and end in a bare TypeError in run_full
+        with pytest.raises(InvalidQuantumObject, match="reference_index must be"):
+            QeConfig(
+                samples_in=(basis(2, 0), basis(2, 1)),
+                samples_out=(basis(2, 1), basis(2, 0)),
+                reference_index=1.0,
+            )
+
     def test_block_bookkeeping(self):
         cfg = QeConfig(
             samples_in=(basis(2, 0), basis(2, 1), StateVector(np.array([1, 1]) / np.sqrt(2))),

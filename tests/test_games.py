@@ -153,6 +153,20 @@ class NoisyProbe:
         return haar_state(self.dim, rng)
 
 
+class NearProbe:
+    """Queries a Haar state, then one 1e-7 off it: a short residual that
+    still spans a second dimension."""
+
+    def learn(self, oracle, dim, budget, rng):
+        first = haar_state(dim, rng)
+        near = first.amplitudes + 1e-7 * haar_state(dim, rng).amplitudes
+        oracle.query(first)
+        oracle.query(StateVector(near / np.linalg.norm(near)))
+
+    def respond(self, challenge, rng):
+        return challenge
+
+
 class TestSealedOracle:
     def test_exposes_only_query(self):
         oracle = SealedOracle(lambda psi: psi)
@@ -269,6 +283,7 @@ class TestRunGame:
         probe = LateProbe()
         transcript = run_game(sel_config(qubits=2, budget=budget), probe)
         assert transcript.queries == ()
+        assert transcript.d_spanned == 0  # late queries do not count
         assert len(probe.responses) == budget
         if budget:
             gap = gram(probe.responses) - gram(probe.queries)
@@ -357,6 +372,24 @@ class TestLazyDevice:
         device(haar_state(8, rng))
         assert np.abs(device(psi).amplitudes - first).max() <= 1e-12
 
+    def test_rank_is_the_span_rank_of_near_dependent_pairs(self):
+        # the second query is 1e-11 to 1e-7 off the first, around RANK_TOL,
+        # so both ranks occur; the device must count what span_projector does
+        ranks = set()
+        for qubits in (1, 2, 3, 4):
+            dim = 2**qubits
+            rng = np.random.default_rng(SEED + qubits)
+            devices = lazy_devices(sel_config(qubits=qubits, budget=1), 180)
+            for device, eps in zip(devices, np.repeat(np.logspace(-11, -7, 9), 20)):
+                first = haar_state(dim, rng)
+                near = first.amplitudes + eps * haar_state(dim, rng).amplitudes
+                queries = (first, StateVector(near / np.linalg.norm(near)))
+                for q in queries:
+                    device(q)
+                assert device.rank == span_projector(queries).rank
+                ranks.add(device.rank)
+        assert ranks == {1, 2}
+
     def test_tomography_reads_a_unitary(self):
         # tomography's budget is D, so its block is already square
         (device,) = lazy_devices(sel_config(qubits=2, budget=4), 1)
@@ -409,44 +442,32 @@ class TestWinRateEstimate:
         assert bare.transcripts == ()
         assert len(full.transcripts) == 5
 
-    def test_dropped_transcripts_never_span(self, monkeypatch):
+    def test_games_take_the_span_from_the_device(self, monkeypatch):
+        # a transcript stores its device's rank; no second pass over the queries
         def refuse(states):
-            raise AssertionError("span_projector called for a dropped transcript")
+            raise AssertionError("games called span_projector")
 
         monkeypatch.setattr(games, "span_projector", refuse)
+        cfg = sel_config(budget=2, delta=0.3)
+        assert run_game(cfg, SubspaceAdversary(2)).d_spanned == 2
         est = estimate_win_rate(
-            sel_config(budget=2, delta=0.3), lambda: SubspaceAdversary(2), trials=5
-        )
-        assert est.trials == 5
-        assert est.transcripts == ()
-
-    def test_kept_transcripts_span_through_games(self, monkeypatch):
-        # the traced games.d_spanned phase wraps this module attribute
-        calls = []
-
-        def counting(states):
-            calls.append(len(states))
-            return span_projector(states)
-
-        monkeypatch.setattr(games, "span_projector", counting)
-        est = estimate_win_rate(
-            sel_config(budget=2, delta=0.3),
-            lambda: SubspaceAdversary(2),
-            trials=3,
-            keep_transcripts=True,
+            cfg, lambda: SubspaceAdversary(2), trials=3, keep_transcripts=True
         )
         assert [t.d_spanned for t in est.transcripts] == [2, 2, 2]
-        assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize(
-        "factory, want",
-        [(lambda: SubspaceAdversary(2), 2), (RepeatProbe, 1)],
-        ids=["subspace", "repeat"],
+        "cfg, factory, want",
+        [
+            (sel_config(budget=2, delta=0.3), lambda: SubspaceAdversary(2), 2),
+            (sel_config(budget=2, delta=0.3), RepeatProbe, 1),
+            (sel_config(budget=2, delta=0.3), NoisyProbe, 2),
+            (sel_config(qubits=3, budget=2, delta=0.3), NearProbe, 2),
+            (ex_config(mu=0.75, qubits=3, budget=2), lambda: QeForger(0.75), 2),
+        ],
+        ids=["subspace", "repeat", "noisy", "near", "forger"],
     )
-    def test_kept_transcripts_read_the_span_rank(self, factory, want):
-        est = estimate_win_rate(
-            sel_config(budget=2, delta=0.3), factory, trials=4, keep_transcripts=True
-        )
+    def test_kept_transcripts_read_the_span_rank(self, cfg, factory, want):
+        est = estimate_win_rate(cfg, factory, trials=4, keep_transcripts=True)
         for t in est.transcripts:
             assert len(t.queries) == 2
             assert t.d_spanned == span_projector(t.queries).rank == want

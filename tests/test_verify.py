@@ -616,7 +616,7 @@ def _bad_inputs():
                InvalidQuantumObject)
     yield ("weight-D0", lambda rng: haar_subspace_weight_check(0, 0, 100, rng),
            InvalidQuantumObject)
-    for d in (-1, 3):
+    for d in (-1, 3, 1.5):
         yield (f"weight-d{d}",
                lambda rng, d=d: haar_subspace_weight_check(d, 2, 100, rng),
                InvalidQuantumObject)
