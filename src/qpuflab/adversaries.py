@@ -253,10 +253,7 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
         )
     phi1 = _basis_state(dim, 0)
     phi3 = _basis_state(dim, 1)
-    if mu <= 0.5:
-        weight = 0.5
-    else:
-        weight = mu
+    weight = max(mu, 0.5)
     amps2 = np.sqrt(weight) * phi1.amplitudes + np.sqrt(1.0 - weight) * phi3.amplitudes
     phi2 = StateVector(amps2)
     return ForgerPlan(

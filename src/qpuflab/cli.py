@@ -253,7 +253,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             raise TypeError(f"subcommand must be a string, got {argv[0]!r}")
         if not isinstance(out, str):
             raise TypeError(f"out must be a string, got {out!r}")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError
+    ) as exc:
         raise QpufLabError(f"cannot replay {args.manifest}: {exc!r}") from None
     if argv[0] == "replay":
         raise QpufLabError(f"cannot replay {args.manifest}: it records a replay")

@@ -93,32 +93,29 @@ class _LazyDevice:
     span of the inputs seen so far.
     """
 
-    __slots__ = ("dim", "rank", "_images", "_rows", "_conj")
+    __slots__ = ("dim", "rank", "_images", "_rows")
 
     def __init__(self, images: np.ndarray) -> None:
         self.dim, k = images.shape
         self._images, self.rank = images, 0
-        # rows past the rank stay zero, so products need not slice them off
+        # rows past the rank stay zero, so products need not slice them off;
+        # at rank 0 the projection is then zero and leaves the input as it was
         self._rows = np.zeros((k, self.dim), dtype=np.complex128)
-        self._conj = np.zeros_like(self._rows)  # the rows' conjugates
 
     def __call__(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:
             raise DimensionMismatch(f"unitary dim {self.dim} != state dim {psi.dim}")
-        v, r = psi.amplitudes, self.rank
-        if r:  # Gram-Schmidt; a second pass only for a short residual
-            c = np.dot(self._conj, v)
-            v = v - np.dot(c, self._rows)
-            if RANK_TOL < (norm := math.sqrt(np.vdot(v, v).real)) < 0.5:
-                extra = np.dot(self._conj, v)
-                v -= np.dot(extra, self._rows)
-                c += extra
-                norm = math.sqrt(np.vdot(v, v).real)
-        else:
-            c, norm = np.zeros(len(self._rows), complex), math.sqrt(np.vdot(v, v).real)
+        v, r, conj = psi.amplitudes, self.rank, self._rows.conj()
+        # Gram-Schmidt; a second pass only for a short residual
+        c = np.dot(conj, v)
+        v = v - np.dot(c, self._rows)
+        if RANK_TOL < (norm := math.sqrt(np.vdot(v, v).real)) < 0.5:
+            extra = np.dot(conj, v)
+            v -= np.dot(extra, self._rows)
+            c += extra
+            norm = math.sqrt(np.vdot(v, v).real)
         if norm > RANK_TOL:
             np.divide(v, norm, out=self._rows[r])
-            np.conjugate(self._rows[r], out=self._conj[r])
             c[r], self.rank = norm, r + 1
         return _unchecked(StateVector, amplitudes=np.dot(self._images, c))
 
@@ -277,7 +274,7 @@ def _play(
         d_spanned=d_spanned,
         challenge=challenge,
         outcome_b=int(outcome.accepted),
-        fidelity_of_guess=fidelity_pure(true_response, guess),
+        fidelity_of_guess=outcome.fidelity,
     )
 
 

@@ -63,9 +63,12 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class TestOutcome:
+    """The verdict, its swap-pass tally, and the fidelity ``F`` it judged."""
+
     accepted: bool
     pass_count: int
     pairs_run: int
+    fidelity: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.pass_count <= self.pairs_run:
@@ -91,11 +94,11 @@ def run_test(
     f = fidelity_pure(target, guess)  # raises DimensionMismatch on differing dims
     if cfg.kind == IDEAL:
         accepted = f >= cfg.delta - 1e-12
-        return TestOutcome(accepted=accepted, pass_count=int(accepted), pairs_run=1)
+        return TestOutcome(accepted, int(accepted), 1, f)
     c = cfg.pairs
     p = expected_acceptance(f, 1)
     passes = 0
     for start in range(0, c, _DRAW_CHUNK):
         draws = rng.random(min(_DRAW_CHUNK, c - start))
         passes += int(np.count_nonzero(draws < p))
-    return TestOutcome(accepted=passes == c, pass_count=passes, pairs_run=c)
+    return TestOutcome(passes == c, passes, c, f)

@@ -519,9 +519,7 @@ def negative_control_check(trials: int, rng: np.random.Generator) -> CheckReport
     margins: list[float] = []
     for _ in range(trials):
         a = _haar_vector(dim, rng)
-        b = _haar_vector(dim, rng)
-        b -= np.vdot(a, b) * a
-        b /= np.linalg.norm(b)
+        b = _complement_vector([a], dim, rng)
         rho = DensityMatrix.from_state(StateVector(a))
         sigma = DensityMatrix.from_state(StateVector(b))
         ok = check_collision(channel, rho, sigma, delta_c=0.9)

@@ -336,6 +336,18 @@ class TestExitCodes:
             ["replay", "--manifest", str(empty)], capsys, "subcommand"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000 + "]" * 200000, '{"a":' * 200000 + "1" + "}" * 200000],
+        ids=["array", "object"],
+    )
+    def test_replay_of_a_deeply_nested_manifest(self, text, tmp_path, capsys):
+        deep = tmp_path / "deep.manifest.json"
+        deep.write_text(text, encoding="utf-8")
+        self.assert_usage_error(
+            ["replay", "--manifest", str(deep)], capsys, "RecursionError"
+        )
+
     def test_forge_sweep_without_mu_steps(self, capsys):
         self.assert_usage_error(
             ["forge-sweep", "--qubits", "2", "--mu-steps", "0", "--trials", "1"],

@@ -455,6 +455,22 @@ class TestWinRateEstimate:
         )
         assert [t.d_spanned for t in est.transcripts] == [2, 2, 2]
 
+    def test_games_take_the_fidelity_from_the_test(self, monkeypatch):
+        # a transcript stores the fidelity its test judged; no second pass
+        def refuse(a, b):
+            raise AssertionError("games called fidelity_pure")
+
+        monkeypatch.setattr(games, "fidelity_pure", refuse)
+        cfg = sel_config(budget=2, delta=0.3)
+        delta = cfg.test.delta
+        single = run_game(cfg, SubspaceAdversary(2))
+        est = estimate_win_rate(
+            cfg, lambda: SubspaceAdversary(2), trials=20, keep_transcripts=True
+        )
+        assert 0 < est.wins < 20
+        for t in (single, *est.transcripts):
+            assert t.outcome_b == (t.fidelity_of_guess >= delta - 1e-12)
+
     @pytest.mark.parametrize(
         "cfg, factory, want",
         [
@@ -514,6 +530,9 @@ class TestWinRateEstimate:
         assert est.wins == sum(t.outcome_b for t in loop)
         for got, want in zip(est.transcripts, loop, strict=True):
             assert got.outcome_b == want.outcome_b
+            if cfg.test.kind == "ideal":  # the verdict and the record agree
+                f, delta = got.fidelity_of_guess, cfg.test.delta
+                assert got.outcome_b == (f >= delta - 1e-12)
             assert got.fidelity_of_guess == want.fidelity_of_guess
             assert got.challenge.amplitudes.tobytes() == (
                 want.challenge.amplitudes.tobytes()

@@ -74,7 +74,7 @@ class TestConfigValidation:
 
     def test_outcome_counts_must_be_consistent(self):
         with pytest.raises(InvalidQuantumObject):
-            TestOutcome(accepted=True, pass_count=3, pairs_run=2)
+            TestOutcome(accepted=True, pass_count=3, pairs_run=2, fidelity=1.0)
 
 
 class TestPassProbability:
@@ -109,6 +109,8 @@ class TestIdealTest:
         out = run_test(cfg, basis(2, 0), HALF, np.random.default_rng(SEED))
         assert out.accepted
         assert out.pairs_run == 1
+        # the outcome carries the very fidelity it was judged on
+        assert out.fidelity == fidelity_pure(basis(2, 0), HALF)
 
     def test_rejects_just_above_threshold(self):
         cfg = TestConfig(kind="ideal", delta=0.51)
@@ -183,6 +185,7 @@ class TestSwapTest:
             passes = twin.random(pairs) < p
             assert out.pass_count == int(np.count_nonzero(passes))
             assert out.accepted == bool(passes.all())
+            assert out.fidelity == fidelity_pure(basis(2, 0), b)
             assert rng.random() == twin.random()
 
     def test_large_battery_draws_in_bounded_memory(self):
