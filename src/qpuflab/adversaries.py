@@ -39,6 +39,7 @@ from .numerics import (
     _check_dim,
     _complement_vector,
     _gram_deviation,
+    _row_dots,
     _unchecked,
     apply,
     haar_state,
@@ -112,6 +113,9 @@ class SubspaceAdversary:
             raise InvalidQuantumObject(f"subspace dimension {d} is negative")
         self._d = d
         self.knowledge: SubspaceKnowledge | None = None
+        # lets estimate_win_rate play a chunk of these games as arrays; a
+        # subclass may change learn or respond, so it plays game by game
+        self._chunk_form = _SubspaceChunk(d) if type(self) is SubspaceAdversary else None
 
     def learn(
         self,
@@ -120,9 +124,7 @@ class SubspaceAdversary:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        if self._d > dim:
-            raise InvalidQuantumObject(f"subspace dim {self._d} exceeds space {dim}")
-        basis_in = tuple(_basis_state(dim, i) for i in range(self._d))
+        basis_in = _SubspaceChunk(self._d).queries(dim)
         basis_out = tuple(oracle.query(b) for b in basis_in)
         self.knowledge = _unchecked(
             SubspaceKnowledge, dim=dim, basis_in=basis_in, basis_out=basis_out
@@ -148,6 +150,36 @@ class SubspaceAdversary:
             images = [b.amplitudes for b in kn.basis_out]
             guess += np.sqrt(rest) * _complement_vector(images, kn.dim, rng)
         return _unchecked(StateVector, amplitudes=guess / np.linalg.norm(guess))
+
+
+@dataclass(frozen=True)
+class _SubspaceChunk:
+    """``SubspaceAdversary(d)`` over a chunk of games as arrays: the same
+    queries and, from their responses, the same guesses bit for bit."""
+
+    d: int
+
+    def queries(self, dim: int) -> tuple[StateVector, ...]:
+        if self.d > dim:
+            raise InvalidQuantumObject(f"subspace dim {self.d} exceeds space {dim}")
+        return tuple(_basis_state(dim, i) for i in range(self.d))
+
+    def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
+        """``(T, D)`` guesses from the challenges, the ``(T, d, D)`` responses
+        to the queries and each game's random stream; never a device."""
+        dim = challenges.shape[1]
+        # <e_j|psi> is psi_j exactly; in_weight sums, as respond does, Python
+        # floats: numpy's array abs and square round differently from them
+        guesses = np.zeros_like(challenges)
+        in_weight = np.zeros(len(challenges))
+        for j in range(self.d):
+            guesses += challenges[:, j, np.newaxis] * responses[:, j]
+            in_weight += [abs(c) ** 2 for c in challenges[:, j].tolist()]
+        rest = 1.0 - np.minimum(in_weight, 1.0)
+        for t in np.flatnonzero(rest > 1e-12) if self.d < dim else ():
+            guesses[t] += np.sqrt(rest[t]) * _complement_vector(responses[t], dim, rngs[t])
+        re, im = guesses.real, guesses.imag  # np.linalg.norm's two dots
+        return guesses / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,14 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
-from .numerics import RANK_TOL, StateVector, _as_int, _check_seed, _ginibre, _haar_qr
-from .numerics import _unchecked, fidelity_pure, haar_state
+from .numerics import RANK_TOL, StateVector, _as_int, _check_qubits, _check_seed
+from .numerics import _ginibre, _haar_qr, _haar_vector, _row_dots, _unchecked
+from .numerics import fidelity_pure, haar_state
 # qgen, qeval and span_projector are not called here; the traced benchmark
 # patches them at these names, so they stay importable
 from .numerics import span_projector  # noqa: F401
 from .qpuf import QPufGenParams, qeval, qgen  # noqa: F401
-from .testers import TestConfig, run_test
+from .testers import TestConfig, _verdict, run_test
 
 QEX = "qex"
 QSEL = "qsel"
@@ -121,17 +122,22 @@ class _LazyDevice:
 
 
 def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDevice]:
-    """One lazy device per game stream, seeded by the stream's first draw.
+    """One lazy device per game stream, on its block from ``_blocks``."""
+    return [_LazyDevice(w) for w in _blocks(cfg, rngs)]
 
-    A game's queries and challenge span at most ``k = min(budget + 1, D)``
-    dimensions.  One stacked QR factors each device's ``(D, k)`` Ginibre
-    block, so device ``t`` is bit for bit the one ``rngs[t]`` alone gives.
-    """
-    params = [QPufGenParams(cfg.gen.qubits, _device_seed(rng)) for rng in rngs]
-    gens = [np.random.default_rng(p.seed) for p in params]
+
+def _blocks(cfg: "GameConfig", rngs: list[np.random.Generator]) -> np.ndarray:
+    """The ``(T, D, k)`` device blocks of a chunk of game streams: each
+    stream's first draw seeds a ``(D, k)`` Ginibre block, ``k = min(budget +
+    1, D)`` (all a game can span), and one stacked QR factors them all, so
+    block ``t`` is bit for bit the one ``rngs[t]`` alone gives."""
+    _check_qubits(cfg.gen.qubits)
     dim, k = _block_shape(cfg)
-    blocks = np.array([_ginibre(dim, gen, k) for gen in gens])
-    return [_LazyDevice(w) for w in _haar_qr(blocks)]
+    blocks = []
+    for rng in rngs:
+        _check_seed(seed := _device_seed(rng))
+        blocks.append(_ginibre(dim, np.random.default_rng(seed), k))
+    return _haar_qr(np.array(blocks))
 
 
 def _block_shape(cfg: "GameConfig") -> tuple[int, int]:
@@ -278,6 +284,40 @@ def _play(
     )
 
 
+def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list) -> list[Transcript]:
+    """``_play`` of a chunk of ``qsel`` games on ``(T, D)`` stacks; game ``t``
+    is bit for bit ``_play`` on block ``t`` and ``rngs[t]``, which gives the
+    challenge, then the adversaries' draws, then the test's.  ``form`` is the
+    adversaries' shared ``_chunk_form``."""
+    dim, k = blocks.shape[1:]
+    queries = form.queries(dim)
+    if (d := len(queries)) > cfg.learning_budget:
+        raise BudgetExceeded(f"learning budget of {cfg.learning_budget} queries exhausted")
+    # learning leaves each device the rows e_0 .. e_{d-1}; their images are
+    # its block's first d columns, copied to rows as respond's bits need
+    responses = np.ascontiguousarray(blocks[:, :, :d].transpose(0, 2, 1))
+    challenges = np.array([_haar_vector(dim, rng) for rng in rngs])
+    # the device's Gram-Schmidt step against e_0 .. e_{d-1} takes psi_j as
+    # coefficients and leaves psi with them zeroed, exactly, so its second
+    # pass, which would project zeros, changes no bit
+    residual = np.where(np.arange(dim) < d, 0.0, challenges)
+    norm = np.sqrt(_row_dots(residual.conj(), residual).real)
+    coeffs = np.zeros((len(rngs), k), dtype=np.complex128)
+    coeffs[:, :d] = challenges[:, :d]
+    if d < k:
+        coeffs[:, d] = np.where(norm > RANK_TOL, norm, 0.0)
+    # one product per game: a stacked one rounds differently at k = 1
+    truth = np.array([np.dot(w, c) for w, c in zip(blocks, coeffs)])
+    guesses = form.respond(challenges, responses, rngs)
+    # as fidelity_pure: Python's abs and ** round as numpy's scalars do
+    fidelities = [abs(z) ** 2 for z in _row_dots(truth.conj(), guesses).tolist()]
+    return [
+        Transcript(queries, d, _unchecked(StateVector, amplitudes=psi),
+                   int(_verdict(cfg.test, f, rng).accepted), f)
+        for psi, f, rng in zip(challenges, fidelities, rngs)
+    ]
+
+
 @dataclass(frozen=True)
 class WinRateEstimate:
     win_rate: float
@@ -307,7 +347,10 @@ def estimate_win_rate(
     blocks drawn a chunk of trials at a time (one stacked QR, about
     ``_DRAW_CHUNK`` entries), each device from the first draw of its own
     trial's stream, so every stream is consumed in the same order as by
-    ``run_game``.
+    ``run_game``.  A chunk of ``qsel`` games whose adversaries are all
+    ``SubspaceAdversary`` with one ``d`` plays as arrays, on ``(T, D)``
+    stacks; every other chunk plays game by game.  Either way trial ``k``
+    is the same game, bit for bit.
     """
     if _as_int(trials, "trials") < 1:
         raise InvalidQuantumObject("at least one trial is required")
@@ -318,11 +361,16 @@ def estimate_win_rate(
     for start in range(0, trials, per_chunk):
         children = seeds.spawn(min(per_chunk, trials - start))
         rngs = [np.random.default_rng(c) for c in children]
-        for rng, device in zip(rngs, _devices(cfg, rngs)):
-            transcript = _play(cfg, adversary_factory(), device, rng)
-            wins += transcript.outcome_b
-            if keep_transcripts:
-                kept.append(transcript)
+        adversaries = [adversary_factory() for _ in rngs]
+        forms = {getattr(a, "_chunk_form", None) for a in adversaries}
+        if cfg.mode == QSEL and None not in forms and len(forms) == 1:
+            played = _play_chunk(cfg, forms.pop(), _blocks(cfg, rngs), rngs)
+        else:
+            devices = _devices(cfg, rngs)
+            played = [_play(cfg, *game) for game in zip(adversaries, devices, rngs)]
+        wins += sum(t.outcome_b for t in played)
+        if keep_transcripts:
+            kept.extend(played)
     rate = wins / trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
     return WinRateEstimate(

@@ -92,6 +92,12 @@ def run_test(
     bundles; ``cfg`` says how many copies each side holds.
     """
     f = fidelity_pure(target, guess)  # raises DimensionMismatch on differing dims
+    return _verdict(cfg, f, rng)
+
+
+def _verdict(cfg: TestConfig, f: float, rng: np.random.Generator) -> TestOutcome:
+    """The configured test's verdict on a guess of fidelity ``f``: the ideal
+    threshold, or ``cfg.pairs`` swap draws from ``rng``."""
     if cfg.kind == IDEAL:
         accepted = f >= cfg.delta - 1e-12
         return TestOutcome(accepted, int(accepted), 1, f)

@@ -4,7 +4,7 @@ Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT [--changed NAME ...]]
 
-Runs sixteen seeded subcommands with the ``qpuflab`` package of this checkout
+Runs seventeen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
 ``.manifest.json``, into OUT.  PARENT_OUT is the OUT of the same script run
 from a checkout of the parent commit (copy this file into that checkout's
@@ -58,6 +58,11 @@ RUNS: dict[str, tuple[list[str], int]] = {
     # a spanning basis (d = D): the guess skips the complement draw, and its
     # fidelity_of_guess shows the last bits of the normalised guess
     "game-subspace-d4-n2.jsonl": (_SUBSPACE + ["--d", "4", "--qubits", "2"], 0),
+    # swap tests draw from each game's stream after the guess's draws
+    "game-subspace-d2-n3-swap.jsonl": (
+        _SUBSPACE + ["--d", "2", "--qubits", "3"]
+        + ["--test", "swap", "--kappa1", "5", "--kappa2", "5"], 0
+    ),
     "game-random.jsonl": (["game", "--mode", "qsel", "--adversary", "random"], 0),
     "game-tomography.jsonl": (
         ["game", "--mode", "qsel", "--adversary", "tomography", "--privileged"], 0

@@ -4,7 +4,10 @@ Adversary behavior itself is covered in test_adversaries; the adversaries
 here are minimal probes written for one protocol property each.
 """
 
+import dataclasses
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +42,7 @@ from qpuflab import (
 from qpuflab.numerics import span_projector
 
 SEED = 7201
+SWAP5 = TestConfig(kind="swap", kappa1=5, kappa2=5)
 
 
 def basis(dim, i):
@@ -317,6 +321,12 @@ class TestRunGame:
         assert isinstance(RandomGuesser(), AdversaryInterface)
 
 
+def alternating_subspace(dims):
+    """A factory whose adversaries cycle through ``dims``: no chunk shares one d."""
+    cycle = itertools.cycle(dims)
+    return lambda: SubspaceAdversary(next(cycle))
+
+
 def lazy_devices(cfg, count, seed=SEED):
     """``count`` game devices of ``cfg``, drawn as ``estimate_win_rate`` draws them."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -511,8 +521,24 @@ class TestWinRateEstimate:
                 8,
             ),
             (sel_config(qubits=3, budget=3, delta=0.3), NoisyProbe, 20),
+            (sel_config(qubits=3, delta=0.3), lambda: SubspaceAdversary(0), 20),
+            (sel_config(qubits=3, budget=4, delta=0.3), lambda: SubspaceAdversary(1), 20),
+            # a spanning basis: the guess draws no complement
+            (sel_config(qubits=2, budget=4, delta=0.99), lambda: SubspaceAdversary(4), 8),
+            (
+                dataclasses.replace(sel_config(qubits=3, budget=2), test=SWAP5),
+                lambda: SubspaceAdversary(2),
+                20,
+            ),
+            # mixed d plays game by game; an even trial count keeps the
+            # loop's factory calls in step with the estimate's
+            (sel_config(qubits=3, budget=2, delta=0.3), alternating_subspace([1, 2]), 8),
         ],
-        ids=["subspace-d8-n6", "random", "tomography", "forger-swap", "noisy-learn"],
+        ids=[
+            "subspace-d8-n6", "random", "tomography", "forger-swap", "noisy-learn",
+            "subspace-d0-n3", "subspace-budget-over-d", "subspace-spanning",
+            "subspace-swap", "subspace-mixed-d",
+        ],
     )
     @pytest.mark.parametrize("chunk", ["default", "3 devices"])
     def test_batch_path_replays_run_game(
@@ -530,6 +556,7 @@ class TestWinRateEstimate:
         assert est.wins == sum(t.outcome_b for t in loop)
         for got, want in zip(est.transcripts, loop, strict=True):
             assert got.outcome_b == want.outcome_b
+            assert got.d_spanned == want.d_spanned
             if cfg.test.kind == "ideal":  # the verdict and the record agree
                 f, delta = got.fidelity_of_guess, cfg.test.delta
                 assert got.outcome_b == (f >= delta - 1e-12)
@@ -540,6 +567,36 @@ class TestWinRateEstimate:
             assert [q.amplitudes.tobytes() for q in got.queries] == [
                 q.amplitudes.tobytes() for q in want.queries
             ]
+
+    def test_subspace_games_play_as_arrays(self, monkeypatch):
+        # a chunk of SubspaceAdversary games with one d never reaches _play;
+        # a subclass, which may change learn or respond, still does
+        def refuse(*args):
+            raise AssertionError("games went through _play")
+
+        monkeypatch.setattr(games, "_play", refuse)
+        ideal = sel_config(qubits=3, budget=2)
+        for cfg in (ideal, dataclasses.replace(ideal, test=SWAP5)):
+            est = estimate_win_rate(cfg, lambda: SubspaceAdversary(2), trials=10)
+            assert est.trials == 10
+
+        class Subclass(SubspaceAdversary):
+            pass
+
+        with pytest.raises(AssertionError, match="_play"):
+            estimate_win_rate(sel_config(budget=2), lambda: Subclass(2), trials=3)
+
+    @pytest.mark.parametrize(
+        "budget, d, error",
+        [(1, 2, BudgetExceeded), (8, 5, InvalidQuantumObject)],
+        ids=["d-over-budget", "d-over-space"],
+    )
+    def test_chunk_errors_match_run_game(self, budget, d, error):
+        cfg = sel_config(qubits=2, budget=budget)
+        with pytest.raises(error) as single:
+            run_game(cfg, SubspaceAdversary(d))
+        with pytest.raises(error, match=f"^{re.escape(str(single.value))}$"):
+            estimate_win_rate(cfg, lambda: SubspaceAdversary(d), trials=3)
 
     def test_adversary_errors_surface_unchanged(self):
         with pytest.raises(InvalidQuantumObject, match="choose_challenge"):
