@@ -106,16 +106,17 @@ class SubspaceAdversary:
     images; the orthogonal remainder is replaced by a Haar draw from the
     complement of the learned image subspace, with the original weights.
     Reading the challenge's amplitudes is the granted extra knowledge.
+    Queries and guess are those of ``_SubspaceChunk(d)`` on one game.
     """
 
     def __init__(self, d: int) -> None:
         if _as_int(d, "subspace dimension") < 0:
             raise InvalidQuantumObject(f"subspace dimension {d} is negative")
-        self._d = d
         self.knowledge: SubspaceKnowledge | None = None
+        self._form = _SubspaceChunk(d)
         # lets estimate_win_rate play a chunk of these games as arrays; a
         # subclass may change learn or respond, so it plays game by game
-        self._chunk_form = _SubspaceChunk(d) if type(self) is SubspaceAdversary else None
+        self._chunk_form = self._form if type(self) is SubspaceAdversary else None
 
     def learn(
         self,
@@ -124,7 +125,7 @@ class SubspaceAdversary:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        basis_in = _SubspaceChunk(self._d).queries(dim)
+        basis_in = self._form.queries(dim)
         basis_out = tuple(oracle.query(b) for b in basis_in)
         self.knowledge = _unchecked(
             SubspaceKnowledge, dim=dim, basis_in=basis_in, basis_out=basis_out
@@ -136,26 +137,15 @@ class SubspaceAdversary:
             raise InvalidQuantumObject("respond called before learn")
         if challenge.dim != kn.dim:
             raise DimensionMismatch(f"challenge dim {challenge.dim} != space {kn.dim}")
-        psi = challenge.amplitudes
-        guess = np.zeros(kn.dim, dtype=np.complex128)
-        in_weight = 0.0
-        for b_in, b_out in zip(kn.basis_in, kn.basis_out):
-            c = np.vdot(b_in.amplitudes, psi)
-            guess += c * b_out.amplitudes
-            in_weight += float(abs(c) ** 2)
-        rest = 1.0 - min(in_weight, 1.0)
-        # a spanning basis leaves no complement to draw from; a challenge
-        # short of unit norm by round-off must not wait for one
-        if rest > 1e-12 and kn.d < kn.dim:
-            images = [b.amplitudes for b in kn.basis_out]
-            guess += np.sqrt(rest) * _complement_vector(images, kn.dim, rng)
-        return _unchecked(StateVector, amplitudes=guess / np.linalg.norm(guess))
+        rows = np.array([b.amplitudes for b in kn.basis_out]).reshape(1, kn.d, kn.dim)
+        guess = self._form.respond(challenge.amplitudes[np.newaxis], rows, [rng])[0]
+        return _unchecked(StateVector, amplitudes=guess)
 
 
 @dataclass(frozen=True)
 class _SubspaceChunk:
-    """``SubspaceAdversary(d)`` over a chunk of games as arrays: the same
-    queries and, from their responses, the same guesses bit for bit."""
+    """The queries and the guess rule of ``SubspaceAdversary(d)``, over a
+    chunk of games as arrays; one game is a chunk of one."""
 
     d: int
 
@@ -168,8 +158,8 @@ class _SubspaceChunk:
         """``(T, D)`` guesses from the challenges, the ``(T, d, D)`` responses
         to the queries and each game's random stream; never a device."""
         dim = challenges.shape[1]
-        # <e_j|psi> is psi_j exactly; in_weight sums, as respond does, Python
-        # floats: numpy's array abs and square round differently from them
+        # <e_j|psi> is psi_j exactly; in_weight sums Python floats, as a loop
+        # of vdot does: numpy's array abs and square round differently
         guesses = np.zeros_like(challenges)
         in_weight = np.zeros(len(challenges))
         for j in range(self.d):

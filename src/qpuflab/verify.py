@@ -99,14 +99,16 @@ def _check_inputs(
 
 
 def _report_chunks(name: str, chunks, detail: str = "") -> CheckReport:
-    """Report over margin arrays, one per chunk of trials, none kept."""
+    """Report over margin arrays, one per chunk of trials, none kept; a margin
+    violates unless it is at least 0, so a NaN one fails and is the worst."""
     trials = violations = 0
     worst = float("inf")
     for margins in chunks:
         trials += margins.size
-        violations += int(np.count_nonzero(margins < 0.0))
+        violations += int(np.count_nonzero(~(margins >= 0.0)))
         if margins.size:
-            worst = min(worst, float(margins.min()))
+            low = float(margins.min())  # NaN if any margin is
+            worst = low if math.isnan(low) else min(worst, low)
     return CheckReport(
         name=name,
         trials=trials,
@@ -143,7 +145,7 @@ def haar_subspace_weight_check(
     return CheckReport(
         name="haar-subspace-weight",
         trials=trials,
-        violations=int(margin < 0.0),
+        violations=int(not margin >= 0.0),
         worst_margin=margin,
         passed=margin >= 0.0,
         detail=f"d={d} D={dim} mean={mean:.6f} expected={d / dim:.6f} 3se={allowance:.2e}",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import SubspaceOracle
 from qpuflab import (
     BudgetRefusal,
     DimensionCapExceeded,
@@ -25,6 +26,7 @@ from qpuflab import (
     estimate_win_rate,
     fidelity_pure,
     forgery_fidelity_bound,
+    haar_state,
     haar_unitary,
     make_forger_plan,
     max_dim,
@@ -337,6 +339,38 @@ class TestSubspaceAdversary:
     def test_respond_before_learn(self):
         with pytest.raises(InvalidQuantumObject):
             SubspaceAdversary(d=2).respond(basis(4, 0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 64])
+    def test_guess_is_the_oracle_guess(self, dim):
+        # the one-game guess is the chunk kernel on a chunk of one; the
+        # per-game loop of the oracle must give its bytes and leave the
+        # stream where it does
+        u = haar_unitary(dim, np.random.default_rng(SEED + dim)).matrix
+        oracle = SealedOracle(lambda psi: StateVector(u @ psi.amplitudes))
+        draw = np.random.default_rng(SEED)
+        for d in sorted({0, 1, dim // 2, dim - 1, dim}):
+            adv, ref = SubspaceAdversary(d), SubspaceOracle(d)
+            adv.learn(oracle, dim, d, draw)
+            ref.knowledge = adv.knowledge
+            in_span = np.zeros(dim, dtype=np.complex128)
+            in_span[:d] = haar_state(dim, draw).amplitudes[:d]
+            # 5e-11 short of unit norm: inside CONSTRUCTION_TOL
+            short = haar_state(dim, draw).amplitudes * (1.0 - 5e-11)
+            challenges = [haar_state(dim, draw) for _ in range(3)]
+            challenges.append(StateVector(short))
+            if d:
+                challenges.append(StateVector(in_span / np.linalg.norm(in_span)))
+            for challenge in challenges:
+                seed = int(draw.integers(2**63))
+                rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = adv.respond(challenge, rng)
+                want = ref.respond(challenge, rng_ref)
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+                if d == dim:  # a spanning basis draws nothing
+                    assert rng.bit_generator.state == (
+                        np.random.default_rng(seed).bit_generator.state
+                    )
 
     def test_float_subspace_dimension_rejected(self):
         # it used to pass construction and end in a bare TypeError in learn

@@ -13,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpuflab import games
+from oracles import SubspaceOracle
+from qpuflab import adversaries, games
 from qpuflab import (
     AdversaryInterface,
     BudgetExceeded,
@@ -321,10 +322,10 @@ class TestRunGame:
         assert isinstance(RandomGuesser(), AdversaryInterface)
 
 
-def alternating_subspace(dims):
+def alternating_subspace(dims, cls=SubspaceAdversary):
     """A factory whose adversaries cycle through ``dims``: no chunk shares one d."""
     cycle = itertools.cycle(dims)
-    return lambda: SubspaceAdversary(next(cycle))
+    return lambda: cls(next(cycle))
 
 
 def lazy_devices(cfg, count, seed=SEED):
@@ -499,14 +500,20 @@ class TestWinRateEstimate:
             assert t.d_spanned == span_projector(t.queries).rank == want
 
     @pytest.mark.parametrize(
-        "cfg, factory, trials",
+        "cfg, factory, trials, oracle",
         [
-            (sel_config(qubits=6, budget=8), lambda: SubspaceAdversary(8), 7),
-            (sel_config(qubits=3, delta=0.3), RandomGuesser, 20),
+            (
+                sel_config(qubits=6, budget=8),
+                lambda: SubspaceAdversary(8),
+                7,
+                lambda: SubspaceOracle(8),
+            ),
+            (sel_config(qubits=3, delta=0.3), RandomGuesser, 20, None),
             (
                 sel_config(qubits=2, budget=4, delta=0.99),
                 lambda readout=PrivilegedReadout(): TomographyAdversary(readout),
                 8,
+                None,
             ),
             (
                 GameConfig(
@@ -519,20 +526,43 @@ class TestWinRateEstimate:
                 ),
                 lambda: QeForger(0.75),
                 8,
+                None,
             ),
-            (sel_config(qubits=3, budget=3, delta=0.3), NoisyProbe, 20),
-            (sel_config(qubits=3, delta=0.3), lambda: SubspaceAdversary(0), 20),
-            (sel_config(qubits=3, budget=4, delta=0.3), lambda: SubspaceAdversary(1), 20),
+            (sel_config(qubits=3, budget=3, delta=0.3), NoisyProbe, 20, None),
+            (
+                sel_config(qubits=3, delta=0.3),
+                lambda: SubspaceAdversary(0),
+                20,
+                lambda: SubspaceOracle(0),
+            ),
+            (
+                sel_config(qubits=3, budget=4, delta=0.3),
+                lambda: SubspaceAdversary(1),
+                20,
+                lambda: SubspaceOracle(1),
+            ),
             # a spanning basis: the guess draws no complement
-            (sel_config(qubits=2, budget=4, delta=0.99), lambda: SubspaceAdversary(4), 8),
+            (
+                sel_config(qubits=2, budget=4, delta=0.99),
+                lambda: SubspaceAdversary(4),
+                8,
+                lambda: SubspaceOracle(4),
+            ),
             (
                 dataclasses.replace(sel_config(qubits=3, budget=2), test=SWAP5),
                 lambda: SubspaceAdversary(2),
                 20,
+                lambda: SubspaceOracle(2),
             ),
-            # mixed d plays game by game; an even trial count keeps the
-            # loop's factory calls in step with the estimate's
-            (sel_config(qubits=3, budget=2, delta=0.3), alternating_subspace([1, 2]), 8),
+            # mixed d plays game by game, through the one-game guess; an
+            # even trial count keeps the loop's factory calls in step with
+            # the estimate's
+            (
+                sel_config(qubits=3, budget=2, delta=0.3),
+                alternating_subspace([1, 2]),
+                8,
+                alternating_subspace([1, 2], SubspaceOracle),
+            ),
         ],
         ids=[
             "subspace-d8-n6", "random", "tomography", "forger-swap", "noisy-learn",
@@ -542,17 +572,19 @@ class TestWinRateEstimate:
     )
     @pytest.mark.parametrize("chunk", ["default", "3 devices"])
     def test_batch_path_replays_run_game(
-        self, monkeypatch, cfg, factory, trials, chunk
+        self, monkeypatch, cfg, factory, trials, oracle, chunk
     ):
         # the chunked device draw must play exactly the games a loop of
         # run_game over the same child streams plays; 7 trials end in a
-        # partial chunk of the 3-device draw
+        # partial chunk of the 3-device draw.  Subspace games loop over the
+        # per-game oracle, or the chunk kernel would be compared with itself
+        oracle = oracle or factory
         if chunk != "default":
             dim, k = games._block_shape(cfg)
             monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * dim * k)
         est = estimate_win_rate(cfg, factory, trials, keep_transcripts=True)
         children = np.random.SeedSequence(cfg.seed).spawn(trials)
-        loop = [run_game(cfg, factory(), np.random.default_rng(c)) for c in children]
+        loop = [run_game(cfg, oracle(), np.random.default_rng(c)) for c in children]
         assert est.wins == sum(t.outcome_b for t in loop)
         for got, want in zip(est.transcripts, loop, strict=True):
             assert got.outcome_b == want.outcome_b
@@ -569,12 +601,17 @@ class TestWinRateEstimate:
             ]
 
     def test_subspace_games_play_as_arrays(self, monkeypatch):
-        # a chunk of SubspaceAdversary games with one d never reaches _play;
-        # a subclass, which may change learn or respond, still does
+        # a chunk of SubspaceAdversary games with one d never reaches _play
+        # or the one-game guess; a subclass, which may change learn or
+        # respond, still reaches _play
         def refuse(*args):
             raise AssertionError("games went through _play")
 
+        def refuse_respond(*args):
+            raise AssertionError("games called the one-game respond")
+
         monkeypatch.setattr(games, "_play", refuse)
+        monkeypatch.setattr(adversaries.SubspaceAdversary, "respond", refuse_respond)
         ideal = sel_config(qubits=3, budget=2)
         for cfg in (ideal, dataclasses.replace(ideal, test=SWAP5)):
             est = estimate_win_rate(cfg, lambda: SubspaceAdversary(2), trials=10)

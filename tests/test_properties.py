@@ -1,9 +1,13 @@
-"""Property tests: fidelity and trace-distance laws, and the disturbed family.
+"""Property tests: fidelity and trace-distance laws, the disturbed family,
+and the array path of selective games against its per-game oracle.
 
 Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
 the depolarizing strength; the states themselves come from a numpy generator
 seeded by a drawn integer, so every failure shrinks to a replayable seed.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,17 +16,26 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import SubspaceOracle  # noqa: E402
 from qpuflab import (  # noqa: E402
     DERIVED_TOL,
     DensityMatrix,
     EpsilonDisturbedChannel,
+    GameConfig,
+    QPufGenParams,
     StateVector,
+    SubspaceAdversary,
+    TestConfig,
+    Transcript,
     channel_apply,
+    estimate_win_rate,
     fidelity_mixed,
     haar_state,
     haar_unitary,
+    run_game,
     trace_distance,
 )
+from qpuflab import games  # noqa: E402
 
 # fidelity_mixed zeroes round-off eigenvalues before taking square roots, so
 # even rank-one and identical inputs meet the package's derived tolerance.
@@ -103,3 +116,55 @@ def test_depolarizing_after_the_unitary_is_the_member_at_eps_times_strength(
     by_hand = (1.0 - eps) * ideal + eps * depolarized
     member = channel_apply(EpsilonDisturbedChannel(eps * strength, u), rho)
     np.testing.assert_allclose(member.matrix, by_hand, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array paths against their per-game oracles
+
+# derandomized, so a Tier-1 run replays the same examples
+GAME_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def subspace_games(draw):
+    """A ``qsel`` config on 1 to 4 qubits and a subspace dimension within it
+    and within the budget, under an ideal test or a swap test of up to 5 copies."""
+    qubits = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 2**qubits))
+    budget = draw(st.integers(d, min(d + 3, 4 * qubits**2)))
+    if draw(st.booleans()):
+        test = TestConfig(kind="ideal", delta=draw(st.floats(0.0, 1.0, exclude_min=True)))
+    else:
+        kappas = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+        test = TestConfig(kind="swap", kappa1=kappas[0], kappa2=kappas[1])
+    gen = QPufGenParams(qubits=qubits, seed=0)
+    cfg = GameConfig(mode="qsel", gen=gen, test=test, learning_budget=budget, seed=draw(seeds))
+    return cfg, d
+
+
+def _bits(value):
+    if isinstance(value, StateVector):
+        return value.amplitudes.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+@GAME_PROPERTY
+@given(game=subspace_games(), trials=st.integers(1, 7), chunk=st.sampled_from([1, 3, None]))
+def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk):
+    # chunks of 1 or 3 devices, or the default, play the games that the
+    # per-game oracle plays on the same child streams, in every field
+    cfg, d = game
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
+        est = estimate_win_rate(
+            cfg, lambda: SubspaceAdversary(d), trials, keep_transcripts=True
+        )
+    children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    loop = [run_game(cfg, SubspaceOracle(d), np.random.default_rng(c)) for c in children]
+    assert est.wins == sum(t.outcome_b for t in loop)
+    for got, want in zip(est.transcripts, loop, strict=True):
+        for f in dataclasses.fields(Transcript):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name

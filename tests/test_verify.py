@@ -123,6 +123,31 @@ class TestIndividualChecks:
         rep = swap_statistics_check(2000, np.random.default_rng(SEED + 9))
         assert rep.passed
 
+    def test_nan_margin_is_a_violation(self):
+        # min(inf, nan) is inf and nan < 0 is False: a NaN margin used to
+        # pass with worst_margin inf
+        nan = float("nan")
+        rep = verify._report("x", [nan])
+        assert (rep.violations, rep.passed) == (1, False)
+        assert math.isnan(rep.worst_margin)
+        chunks = [np.array([1.0]), np.array([nan, 2.0]), np.array([-3.0])]
+        rep = verify._report_chunks("x", chunks)
+        assert (rep.trials, rep.violations, rep.passed) == (4, 2, False)
+        assert math.isnan(rep.worst_margin)
+        rep = verify._report("x", [0.5, -0.25, 0.0])
+        assert (rep.violations, rep.worst_margin, rep.passed) == (1, -0.25, False)
+
+    def test_nan_weight_margin_is_a_violation(self):
+        # it used to report violations=0 beside passed=False
+        class NanDraws:
+            def standard_normal(self, shape):
+                return np.full(shape, np.nan)
+
+        with np.errstate(invalid="ignore"):
+            rep = haar_subspace_weight_check(1, 4, 10, NanDraws())
+        assert (rep.violations, rep.passed) == (1, False)
+        assert math.isnan(rep.worst_margin)
+
     def test_as_dict_round_trip(self):
         rep = joint_concavity_check(4, 10, np.random.default_rng(SEED + 10))
         d = rep.as_dict()
