@@ -101,10 +101,25 @@ def _verdict(cfg: TestConfig, f: float, rng: np.random.Generator) -> TestOutcome
     if cfg.kind == IDEAL:
         accepted = f >= cfg.delta - 1e-12
         return TestOutcome(accepted, int(accepted), 1, f)
-    c = cfg.pairs
+    passes, accepted = _swap_tally(f, 1, c := cfg.pairs, rng)
+    return TestOutcome(accepted == 1, passes, c, f)
+
+
+def _swap_tally(f: float, trials: int, pairs: int, rng) -> tuple[int, int]:
+    """Passed tests and accepted trials among ``trials`` batteries of ``pairs``
+    swap tests at fidelity ``f``: a test passes if its uniform, drawn in stream
+    order, is below ``expected_acceptance(f, 1)``; a battery, if all do."""
     p = expected_acceptance(f, 1)
-    passes = 0
-    for start in range(0, c, _DRAW_CHUNK):
-        draws = rng.random(min(_DRAW_CHUNK, c - start))
-        passes += int(np.count_nonzero(draws < p))
-    return TestOutcome(passes == c, passes, c, f)
+    if trials == 1:  # in pieces of at most _DRAW_CHUNK uniforms
+        passes = 0
+        for start in range(0, pairs, _DRAW_CHUNK):
+            passes += int(np.count_nonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p))
+        return passes, passes == pairs
+    if (rows := _DRAW_CHUNK // pairs) < 2:  # one trial at a time
+        tallies = [_swap_tally(f, 1, pairs, rng) for _ in range(trials)]
+        return sum(n for n, _ in tallies), sum(a for _, a in tallies)
+    counts = np.concatenate([  # as many whole trials a piece as fit
+        np.count_nonzero(rng.random((min(rows, trials - r), pairs)) < p, 1)
+        for r in range(0, trials, rows)
+    ])
+    return int(counts.sum()), int(np.count_nonzero(counts == pairs))

@@ -8,15 +8,14 @@ margin rather than a bare boolean.
 
 Every check validates its parameters on entry, before its first draw.
 
-The disturbance and concavity audits (``distance_contraction_check``,
-``fidelity_disturbance_check``, ``joint_concavity_check``) then work on
+The disturbance and concavity audits and the negative control then work on
 plain arrays, a bounded chunk of trials at a time: they draw every trial's
 inputs in stream order, then evaluate the chunk as ``(T, D, D)`` stacks with
 one ``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each
 matrix of a stack on its own, so every margin is bit for bit the one-trial
 value.  What they build from Haar draws, mixtures and the epsilon-channel is
 a density matrix by construction and is not validated again; tests check
-that on sampled draws.
+that on sampled draws.  The swap battery draws each cell as one array.
 
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
@@ -31,11 +30,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .emulator import QeConfig, run_full, run_stage1, closed_form_state
-from .errors import InvalidQuantumObject, PostSelectionFailure
-# fidelity_mixed, trace_distance and channel_apply are not called here; the
-# traced benchmark patches them at these names, so they stay importable
-from .numerics import (  # noqa: F401
-    DensityMatrix,
+from .errors import InvalidQuantumObject, PostSelectionFailure, PreconditionViolation
+from .numerics import (
+    DERIVED_TOL,
     StateVector,
     UnitaryMatrix,
     _as_int,
@@ -50,14 +47,16 @@ from .numerics import (  # noqa: F401
     _trace_distance_stack,
     _unchecked,
     apply,
-    fidelity_mixed,
+    fidelity_pure,
     haar_state,
     haar_unitary,
     span_projector,
-    trace_distance,
 )
-from .qpuf import EpsilonDisturbedChannel, channel_apply, check_collision  # noqa: F401
-from .testers import TestConfig, expected_acceptance, run_test
+from .testers import _swap_tally, expected_acceptance
+# bench/tracer.py patches fidelity_mixed, trace_distance, channel_apply, run_test here
+from .numerics import fidelity_mixed, trace_distance  # noqa: F401
+from .qpuf import channel_apply  # noqa: F401
+from .testers import run_test  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -469,29 +468,22 @@ def joint_concavity_check(
 # equality-test statistics
 
 
-def swap_statistics_check(
-    trials: int, rng: np.random.Generator
-) -> CheckReport:
+def swap_statistics_check(trials: int, rng: np.random.Generator) -> CheckReport:
     """Swap-battery acceptance matches ((1 + F) / 2) ** pairs.
 
     Grid over F in {0, 1/2, 1} and pair counts {1, 5, 20}; each cell is
     checked within three binomial standard errors, and the deterministic
-    cells exactly (F = 1 always accepts).
+    cells exactly (F = 1 always accepts).  A cell is one stream-ordered draw
+    of all its trials by the tester's swap rule, at the F ``run_test`` judges.
     """
     _check_inputs(trials, 1)
     margins: list[float] = []
     details: list[str] = []
+    target = StateVector(np.array([1.0, 0.0]))
     for f in (0.0, 0.5, 1.0):
-        target = StateVector(np.array([1.0, 0.0], dtype=np.complex128))
-        guess = StateVector(
-            np.array([np.sqrt(f), np.sqrt(1.0 - f)], dtype=np.complex128)
-        )
+        judged = fidelity_pure(target, StateVector(np.sqrt([f, 1.0 - f])))
         for pairs in (1, 5, 20):
-            cfg = TestConfig(kind="swap", kappa1=pairs, kappa2=pairs)
-            hits = sum(
-                run_test(cfg, target, guess, rng).accepted for _ in range(trials)
-            )
-            rate = hits / trials
+            rate = _swap_tally(judged, trials, pairs, rng)[1] / trials
             expect = expected_acceptance(f, pairs)
             if f == 1.0:
                 margins.append(0.0 if rate == 1.0 else -1.0)
@@ -516,21 +508,23 @@ def negative_control_check(trials: int, rng: np.random.Generator) -> CheckReport
     the harness itself is broken, and so it needs at least one trial.
     """
     _check_inputs(trials, 1)
-    dim = 4
-    channel = EpsilonDisturbedChannel(epsilon=0.5, unitary=haar_unitary(dim, rng))
-    margins: list[float] = []
-    for _ in range(trials):
-        a = _haar_vector(dim, rng)
-        b = _complement_vector([a], dim, rng)
-        rho = DensityMatrix.from_state(StateVector(a))
-        sigma = DensityMatrix.from_state(StateVector(b))
-        ok = check_collision(channel, rho, sigma, delta_c=0.9)
-        margins.append(0.0 if ok else -1.0)
-    return _report(
-        "negative-control-collision",
-        margins,
-        detail="expected to fail: eps=0.5 device audited against delta_c=0.9",
-    )
+    u = haar_unitary(4, rng).matrix
+    bound = 1.0 - 0.9 + DERIVED_TOL  # check_collision's, on inputs and outputs
+    margins = []
+    for chunk in _chunks(4, trials):
+        states = np.empty((2, len(chunk), 4), dtype=np.complex128)
+        for t in range(len(chunk)):  # a Haar state, then one orthogonal to it
+            states[0, t] = a = _haar_vector(4, rng)
+            states[1, t] = _complement_vector([a], 4, rng)
+        pairs = states[..., :, np.newaxis] * states.conj()[..., np.newaxis, :]
+        if np.any((f_in := _fidelity_stack(*pairs)) > bound):
+            first = f_in[f_in > bound][0]
+            raise PreconditionViolation(f"inputs have fidelity {first:.6f} > "
+                                        f"1 - delta_c = {1.0 - 0.9}")
+        f_out = _fidelity_stack(*_disturb_stack(u, pairs, [0.5])[:, :, 0])
+        margins.append(np.where(f_out <= bound, 0.0, -1.0))
+    detail = "expected to fail: eps=0.5 device audited against delta_c=0.9"
+    return _report_chunks("negative-control-collision", margins, detail)
 
 
 def run_all_checks(

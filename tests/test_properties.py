@@ -1,5 +1,6 @@
 """Property tests: fidelity and trace-distance laws, the disturbed family,
-and the array path of selective games against its per-game oracle.
+and the array paths of selective games and of the swap battery and negative
+control audits against their per-game and per-trial oracles.
 
 Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
 the depolarizing strength; the states themselves come from a numpy generator
@@ -16,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from oracles import SubspaceOracle  # noqa: E402
 from qpuflab import (  # noqa: E402
     DERIVED_TOL,
@@ -35,13 +37,14 @@ from qpuflab import (  # noqa: E402
     run_game,
     trace_distance,
 )
-from qpuflab import games  # noqa: E402
+from qpuflab import games, testers, verify  # noqa: E402
 
 # fidelity_mixed zeroes round-off eigenvalues before taking square roots, so
 # even rank-one and identical inputs meet the package's derived tolerance.
 TOL = DERIVED_TOL
 
-PROPERTY = settings(max_examples=50, deadline=None)
+# derandomized, so that two Tier-1 runs of one tree draw the same examples
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 kinds = st.sampled_from(["pure", "mixed", "identical", "orthogonal"])
@@ -168,3 +171,32 @@ def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk):
     for got, want in zip(est.transcripts, loop, strict=True):
         for f in dataclasses.fields(Transcript):
             assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
+AUDIT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@AUDIT_PROPERTY
+@given(
+    trials=st.integers(1, 300),
+    seed=seeds,
+    chunk=st.sampled_from([3, 7, None]),
+    quarters=st.booleans(),
+)
+def test_audit_arrays_replay_the_per_trial_oracles(trials, seed, chunk, quarters):
+    # both array checks against their per-trial loops, report and generator
+    # state: swap draws in pieces of 3 or 7 uniforms or the default, and
+    # optionally in quarters, which tie F = 0's pass probability 1/2; negative
+    # control trials in chunks of as many (D = 4) or the default
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(testers, "_DRAW_CHUNK", chunk)
+            patch.setattr(verify, "_STACK_CHUNK", chunk * 4**2)
+        make = oracles.QuarterUniforms if quarters else np.random.default_rng
+        for check, make_rng in (
+            (verify.swap_statistics_check, make),
+            (verify.negative_control_check, np.random.default_rng),
+        ):
+            rng, twin = make_rng(seed), make_rng(seed)
+            assert check(trials, rng) == getattr(oracles, check.__name__)(trials, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state

@@ -8,13 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpuflab import numerics, verify
+import oracles
+from qpuflab import numerics, testers, verify
 from qpuflab import (
     CheckReport,
     DimensionCapExceeded,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
     PostSelectionFailure,
+    PreconditionViolation,
     StateVector,
     closed_form_check,
     distance_contraction_check,
@@ -404,6 +406,67 @@ class TestStackedChecksBits:
         got = joint_concavity_check(dim, 13, np.random.default_rng(s))
         assert got == _old_joint_concavity_check(dim, 13, np.random.default_rng(s))
 
+    @pytest.mark.parametrize("trials", [1, 2, 37, 2000, 10000])
+    def test_swap_battery_matches_per_trial_loop(self, trials):
+        s = SEED + trials
+        _assert_matches_oracle(swap_statistics_check, trials, np.random.default_rng, s)
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 37, 2000])
+    def test_negative_control_matches_per_trial_loop(self, trials, chunk, monkeypatch):
+        # chunks of the default 1024 trials or of 3; 1e4 trials would add 3 s
+        # of per-trial oracle for no branch that 2000 does not take
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_STACK_CHUNK", chunk * 4**2)
+        s = SEED + trials
+        _assert_matches_oracle(negative_control_check, trials, np.random.default_rng, s)
+
+    @pytest.mark.parametrize("chunk", [7, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 37, 2000])
+    def test_swap_pieces_cut_between_and_inside_trials(
+        self, trials, chunk, monkeypatch
+    ):
+        # at 7 uniforms a piece: 7 one-pair trials a piece, then 5-pair trials
+        # one a piece, and 20-pair trials in pieces of 7, 7 and 6; at 3: three
+        # one-pair trials, then pieces of 3 and 2, then six of 3 and one of 2
+        monkeypatch.setattr(testers, "_DRAW_CHUNK", chunk)
+        s = SEED + 100 * chunk + trials
+        _assert_matches_oracle(swap_statistics_check, trials, np.random.default_rng, s)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("trials", [1, 2, 37])
+    def test_swap_draw_at_the_pass_probability_fails(self, trials, chunk, monkeypatch):
+        # uniforms in quarters hit F = 0's pass probability 1/2 exactly
+        if chunk is not None:
+            monkeypatch.setattr(testers, "_DRAW_CHUNK", chunk)
+        s = SEED + 200 + trials
+        quarters = oracles.QuarterUniforms
+        _assert_matches_oracle(swap_statistics_check, trials, quarters, s)
+
+    def test_negative_control_refuses_close_inputs_like_check_collision(
+        self, monkeypatch
+    ):
+        # the third trial's "orthogonal" state is its Haar state itself
+        def complement(module):
+            real, calls = module._complement_vector, []
+
+            def third_is_a_copy(basis, dim, rng):
+                calls.append(1)
+                v = real(basis, dim, rng)
+                return basis[0].copy() if len(calls) == 3 else v
+
+            return third_is_a_copy
+
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "_complement_vector", complement(module))
+        messages = []
+        for check in (negative_control_check, oracles.negative_control_check):
+            with pytest.raises(PreconditionViolation) as err:
+                check(5, np.random.default_rng(SEED + 300))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("inputs have fidelity 1.000000 > 1 - delta_c")
+
     @pytest.mark.parametrize("dim", [*range(2, 9), 64])
     def test_single_pair_functions_match_2d_kernels(self, dim):
         rng = np.random.default_rng(SEED + 9000 + dim)
@@ -421,6 +484,14 @@ class TestStackedChecksBits:
                     channel_apply(channel, rho).matrix,
                     _old_channel_apply(channel, rho).matrix,
                 )
+
+
+def _assert_matches_oracle(check, trials, make_rng, seed):
+    """``check`` and its per-trial loop in ``oracles`` give equal reports and
+    leave equal generator states."""
+    rng, twin = make_rng(seed), make_rng(seed)
+    assert check(trials, rng) == getattr(oracles, check.__name__)(trials, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def _old_orthogonal_challenge_check(trials, rng):
