@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import QeConfig, QeRunResult, run_full
+from .emulator import QeConfig, QeRunResult, _system_state, _through_stage2, run_full
 from .errors import (
     BudgetRefusal,
     DimensionMismatch,
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolation,
     PrivilegeRequired,
 )
-from .games import SealedOracle
+from .games import QEX, QSEL, SealedOracle
 from .numerics import (
     CONSTRUCTION_TOL,
     StateVector,
@@ -148,6 +148,7 @@ class _SubspaceChunk:
     chunk of games as arrays; one game is a chunk of one."""
 
     d: int
+    mode = QSEL
 
     def queries(self, dim: int) -> tuple[StateVector, ...]:
         if self.d > dim:
@@ -168,8 +169,13 @@ class _SubspaceChunk:
         rest = 1.0 - np.minimum(in_weight, 1.0)
         for t in np.flatnonzero(rest > 1e-12) if self.d < dim else ():
             guesses[t] += np.sqrt(rest[t]) * _complement_vector(responses[t], dim, rngs[t])
-        re, im = guesses.real, guesses.imag  # np.linalg.norm's two dots
-        return guesses / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
+        return _normalised(guesses)
+
+
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    """Each row of a ``(T, D)`` stack over its norm, by np.linalg.norm's dots."""
+    re, im = rows.real, rows.imag
+    return rows / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +312,13 @@ def _forger_circuit(plan: ForgerPlan, responses: tuple) -> QeConfig:
     return QeConfig(samples_in=samples, samples_out=responses, reference_index=1)
 
 
-def _principal_state(rho: np.ndarray) -> StateVector:
-    w, v = np.linalg.eigh(rho)
-    vec = v[:, -1]
-    pivot = int(np.argmax(np.abs(vec)))
-    vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
-    return _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
+def _principal_states(rho: np.ndarray) -> np.ndarray:
+    """The normalised principal eigenvectors of a ``(T, D, D)`` stack of
+    density matrices, each turned so that its largest entry is positive."""
+    vecs = np.linalg.eigh(rho)[1][..., -1]
+    # on numpy scalars: array abs and Python complex division round otherwise
+    phases = [x[p].conj() / abs(x[p]) for x in vecs for p in [np.argmax(np.abs(x))]]
+    return _normalised(vecs * np.array(phases)[:, np.newaxis])
 
 
 class QeForger:
@@ -332,6 +339,8 @@ class QeForger:
         self.plan: ForgerPlan | None = None
         self.last_result: QeRunResult | None = None
         self._responses: tuple[StateVector, StateVector] | None = None
+        # as SubspaceAdversary's: a subclass plays game by game
+        self._chunk_form = _ForgerChunk(mu) if type(self) is QeForger else None
 
     def learn(
         self,
@@ -356,7 +365,41 @@ class QeForger:
             raise InvalidQuantumObject("respond called before learn")
         cfg = _forger_circuit(self.plan, self._responses)
         self.last_result = run_full(cfg, challenge, rng=rng)
-        return _principal_state(self.last_result.output_mixed.matrix)
+        rho = self.last_result.output_mixed.matrix
+        return _unchecked(StateVector, amplitudes=_principal_states(rho[np.newaxis])[0])
+
+
+@dataclass(frozen=True)
+class _ForgerChunk:
+    """``QeForger(mu)``'s queries, challenge and guess over a chunk of ``qex``
+    games as arrays: stages 1 and 2 and the failure branch's guess once, and
+    stage 4 and the guess on ``(T, D)`` stacks of the games' responses."""
+
+    mu: float
+    mode = QEX
+
+    def queries(self, dim: int) -> tuple[StateVector, ...]:
+        plan = make_forger_plan(self.mu, dim)
+        return plan.phi1, plan.phi2
+
+    def challenge(self, dim: int) -> StateVector:
+        return make_forger_plan(self.mu, dim).phi3
+
+    def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
+        """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams."""
+        plan = make_forger_plan(self.mu, challenges.shape[1])
+        # the plan's queries stand in for the circuit's output samples:
+        # stages 1 and 2 never read them, stage 4 takes the games' stacks
+        circuit = _forger_circuit(plan, (plan.phi1, plan.phi2))
+        stage2 = _through_stage2(circuit, plan.phi3)
+        passed = np.array([rng.random() < stage2[2] for rng in rngs])
+        guesses = np.empty(challenges.shape, dtype=np.complex128)
+        if not passed.all():
+            guesses[~passed] = _principal_states(_system_state(circuit, stage2)[np.newaxis])
+        if passed.any():
+            outputs = (responses[passed, 0], responses[passed, 1])
+            guesses[passed] = _principal_states(_system_state(circuit, stage2, outputs))
+        return guesses
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidQuantumObject, PostSelectionFailure
-from .numerics import DensityMatrix, StateVector, _as_int, _check_qubits, _unchecked
+from .numerics import DensityMatrix, StateVector, _as_int, _check_qubits, _row_dots
+from .numerics import _unchecked
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -119,9 +120,10 @@ class QeRunResult:
     fidelity_vs_target: float | None
 
 
-def _split(joint: np.ndarray, axis: int) -> np.ndarray:
-    """View ``joint`` as (system, ancillas before ``axis``, ``axis``, after)."""
-    return joint.reshape(joint.shape[0], 2 ** (axis - 1), 2, -1)
+def _split(joint: np.ndarray, axis: int, lead: int = 1) -> np.ndarray:
+    """View ``joint`` as (its ``lead`` run and system axes, ancillas before
+    ``axis``, ``axis``, after)."""
+    return joint.reshape(*joint.shape[:lead], 2 ** (axis - 1), 2, -1)
 
 
 def _overlaps(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -129,27 +131,30 @@ def _overlaps(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     One dot of the same operands ``np.tensordot(phi.conj(), ., axes=(0, 0))``
     builds: a lone column keeps its stride, so BLAS sums in the same order.
+    Stacks of runs, (T, D) ``phi`` and (T, D, 1) ``rows``, keep them by one dot
+    per run on the strided column; over more columns no stacked product does.
     """
-    return np.dot(phi.conj()[None, :], rows)[0]
+    if phi.ndim == 1:
+        return np.dot(phi.conj()[None, :], rows)[0]
+    return _row_dots(phi.conj(), rows[..., 0])[:, None]
 
 
 def _controlled_reflect(joint: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
     """Reflect the system register on the ``|1>`` branch of one ancilla axis."""
-    out = _split(joint, axis).copy()
-    branch = out[:, :, 1, :]
-    overlap = _overlaps(phi, branch.reshape(len(phi), -1))
-    out[:, :, 1, :] = branch - 2.0 * np.multiply.outer(
-        phi, overlap.reshape(branch.shape[1:])
-    )
+    out = _split(joint, axis, phi.ndim).copy()
+    branch = out[..., 1, :]
+    overlap = _overlaps(phi, branch.reshape(*phi.shape, -1))
+    overlap = overlap.reshape(*phi.shape[:-1], 1, *branch.shape[-2:])
+    out[..., 1, :] = branch - 2.0 * (phi[..., None, None] * overlap)
     return out
 
 
-def _hadamard(joint: np.ndarray, axis: int) -> np.ndarray:
-    view = _split(joint, axis)
-    s0, s1 = view[:, :, 0, :], view[:, :, 1, :]
+def _hadamard(joint: np.ndarray, axis: int, lead: int = 1) -> np.ndarray:
+    view = _split(joint, axis, lead)
+    s0, s1 = view[..., 0, :], view[..., 1, :]
     out = np.empty_like(view)
-    out[:, :, 0, :] = (s0 + s1) / _SQRT2
-    out[:, :, 1, :] = (s0 - s1) / _SQRT2
+    out[..., 0, :] = (s0 + s1) / _SQRT2
+    out[..., 1, :] = (s0 - s1) / _SQRT2
     return out
 
 
@@ -161,27 +166,22 @@ def _initial_joint(cfg: QeConfig, psi: StateVector) -> np.ndarray:
 
 
 def _run_blocks(
-    joint: np.ndarray,
-    cfg: QeConfig,
-    samples: tuple[StateVector, ...],
-    reverse: bool = False,
+    joint: np.ndarray, cfg: QeConfig, samples: tuple, reverse: bool = False
 ) -> np.ndarray:
     """Apply the blocks built from ``samples`` (stage 1, or stage 4 reversed).
 
     Each block is (axis, reflect around ``a``, Hadamard, reflect around
     ``b``) with ``a`` the reference and ``b`` the block's sample;
     ``reverse`` runs the blocks, and the steps inside each, backwards.
+    ``samples`` are amplitudes: (D,) for one run, (T, D) for a stack of runs.
     """
-    ref = samples[cfg.reference_index].amplitudes
-    blocks = [
-        (1 + pos, ref, samples[i].amplitudes)
-        for pos, i in enumerate(cfg.block_sample_indices)
-    ]
+    ref = samples[cfg.reference_index]
+    blocks = [(1 + pos, ref, samples[i]) for pos, i in enumerate(cfg.block_sample_indices)]
     for axis, a, b in reversed(blocks) if reverse else blocks:
         if reverse:
             a, b = b, a
         joint = _controlled_reflect(joint, a, axis)
-        joint = _hadamard(joint, axis)
+        joint = _hadamard(joint, axis, ref.ndim)
         joint = _controlled_reflect(joint, b, axis)
     return joint
 
@@ -194,7 +194,8 @@ def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
     """
     if psi.dim != cfg.dim:
         raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
-    joint = _run_blocks(_initial_joint(cfg, psi), cfg, cfg.samples_in)
+    inputs = tuple(s.amplitudes for s in cfg.samples_in)
+    joint = _run_blocks(_initial_joint(cfg, psi), cfg, inputs)
     return _unchecked(StateVector, amplitudes=joint.reshape(-1))
 
 
@@ -263,9 +264,43 @@ def closed_form_state(
     return StateVector(joint.reshape(-1))
 
 
-def _reduced_system(joint: np.ndarray, dim: int) -> np.ndarray:
-    mat = joint.reshape(dim, -1)
-    return mat @ mat.conj().T
+def _through_stage2(cfg: QeConfig, psi: StateVector) -> tuple:
+    """Stage 1's (D, 2**blocks) joint state, its overlaps with the input
+    reference and the stage-2 pass probability, which raises
+    :class:`PostSelectionFailure` below ``POST_SELECT_FLOOR``; no output sample."""
+    joint = run_stage1(cfg, psi).amplitudes.reshape(cfg.dim, -1)
+    # stage 2: measure the projector onto the reference (via an ancilla that
+    # is never represented explicitly: outcome 0 projects, outcome 1 deflects)
+    anc_overlap = _overlaps(cfg.samples_in[cfg.reference_index].amplitudes, joint)
+    pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
+    pass_prob = min(max(pass_prob, 0.0), 1.0)
+    if pass_prob < POST_SELECT_FLOOR:
+        raise PostSelectionFailure(
+            f"stage-2 pass probability {pass_prob:.3e} is negligible",
+            pass_prob=pass_prob,
+        )
+    return joint, anc_overlap, pass_prob
+
+
+def _system_state(cfg: QeConfig, stage2: tuple, outputs: tuple | None = None) -> np.ndarray:
+    """The system's normalised state after ``_through_stage2``: as the failure
+    branch leaves it if ``outputs`` is None, else after stages 3 and 4 on the
+    output samples' amplitudes, (D,) for one run or (T, D) for a stack."""
+    joint, anc_overlap, pass_prob = stage2
+    if outputs is None:
+        ref_in = cfg.samples_in[cfg.reference_index].amplitudes
+        final = joint - np.multiply.outer(ref_in, anc_overlap)
+        final = final / np.linalg.norm(final)
+    else:
+        # the post-stage-2 state is ref (x) omega; stage 3 swaps in the output
+        # reference, stage 4 restores the input's information from omega
+        ref, omega = outputs[cfg.reference_index], anc_overlap / np.sqrt(pass_prob)
+        final = _run_blocks(ref[..., None] * omega, cfg, outputs, reverse=True)
+        final = final.reshape(*ref.shape, -1)
+    rho = final @ final.conj().swapaxes(-1, -2)
+    rho += rho.conj().swapaxes(-1, -2)  # in place: a stack holds fewer copies
+    rho *= 0.5
+    return np.divide(rho, np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], out=rho)
 
 
 def run_full(
@@ -287,36 +322,11 @@ def run_full(
     d = cfg.dim
     if target is not None and target.dim != d:
         raise DimensionMismatch(f"target dim {target.dim} != system dim {d}")
-    ref_in = cfg.samples_in[cfg.reference_index].amplitudes
-    ref_out = cfg.samples_out[cfg.reference_index].amplitudes
-
-    joint = run_stage1(cfg, psi).amplitudes.reshape(d, -1)
-
-    # stage 2: measure the projector onto the reference (via an ancilla that
-    # is never represented explicitly: outcome 0 projects, outcome 1 deflects)
-    anc_overlap = _overlaps(ref_in, joint)
-    pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
-    pass_prob = min(max(pass_prob, 0.0), 1.0)
-    if pass_prob < POST_SELECT_FLOOR:
-        raise PostSelectionFailure(
-            f"stage-2 pass probability {pass_prob:.3e} is negligible",
-            pass_prob=pass_prob,
-        )
-
+    stage2 = _through_stage2(cfg, psi)
+    pass_prob = stage2[2]
     stage2_bit = 0 if rng is None or rng.random() < pass_prob else 1
-    if stage2_bit:
-        fail = joint - np.multiply.outer(ref_in, anc_overlap)
-        final = fail / np.linalg.norm(fail)
-    else:
-        # post-stage-2 state is ref (x) Omega; stage 3 swaps in the output
-        # reference, stage 4 restores the input's information from Omega
-        omega = anc_overlap / np.sqrt(pass_prob)
-        final = _run_blocks(
-            np.multiply.outer(ref_out, omega), cfg, cfg.samples_out, reverse=True
-        )
-    rho = _reduced_system(final, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    output_mixed = _unchecked(DensityMatrix, matrix=rho / float(np.trace(rho).real))
+    outputs = None if stage2_bit else tuple(s.amplitudes for s in cfg.samples_out)
+    output_mixed = _unchecked(DensityMatrix, matrix=_system_state(cfg, stage2, outputs))
     fidelity = None
     if target is not None:
         t = target.amplitudes

@@ -106,7 +106,13 @@ class _LazyDevice:
     def __call__(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:
             raise DimensionMismatch(f"unitary dim {self.dim} != state dim {psi.dim}")
-        v, r, conj = psi.amplitudes, self.rank, self._rows.conj()
+        c = self.coefficients(psi.amplitudes)
+        return _unchecked(StateVector, amplitudes=np.dot(self._images, c))
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """``v`` on the block's columns, shape ``(k,)``; a new direction becomes
+        the next row.  Only the inputs so far decide it, never ``images``."""
+        r, conj = self.rank, self._rows.conj()
         # Gram-Schmidt; a second pass only for a short residual
         c = np.dot(conj, v)
         v = v - np.dot(c, self._rows)
@@ -118,7 +124,13 @@ class _LazyDevice:
         if norm > RANK_TOL:
             np.divide(v, norm, out=self._rows[r])
             c[r], self.rank = norm, r + 1
-        return _unchecked(StateVector, amplitudes=np.dot(self._images, c))
+        return c
+
+
+def _images(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Images of inputs with ``(T, k)`` or shared ``(k,)`` coefficients under
+    ``(T, D, k)`` blocks: each keeps ``np.dot``'s bits (at k = 1 for real ones)."""
+    return (blocks @ coeffs[..., None])[..., 0]
 
 
 def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDevice]:
@@ -260,12 +272,7 @@ def _play(
 
     if cfg.mode == QEX:
         challenge = adversary.choose_challenge(rng)  # type: ignore[attr-defined]
-        if challenge.dim != dim:
-            raise InvalidQuantumObject("challenge dimension mismatch")
-        if not mu_check(challenge, queries, cfg.mu):
-            raise MuViolation(
-                f"challenge is not {cfg.mu}-distinguishable from the queries"
-            )
+        _check_challenge(cfg, challenge, queries, dim)
     else:
         challenge = haar_state(dim, rng)
 
@@ -284,37 +291,56 @@ def _play(
     )
 
 
+def _check_challenge(cfg: GameConfig, challenge: StateVector, queries: tuple, dim: int):
+    if challenge.dim != dim:
+        raise InvalidQuantumObject("challenge dimension mismatch")
+    if not mu_check(challenge, queries, cfg.mu):
+        raise MuViolation(f"challenge is not {cfg.mu}-distinguishable from the queries")
+
+
 def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list) -> list[Transcript]:
-    """``_play`` of a chunk of ``qsel`` games on ``(T, D)`` stacks; game ``t``
-    is bit for bit ``_play`` on block ``t`` and ``rngs[t]``, which gives the
+    """``_play`` of a chunk of games on ``(T, D)`` stacks; game ``t`` is bit
+    for bit ``_play`` on block ``t`` and ``rngs[t]``, which gives a ``qsel``
     challenge, then the adversaries' draws, then the test's.  ``form`` is the
-    adversaries' shared ``_chunk_form``."""
+    adversaries' shared ``_chunk_form``; a ``qex`` one names the challenge."""
     dim, k = blocks.shape[1:]
     queries = form.queries(dim)
-    if (d := len(queries)) > cfg.learning_budget:
+    if len(queries) > cfg.learning_budget:
         raise BudgetExceeded(f"learning budget of {cfg.learning_budget} queries exhausted")
-    # learning leaves each device the rows e_0 .. e_{d-1}; their images are
-    # its block's first d columns, copied to rows as respond's bits need
-    responses = np.ascontiguousarray(blocks[:, :, :d].transpose(0, 2, 1))
-    challenges = np.array([_haar_vector(dim, rng) for rng in rngs])
-    # the device's Gram-Schmidt step against e_0 .. e_{d-1} takes psi_j as
-    # coefficients and leaves psi with them zeroed, exactly, so its second
-    # pass, which would project zeros, changes no bit
-    residual = np.where(np.arange(dim) < d, 0.0, challenges)
-    norm = np.sqrt(_row_dots(residual.conj(), residual).real)
-    coeffs = np.zeros((len(rngs), k), dtype=np.complex128)
-    coeffs[:, :d] = challenges[:, :d]
-    if d < k:
-        coeffs[:, d] = np.where(norm > RANK_TOL, norm, 0.0)
-    # one product per game: a stacked one rounds differently at k = 1
-    truth = np.array([np.dot(w, c) for w, c in zip(blocks, coeffs)])
+    if cfg.mode == QEX:
+        # a device's rows depend on its inputs only, which the chunk shares,
+        # so one device's Gram-Schmidt gives every game's coefficients
+        device = _LazyDevice(blocks[0])
+        coeffs = [device.coefficients(q.amplitudes) for q in queries]
+        d, challenge = device.rank, form.challenge(dim)
+        _check_challenge(cfg, challenge, queries, dim)
+        responses = np.stack([_images(blocks, c) for c in coeffs], 1)
+        truth = _images(blocks, device.coefficients(challenge.amplitudes))
+        challenges = np.broadcast_to(challenge.amplitudes, truth.shape)
+        shown = [challenge] * len(rngs)
+    else:
+        # learning leaves each device the rows e_0 .. e_{d-1}; their images
+        # are its block's first d columns, copied to rows as respond's bits need
+        d = len(queries)
+        responses = np.ascontiguousarray(blocks[:, :, :d].transpose(0, 2, 1))
+        challenges = np.array([_haar_vector(dim, rng) for rng in rngs])
+        # the device's Gram-Schmidt step against e_0 .. e_{d-1} takes psi_j as
+        # coefficients and leaves psi with them zeroed, exactly, so its second
+        # pass, which would project zeros, changes no bit
+        residual = np.where(np.arange(dim) < d, 0.0, challenges)
+        norm = np.sqrt(_row_dots(residual.conj(), residual).real)
+        coeffs = np.zeros((len(rngs), k), dtype=np.complex128)
+        coeffs[:, :d] = challenges[:, :d]
+        if d < k:
+            coeffs[:, d] = np.where(norm > RANK_TOL, norm, 0.0)
+        truth = _images(blocks, coeffs)
+        shown = [_unchecked(StateVector, amplitudes=psi) for psi in challenges]
     guesses = form.respond(challenges, responses, rngs)
     # as fidelity_pure: Python's abs and ** round as numpy's scalars do
     fidelities = [abs(z) ** 2 for z in _row_dots(truth.conj(), guesses).tolist()]
     return [
-        Transcript(queries, d, _unchecked(StateVector, amplitudes=psi),
-                   int(_verdict(cfg.test, f, rng).accepted), f)
-        for psi, f, rng in zip(challenges, fidelities, rngs)
+        Transcript(queries, d, psi, int(_verdict(cfg.test, f, rng).accepted), f)
+        for psi, f, rng in zip(shown, fidelities, rngs)
     ]
 
 
@@ -347,10 +373,10 @@ def estimate_win_rate(
     blocks drawn a chunk of trials at a time (one stacked QR, about
     ``_DRAW_CHUNK`` entries), each device from the first draw of its own
     trial's stream, so every stream is consumed in the same order as by
-    ``run_game``.  A chunk of ``qsel`` games whose adversaries are all
-    ``SubspaceAdversary`` with one ``d`` plays as arrays, on ``(T, D)``
-    stacks; every other chunk plays game by game.  Either way trial ``k``
-    is the same game, bit for bit.
+    ``run_game``.  A chunk plays as arrays, on ``(T, D)`` stacks, when its
+    adversaries are all ``SubspaceAdversary`` with one ``d`` in ``qsel``
+    games or all ``QeForger`` with one ``mu`` in ``qex`` games; any other
+    chunk plays game by game.  Either way trial ``k`` is the same game, bit for bit.
     """
     if _as_int(trials, "trials") < 1:
         raise InvalidQuantumObject("at least one trial is required")
@@ -363,8 +389,9 @@ def estimate_win_rate(
         rngs = [np.random.default_rng(c) for c in children]
         adversaries = [adversary_factory() for _ in rngs]
         forms = {getattr(a, "_chunk_form", None) for a in adversaries}
-        if cfg.mode == QSEL and None not in forms and len(forms) == 1:
-            played = _play_chunk(cfg, forms.pop(), _blocks(cfg, rngs), rngs)
+        form = forms.pop() if len(forms) == 1 else None
+        if form is not None and form.mode == cfg.mode:
+            played = _play_chunk(cfg, form, _blocks(cfg, rngs), rngs)
         else:
             devices = _devices(cfg, rngs)
             played = [_play(cfg, *game) for game in zip(adversaries, devices, rngs)]

@@ -11,6 +11,7 @@ from qpuflab import (
     DimensionMismatch,
     EpsilonDisturbedChannel,
     InvalidQuantumObject,
+    QeForger,
     StateVector,
     SubspaceAdversary,
     TestConfig,
@@ -21,6 +22,8 @@ from qpuflab import (
     haar_unitary,
     testers,
 )
+from qpuflab.adversaries import _forger_circuit
+from qpuflab.emulator import run_full
 from qpuflab.numerics import _complement_vector, _haar_vector, _unchecked
 from qpuflab.verify import _check_inputs, _report
 
@@ -53,6 +56,26 @@ class SubspaceOracle(SubspaceAdversary):
             images = [b.amplitudes for b in kn.basis_out]
             guess += np.sqrt(rest) * _complement_vector(images, kn.dim, rng)
         return _unchecked(StateVector, amplitudes=guess / np.linalg.norm(guess))
+
+
+class ForgerOracle(QeForger):
+    """``QeForger`` whose guess is one game's principal eigenvector of the
+    one-run ``run_full`` output, written out, instead of the library's stack
+    rule; the phase is fixed on numpy scalars.
+
+    Being a subclass, it has no chunk form, so games play it through
+    ``games._play``.
+    """
+
+    def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
+        if self.plan is None or self._responses is None:
+            raise InvalidQuantumObject("respond called before learn")
+        cfg = _forger_circuit(self.plan, self._responses)
+        self.last_result = run_full(cfg, challenge, rng=rng)
+        vec = np.linalg.eigh(self.last_result.output_mixed.matrix)[1][:, -1]
+        pivot = int(np.argmax(np.abs(vec)))
+        vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
+        return _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
 
 
 def run_test(cfg, target, guess, rng):

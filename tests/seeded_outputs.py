@@ -4,7 +4,7 @@ Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT [--changed NAME ...]]
 
-Runs seventeen seeded subcommands with the ``qpuflab`` package of this checkout
+Runs nineteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
 ``.manifest.json``, into OUT.  PARENT_OUT is the OUT of the same script run
 from a checkout of the parent commit (copy this file into that checkout's
@@ -53,6 +53,13 @@ RUNS: dict[str, tuple[list[str], int]] = {
     # stage-2 failure branch
     "game-forger-n2-mu0.75.jsonl": (_FORGER + ["--qubits", "2", "--mu", "0.75"], 0),
     "game-forger-n4-mu0.75.jsonl": (_FORGER + ["--qubits", "4", "--mu", "0.75"], 0),
+    # D = 2: the challenge lies in the span of the two queries
+    "game-forger-n1-mu0.75.jsonl": (_FORGER + ["--qubits", "1", "--mu", "0.75"], 0),
+    # an ideal test draws nothing after the stage-2 uniform
+    "game-forger-n3-mu0.75-ideal.jsonl": (
+        ["game", "--mode", "qex", "--adversary", "forger", "--test", "ideal"]
+        + ["--delta", "0.9", "--qubits", "3", "--mu", "0.75"], 0
+    ),
     "game-subspace-d3-n3.jsonl": (_SUBSPACE + ["--d", "3", "--qubits", "3"], 0),
     "game-subspace-d8-n6.jsonl": (_SUBSPACE + ["--d", "8", "--qubits", "6"], 0),
     # a spanning basis (d = D): the guess skips the complement draw, and its

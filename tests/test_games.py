@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import SubspaceOracle
-from qpuflab import adversaries, games
+from oracles import ForgerOracle, SubspaceOracle
+from qpuflab import adversaries, emulator, games
 from qpuflab import (
     AdversaryInterface,
     BudgetExceeded,
@@ -23,6 +23,8 @@ from qpuflab import (
     GameConfig,
     InvalidQuantumObject,
     MuViolation,
+    PostSelectionFailure,
+    PreconditionViolation,
     PrivilegedReadout,
     QeForger,
     QPufGenParams,
@@ -72,6 +74,18 @@ def ex_config(mu, qubits=2, budget=1, seed=SEED, delta=0.5, **kw):
         seed=seed,
         mu=mu,
         **kw,
+    )
+
+
+def forger_config(mu, qubits=3):
+    """The forger's qex game: two learning queries, five swap-test copies."""
+    return GameConfig(
+        mode="qex",
+        gen=QPufGenParams(qubits=qubits, seed=0),
+        test=SWAP5,
+        learning_budget=2,
+        seed=SEED,
+        mu=mu,
     )
 
 
@@ -322,9 +336,10 @@ class TestRunGame:
         assert isinstance(RandomGuesser(), AdversaryInterface)
 
 
-def alternating_subspace(dims, cls=SubspaceAdversary):
-    """A factory whose adversaries cycle through ``dims``: no chunk shares one d."""
-    cycle = itertools.cycle(dims)
+def alternating(params, cls=SubspaceAdversary):
+    """A factory whose adversaries cycle through ``params``, subspace
+    dimensions or forger mus: no chunk shares one chunk form."""
+    cycle = itertools.cycle(params)
     return lambda: cls(next(cycle))
 
 
@@ -515,19 +530,7 @@ class TestWinRateEstimate:
                 8,
                 None,
             ),
-            (
-                GameConfig(
-                    mode="qex",
-                    gen=QPufGenParams(qubits=3, seed=0),
-                    test=TestConfig(kind="swap", kappa1=5, kappa2=5),
-                    learning_budget=2,
-                    seed=SEED,
-                    mu=0.75,
-                ),
-                lambda: QeForger(0.75),
-                8,
-                None,
-            ),
+            (forger_config(0.75), lambda: QeForger(0.75), 8, lambda: ForgerOracle(0.75)),
             (sel_config(qubits=3, budget=3, delta=0.3), NoisyProbe, 20, None),
             (
                 sel_config(qubits=3, delta=0.3),
@@ -559,15 +562,37 @@ class TestWinRateEstimate:
             # the estimate's
             (
                 sel_config(qubits=3, budget=2, delta=0.3),
-                alternating_subspace([1, 2]),
+                alternating([1, 2]),
                 8,
-                alternating_subspace([1, 2], SubspaceOracle),
+                alternating([1, 2], SubspaceOracle),
+            ),
+            # stage 2 always passes; about a fifth of the games fail it; D = k
+            # = 2, where the challenge lies in the queries' span; an ideal test
+            (forger_config(0.5), lambda: QeForger(0.5), 7, lambda: ForgerOracle(0.5)),
+            (
+                forger_config(0.75, qubits=2),
+                lambda: QeForger(0.75),
+                20,
+                lambda: ForgerOracle(0.75),
+            ),
+            (
+                forger_config(0.75, qubits=1),
+                lambda: QeForger(0.75),
+                20,
+                lambda: ForgerOracle(0.75),
+            ),
+            (
+                ex_config(mu=0.75, qubits=3, budget=2, delta=0.9),
+                lambda: QeForger(0.75),
+                20,
+                lambda: ForgerOracle(0.75),
             ),
         ],
         ids=[
             "subspace-d8-n6", "random", "tomography", "forger-swap", "noisy-learn",
             "subspace-d0-n3", "subspace-budget-over-d", "subspace-spanning",
-            "subspace-swap", "subspace-mixed-d",
+            "subspace-swap", "subspace-mixed-d", "forger-mu0.5", "forger-mu0.75-n2",
+            "forger-n1", "forger-ideal",
         ],
     )
     @pytest.mark.parametrize("chunk", ["default", "3 devices"])
@@ -576,15 +601,20 @@ class TestWinRateEstimate:
     ):
         # the chunked device draw must play exactly the games a loop of
         # run_game over the same child streams plays; 7 trials end in a
-        # partial chunk of the 3-device draw.  Subspace games loop over the
-        # per-game oracle, or the chunk kernel would be compared with itself
+        # partial chunk of the 3-device draw.  Subspace and forger games loop
+        # over the per-game oracles, or the chunk kernels would be compared
+        # with themselves
         oracle = oracle or factory
         if chunk != "default":
             dim, k = games._block_shape(cfg)
             monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * dim * k)
         est = estimate_win_rate(cfg, factory, trials, keep_transcripts=True)
         children = np.random.SeedSequence(cfg.seed).spawn(trials)
-        loop = [run_game(cfg, oracle(), np.random.default_rng(c)) for c in children]
+        players = [oracle() for _ in children]
+        loop = [run_game(cfg, p, np.random.default_rng(c)) for p, c in zip(players, children)]
+        if cfg.mode == "qex":  # every stage-2 branch the plan has is played
+            failed = sum(p.last_result.stage2_bit for p in players)
+            assert failed == 0 if cfg.mu <= 0.5 else 0 < failed < trials
         assert est.wins == sum(t.outcome_b for t in loop)
         for got, want in zip(est.transcripts, loop, strict=True):
             assert got.outcome_b == want.outcome_b
@@ -623,17 +653,70 @@ class TestWinRateEstimate:
         with pytest.raises(AssertionError, match="_play"):
             estimate_win_rate(sel_config(budget=2), lambda: Subclass(2), trials=3)
 
+    def test_forger_games_play_as_arrays(self, monkeypatch):
+        # a chunk of QeForger games with one mu never reaches _play or the
+        # one-run emulator; a subclass, which may change a step, and a
+        # factory of mixed mu still reach _play
+        def refuse(*args, **kwargs):
+            raise AssertionError("games went through _play")
+
+        def refuse_run(*args, **kwargs):
+            raise AssertionError("games called run_full")
+
+        monkeypatch.setattr(games, "_play", refuse)
+        monkeypatch.setattr(adversaries, "run_full", refuse_run)
+        swap = forger_config(0.75)
+        for cfg in (swap, dataclasses.replace(swap, test=TestConfig("ideal", delta=0.9))):
+            est = estimate_win_rate(cfg, lambda: QeForger(0.75), trials=10)
+            assert est.trials == 10
+
+        class Subclass(QeForger):
+            pass
+
+        with pytest.raises(AssertionError, match="_play"):
+            estimate_win_rate(swap, lambda: Subclass(0.75), trials=3)
+        with pytest.raises(AssertionError, match="_play"):
+            estimate_win_rate(swap, alternating([0.75, 0.8], QeForger), trials=3)
+
     @pytest.mark.parametrize(
-        "budget, d, error",
-        [(1, 2, BudgetExceeded), (8, 5, InvalidQuantumObject)],
-        ids=["d-over-budget", "d-over-space"],
+        "cfg, factory, error",
+        [
+            (sel_config(qubits=2, budget=1), lambda: SubspaceAdversary(2), BudgetExceeded),
+            (
+                sel_config(qubits=2, budget=8),
+                lambda: SubspaceAdversary(5),
+                InvalidQuantumObject,
+            ),
+            (forger_config(0.5, qubits=1), lambda: QeForger(0.8), PreconditionViolation),
+            (
+                dataclasses.replace(forger_config(0.5), learning_budget=1),
+                lambda: QeForger(0.5),
+                BudgetExceeded,
+            ),
+            (forger_config(0.75), lambda: QeForger(0.6), MuViolation),
+        ],
+        ids=[
+            "d-over-budget", "d-over-space", "forger-mu-over-margin",
+            "forger-budget-1", "forger-mu-under-game",
+        ],
     )
-    def test_chunk_errors_match_run_game(self, budget, d, error):
-        cfg = sel_config(qubits=2, budget=budget)
+    def test_chunk_errors_match_run_game(self, cfg, factory, error):
         with pytest.raises(error) as single:
-            run_game(cfg, SubspaceAdversary(d))
+            run_game(cfg, factory())
         with pytest.raises(error, match=f"^{re.escape(str(single.value))}$"):
-            estimate_win_rate(cfg, lambda: SubspaceAdversary(d), trials=3)
+            estimate_win_rate(cfg, factory, trials=3)
+
+    def test_chunk_post_selection_failure_matches_run_game(self, monkeypatch):
+        # no forger plan within its margin falls below the floor; raised to 1,
+        # the floor refuses every stage 2 of mu = 0.75, before its draw
+        monkeypatch.setattr(emulator, "POST_SELECT_FLOOR", 1.0)
+        cfg = forger_config(0.75)
+        with pytest.raises(PostSelectionFailure) as single:
+            run_game(cfg, QeForger(0.75))
+        with pytest.raises(PostSelectionFailure) as chunk:
+            estimate_win_rate(cfg, lambda: QeForger(0.75), trials=3)
+        assert str(chunk.value) == str(single.value)
+        assert chunk.value.pass_prob == single.value.pass_prob < 1.0
 
     def test_adversary_errors_surface_unchanged(self):
         with pytest.raises(InvalidQuantumObject, match="choose_challenge"):

@@ -1,6 +1,7 @@
 """Property tests: fidelity and trace-distance laws, the disturbed family,
-and the array paths of selective games and of the swap battery and negative
-control audits against their per-game and per-trial oracles.
+and the array paths of selective games, of emulation-forger games and of the
+swap battery and negative control audits against their per-game and
+per-trial oracles.
 
 Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
 the depolarizing strength; the states themselves come from a numpy generator
@@ -18,12 +19,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from oracles import SubspaceOracle  # noqa: E402
+from oracles import ForgerOracle, SubspaceOracle  # noqa: E402
 from qpuflab import (  # noqa: E402
     DERIVED_TOL,
     DensityMatrix,
     EpsilonDisturbedChannel,
     GameConfig,
+    QeForger,
     QPufGenParams,
     StateVector,
     SubspaceAdversary,
@@ -167,6 +169,43 @@ def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk):
         )
     children = np.random.SeedSequence(cfg.seed).spawn(trials)
     loop = [run_game(cfg, SubspaceOracle(d), np.random.default_rng(c)) for c in children]
+    assert est.wins == sum(t.outcome_b for t in loop)
+    for got, want in zip(est.transcripts, loop, strict=True):
+        for f in dataclasses.fields(Transcript):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
+@st.composite
+def forger_games(draw):
+    """A ``qex`` config on 1 to 4 qubits with mu up to the forger's margin,
+    ``1 - 1/(2D)``, a budget from its two queries to five, and an ideal test
+    or a swap test of up to 5 copies."""
+    qubits = draw(st.integers(1, 4))
+    mu = draw(st.floats(0.0, 1.0 - 0.5 / 2**qubits))
+    if draw(st.booleans()):
+        test = TestConfig(kind="ideal", delta=draw(st.floats(0.0, 1.0, exclude_min=True)))
+    else:
+        kappas = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+        test = TestConfig(kind="swap", kappa1=kappas[0], kappa2=kappas[1])
+    budget = draw(st.integers(2, min(5, 4 * qubits**2)))
+    gen = QPufGenParams(qubits=qubits, seed=0)
+    return GameConfig(
+        mode="qex", gen=gen, test=test, learning_budget=budget, seed=draw(seeds), mu=mu
+    )
+
+
+@GAME_PROPERTY
+@given(cfg=forger_games(), trials=st.integers(1, 7), chunk=st.sampled_from([1, 3, None]))
+def test_forger_chunks_replay_the_per_game_oracle(cfg, trials, chunk):
+    # as the subspace property, for the emulation forger at the game's mu
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
+        est = estimate_win_rate(
+            cfg, lambda: QeForger(cfg.mu), trials, keep_transcripts=True
+        )
+    children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    loop = [run_game(cfg, ForgerOracle(cfg.mu), np.random.default_rng(c)) for c in children]
     assert est.wins == sum(t.outcome_b for t in loop)
     for got, want in zip(est.transcripts, loop, strict=True):
         for f in dataclasses.fields(Transcript):
