@@ -39,7 +39,7 @@ from .numerics import (
     _check_dim,
     _complement_vector,
     _gram_deviation,
-    _row_dots,
+    _normalised,
     _unchecked,
     apply,
     haar_state,
@@ -170,12 +170,6 @@ class _SubspaceChunk:
         for t in np.flatnonzero(rest > 1e-12) if self.d < dim else ():
             guesses[t] += np.sqrt(rest[t]) * _complement_vector(responses[t], dim, rngs[t])
         return _normalised(guesses)
-
-
-def _normalised(rows: np.ndarray) -> np.ndarray:
-    """Each row of a ``(T, D)`` stack over its norm, by np.linalg.norm's dots."""
-    re, im = rows.real, rows.imag
-    return rows / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
 
 
 # ---------------------------------------------------------------------------

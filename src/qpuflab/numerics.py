@@ -226,6 +226,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    """Each row of a ``(T, D)`` stack over its norm, by the dots
+    ``np.linalg.norm`` takes: row ``t`` has the bits of ``x / np.linalg.norm(x)``
+    for ``x = rows[t]``.  Pass only drawn rows: a zero padding row gives NaN."""
+    re, im = rows.real, rows.imag
+    return rows / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
+
+
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
 

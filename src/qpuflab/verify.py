@@ -9,13 +9,17 @@ margin rather than a bare boolean.
 Every check validates its parameters on entry, before its first draw.
 
 The disturbance and concavity audits and the negative control then work on
-plain arrays, a bounded chunk of trials at a time: they draw every trial's
-inputs in stream order, then evaluate the chunk as ``(T, D, D)`` stacks with
-one ``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each
-matrix of a stack on its own, so every margin is bit for bit the one-trial
-value.  What they build from Haar draws, mixtures and the epsilon-channel is
-a density matrix by construction and is not validated again; tests check
-that on sampled draws.  The swap battery draws each cell as one array.
+plain arrays, a bounded chunk of trials at a time: a draw loop that holds
+only generator calls takes every trial's raw draws in stream order, with
+consecutive normal draws merged into one call, and the chunk is then built
+and evaluated as ``(T, D, D)`` stacks with one ``eigvalsh``/``eigh``/matmul
+per stack.  LAPACK and BLAS treat each matrix of a stack on its own, so every
+margin is bit for bit the one-trial value.  What they build from Haar draws,
+mixtures and the epsilon-channel is a density matrix by construction and is
+not validated again; tests check that on sampled draws.  The swap battery
+draws each cell as one array.  The emulation audits draw every trial's
+config first, the same way, and factor its devices by one stacked QR per
+dimension; their circuits still run one at a time.
 
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
@@ -34,27 +38,25 @@ from .errors import InvalidQuantumObject, PostSelectionFailure, PreconditionViol
 from .numerics import (
     DERIVED_TOL,
     StateVector,
-    UnitaryMatrix,
     _as_int,
     _check_dim,
     _check_seed,
     _complement_vector,
     _disturb_stack,
     _fidelity_stack,
-    _ginibre,
     _haar_qr,
     _haar_vector,
+    _normalised,
     _trace_distance_stack,
     _unchecked,
-    apply,
     fidelity_pure,
-    haar_state,
     haar_unitary,
     span_projector,
 )
 from .testers import _swap_tally, expected_acceptance
-# bench/tracer.py patches fidelity_mixed, trace_distance, channel_apply, run_test here
-from .numerics import fidelity_mixed, trace_distance  # noqa: F401
+# bench/tracer.py patches haar_state, fidelity_mixed, trace_distance,
+# channel_apply and run_test here
+from .numerics import fidelity_mixed, haar_state, trace_distance  # noqa: F401
 from .qpuf import channel_apply  # noqa: F401
 from .testers import run_test  # noqa: F401
 
@@ -155,39 +157,76 @@ def haar_subspace_weight_check(
 # emulation circuit laws
 
 
-def _random_qe_config(
-    rng: np.random.Generator, n_choices: tuple[int, ...], k_choices: tuple[int, ...]
-) -> tuple[QeConfig, UnitaryMatrix]:
-    """Random device + sample set + reference; returns (cfg, device)."""
-    n = int(rng.choice(n_choices))
-    k = int(rng.choice(k_choices))
-    dim = 2**n
-    u = haar_unitary(dim, rng)
-    samples_in = tuple(haar_state(dim, rng) for _ in range(k))
-    samples_out = tuple(apply(u, s) for s in samples_in)
-    ref = int(rng.integers(k))
-    cfg = QeConfig(
-        samples_in=samples_in, samples_out=samples_out, reference_index=ref
-    )
-    return cfg, u
+def _qe_trials(
+    trials: int,
+    rng: np.random.Generator,
+    n_choices: tuple[int, ...],
+    k_choices: tuple[int, ...],
+    draw_input,
+) -> list[tuple]:
+    """``trials`` random emulation configs: a device, k samples and a reference.
+
+    The draw loop holds only generator calls, in the order of a register
+    size and a sample count from the choices, ``haar_unitary``, k
+    ``haar_state`` calls and ``integers(k)``; the unitary's and the samples'
+    normals are one call.  ``draw_input(rng, dim, k, normals)`` then draws the
+    trial's input.  One stacked QR per dimension factors the devices and one
+    row normalisation per dimension gives the samples.  Returns each trial's
+    ``(cfg, u, input draw)``, with ``u`` a raw unitary.
+    """
+    draws = []
+    for _ in range(trials):
+        dim = 2 ** n_choices[rng.integers(len(n_choices))]
+        k = k_choices[rng.integers(len(k_choices))]
+        normals = rng.standard_normal(2 * dim * (dim + k))
+        ref = int(rng.integers(k))
+        draws.append((dim, k, normals, ref, draw_input(rng, dim, k, normals)))
+    made = [None] * trials
+    for dim in {draw[0] for draw in draws}:
+        group = [t for t, draw in enumerate(draws) if draw[0] == dim]
+        cut = 2 * dim * dim
+        ginibre = np.array([draws[t][2][:cut] for t in group]).reshape(-1, 2, dim, dim)
+        units = np.concatenate([draws[t][2][cut:] for t in group]).reshape(-1, 2, dim)
+        samples = iter(_normalised(units[:, 0] + 1j * units[:, 1]))
+        for t, u in zip(group, _haar_qr(ginibre[:, 0] + 1j * ginibre[:, 1])):
+            _, k, _, ref, drawn_input = draws[t]
+            amps = [next(samples) for _ in range(k)]
+            cfg = QeConfig(
+                samples_in=tuple(_unchecked(StateVector, amplitudes=a) for a in amps),
+                samples_out=tuple(
+                    _unchecked(StateVector, amplitudes=u @ a) for a in amps
+                ),
+                reference_index=ref,
+            )
+            made[t] = cfg, u, drawn_input
+    return made
 
 
-def _random_qe_setup(
+def _setup_input(
+    rng: np.random.Generator, dim: int, k: int, normals: np.ndarray
+) -> tuple:
+    """A fair coin, then the normals of k span coefficients or a Haar state."""
+    in_span = rng.random() < 0.5
+    return in_span, rng.standard_normal(2 * k if in_span else 2 * dim)
+
+
+def _qe_setups(
+    trials: int,
     rng: np.random.Generator,
     n_choices: tuple[int, ...] = (1, 2),
     k_choices: tuple[int, ...] = (2, 3),
-) -> tuple[QeConfig, StateVector, StateVector]:
-    """Random device + sample set + input; returns (cfg, psi, target)."""
-    cfg, u = _random_qe_config(rng, n_choices, k_choices)
-    k = len(cfg.samples_in)
-    if rng.random() < 0.5:
-        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        vec = sum(c * s.amplitudes for c, s in zip(coeffs, cfg.samples_in))
-        psi = _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
-    else:
-        psi = haar_state(cfg.dim, rng)
-    target = apply(u, psi)
-    return cfg, psi, target
+) -> list[tuple[QeConfig, StateVector, StateVector]]:
+    """Random configs and an input each, half of them in the samples' span and
+    half Haar states; returns each ``(cfg, psi, U psi)``."""
+    setups = []
+    made = _qe_trials(trials, rng, n_choices, k_choices, _setup_input)
+    for cfg, u, (in_span, z) in made:
+        z = z[: len(z) // 2] + 1j * z[len(z) // 2:]  # k coefficients, or D amplitudes
+        vec = sum(c * s.amplitudes for c, s in zip(z, cfg.samples_in)) if in_span else z
+        psi = vec / np.linalg.norm(vec)
+        setups.append((cfg, _unchecked(StateVector, amplitudes=psi),
+                       _unchecked(StateVector, amplitudes=u @ psi)))
+    return setups
 
 
 def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
@@ -198,8 +237,7 @@ def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
     """
     _check_inputs(trials)
     margins: list[float] = []
-    for _ in range(trials):
-        cfg, psi, target = _random_qe_setup(rng)
+    for cfg, psi, target in _qe_setups(trials, rng):
         try:
             res = run_full(cfg, psi, target=target)
         except PostSelectionFailure:
@@ -232,8 +270,7 @@ def closed_form_check(trials: int, rng: np.random.Generator) -> CheckReport:
     """
     _check_inputs(trials)
     margins: list[float] = []
-    for _ in range(trials):
-        cfg, psi, _ = _random_qe_setup(rng, k_choices=(2, 3, 4))
+    for cfg, psi, _ in _qe_setups(trials, rng, k_choices=(2, 3, 4)):
         circuit = run_stage1(cfg, psi)
         symbolic = closed_form_state(cfg, psi)
         margins.append(1e-9 - pure_state_distance_bound(circuit, symbolic))
@@ -250,11 +287,8 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
     """
     _check_inputs(trials)
     margins: list[float] = []
-    for _ in range(trials):
-        # at most 3 samples in D >= 4 leave a non-trivial complement
-        cfg, _ = _random_qe_config(rng, (2, 3), (2, 3))
-        # the samples are not orthogonal: draw against their span's orthonormal basis
-        v = _complement_vector(span_projector(cfg.samples_in).basis, cfg.dim, rng)
+    # at most 3 samples in D >= 4 leave a non-trivial complement
+    for cfg, _, v in _qe_trials(trials, rng, (2, 3), (2, 3), _complement_input):
         psi = _unchecked(StateVector, amplitudes=v)
         try:
             res = run_full(cfg, psi)
@@ -263,6 +297,18 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
         else:
             margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
     return _report("orthogonal-challenge-rejection", margins)
+
+
+def _complement_input(
+    rng: np.random.Generator, dim: int, k: int, normals: np.ndarray
+) -> np.ndarray:
+    """A Haar state orthogonal to the trial's samples.  The samples are not
+    orthogonal, so it is drawn against their span's orthonormal basis; its
+    redraw rule reads a residual, so the samples are normalised here."""
+    units = normals[2 * dim * dim:].reshape(k, 2, dim)
+    samples = _normalised(units[:, 0] + 1j * units[:, 1])
+    span = span_projector([_unchecked(StateVector, amplitudes=s) for s in samples])
+    return _complement_vector(span.basis, dim, rng)
 
 
 def _log_margin(p2: float) -> float:
@@ -287,25 +333,36 @@ def _chunks(dim: int, trials: int) -> list[range]:
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
-def _random_mixed(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    weights = rng.dirichlet(np.ones(rank))
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        s = _haar_vector(dim, rng)
-        acc += w * np.outer(s, s.conj())
-    return acc
+def _density_stack(
+    units: np.ndarray, weights: np.ndarray, rank: np.ndarray
+) -> np.ndarray:
+    """Density matrices from raw Haar draws, as ``(..., D, D)``.
+
+    ``units`` holds the normals of up to R Haar states per matrix, as
+    ``(..., R, 2D)``: the real parts, then the imaginary ones.  A matrix of
+    ``rank`` 1 is the pure state of its first; one of rank ``r >= 2`` is
+    ``sum_j weights[..., j] |v_j><v_j|`` over its first r, summed from 0 one
+    state at a time; one of rank 0 is zero.  Only drawn rows are normalised
+    (a zero padding row would give NaN), and outer products are formed one
+    state index at a time, so no ``(..., R, D, D)`` stack is built.
+    """
+    dim = units.shape[-1] // 2
+    live = np.arange(units.shape[-2]) < rank[..., np.newaxis]
+    raw = units[live]
+    vecs = np.zeros(live.shape + (dim,), dtype=np.complex128)
+    vecs[live] = _normalised(raw[:, :dim] + 1j * raw[:, dim:])
+    out = np.zeros(rank.shape + (dim, dim), dtype=np.complex128)
+    out[rank == 1] = _outers(vecs[rank == 1, 0])
+    for j in range(units.shape[-2]):
+        mixed = live[..., j] & (rank > 1)
+        w = weights[mixed, j, np.newaxis, np.newaxis]
+        out[mixed] += w * _outers(vecs[mixed, j])
+    return out
 
 
-def _random_pair(
-    dim: int, rng: np.random.Generator, mixed: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two density matrices, as plain arrays."""
-    if mixed:
-        rank = int(rng.integers(2, dim + 1))
-        return _random_mixed(dim, rank, rng), _random_mixed(dim, rank, rng)
-    a = _haar_vector(dim, rng)
-    b = _haar_vector(dim, rng)
-    return np.outer(a, a.conj()), np.outer(b, b.conj())
+def _outers(states: np.ndarray) -> np.ndarray:
+    """``|v><v|`` of each state of a ``(..., D)`` stack, as ``np.outer`` forms it."""
+    return states[..., :, np.newaxis] * states.conj()[..., np.newaxis, :]
 
 
 def _disturbed_pairs(
@@ -316,19 +373,36 @@ def _disturbed_pairs(
     Each trial draws its input pair (mixed on odd trials), then the Ginibre
     matrix of a Haar unitary and a depolarizing strength ``s`` from
     [0.2, 1): the members at ``epsilon`` and ``epsilon * s`` share that
-    unitary.  One stacked QR factors the chunk's unitaries.  Returns ``rho,
-    sigma`` as ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both
-    outputs as ``(T, 2, D, D)``.
+    unitary.  The draw loop holds only generator calls, with consecutive
+    normals in one call: a pure trial is one ``standard_normal(4D + 2D**2)``
+    and one ``uniform``.  The pairs are then built on stacks and one stacked
+    QR factors the chunk's unitaries.  Returns ``rho, sigma`` as
+    ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both outputs as
+    ``(T, 2, D, D)``.
     """
-    rho = np.empty((len(trials), dim, dim), dtype=np.complex128)
-    sigma = np.empty_like(rho)
-    ginibre = np.empty_like(rho)
-    eps = np.empty((len(trials), 2))
-    for k, t in enumerate(trials):
-        rho[k], sigma[k] = _random_pair(dim, rng, mixed=bool(t % 2))
-        ginibre[k] = _ginibre(dim, rng)
-        eps[k] = epsilon, epsilon * float(rng.uniform(0.2, 1.0))
-    u = _haar_qr(ginibre)
+    size, cut = len(trials), 2 * dim * dim
+    units = np.zeros((2, size, dim, 2 * dim))  # up to D states for rho, for sigma
+    weights = np.zeros((2, size, dim))
+    rank = np.ones((2, size), dtype=np.int64)
+    ginibre = np.empty((size, cut))
+    strength = np.empty(size)
+    for i, t in enumerate(trials):
+        if t % 2:  # two mixtures of one rank
+            r = rank[:, i] = int(rng.integers(2, dim + 1))
+            weights[0, i, :r] = rng.dirichlet(np.ones(r))
+            rng.standard_normal(out=units[0, i, :r])
+            weights[1, i, :r] = rng.dirichlet(np.ones(r))
+            normals = rng.standard_normal(2 * dim * r + cut)
+            units[1, i, :r] = normals[:-cut].reshape(r, 2 * dim)
+        else:
+            normals = rng.standard_normal(4 * dim + cut)
+            units[:, i, 0] = normals[:-cut].reshape(2, 2 * dim)
+        ginibre[i] = normals[-cut:]
+        strength[i] = rng.uniform(0.2, 1.0)
+    rho, sigma = _density_stack(units, weights, rank)
+    ginibre = ginibre.reshape(size, 2, dim, dim)
+    u = _haar_qr(ginibre[:, 0] + 1j * ginibre[:, 1])
+    eps = np.stack([np.full(size, float(epsilon)), epsilon * strength], axis=-1)
     return rho, sigma, eps, _disturb_stack(u, rho, eps), _disturb_stack(u, sigma, eps)
 
 
@@ -421,28 +495,49 @@ def _concavity_margins(
 
     Each trial draws 2 or 3 parts and their weights, then one pair per part
     for the rhos (keeping the first matrix) and one per part for the sigmas
-    (keeping the second).
+    (keeping the second): a pure pair at even parts, a mixed one at part 1.
+    The draw loop makes every draw of the pairs, the halves it does not keep
+    too, with consecutive normals in one call; only the kept halves are built.
     """
-    weights = np.zeros((len(trials), 3))  # padded with zero weights
-    drawn = np.zeros(weights.shape, dtype=bool)
-    mix_r, mix_s, part_r, part_s = [], [], [], []
-    for i in range(len(trials)):
+    size, two = len(trials), 2 * dim
+    weights = np.zeros((size, 3))  # padded with zero weights
+    units = np.zeros((2, size, 3, dim, two))  # up to D states per part
+    mixing = np.zeros((2, size, 3, dim))
+    rank = np.zeros((2, size, 3), dtype=np.int64)  # 0: a part not drawn
+    for i in range(size):
         parts = int(rng.integers(2, 4))
-        w = weights[i, :parts] = rng.dirichlet(np.ones(parts))
-        drawn[i, :parts] = True
-        odd = [bool(k % 2) for k in range(parts)]
-        rhos = [_random_pair(dim, rng, mixed)[0] for mixed in odd]
-        sigmas = [_random_pair(dim, rng, mixed)[1] for mixed in odd]
-        mix_r.append(sum(p * r for p, r in zip(w, rhos)))
-        mix_s.append(sum(p * s for p, s in zip(w, sigmas)))
-        part_r += rhos
-        part_s += sigmas
-    mix_r, mix_s, part_r, part_s = map(np.array, (mix_r, mix_s, part_r, part_s))
-    lhs = np.sqrt(_fidelity_stack(mix_r, mix_s))
+        weights[i, :parts] = rng.dirichlet(np.ones(parts))
+        rank[:, i, :parts] = 1
+        # rho parts: each pair's first member; a pure pair is 4D normals
+        units[0, i, 0, 0] = rng.standard_normal(2 * two)[:two]
+        r = rank[0, i, 1] = int(rng.integers(2, dim + 1))
+        mixing[0, i, 1, :r] = rng.dirichlet(np.ones(r))
+        rng.standard_normal(out=units[0, i, 1, :r])
+        rng.dirichlet(np.ones(r))  # dropped, as are its states
+        # part 1's dropped states, then the pairs of rho part 2 and sigma part 0
+        normals = rng.standard_normal(two * r + 2 * two * (parts - 1))
+        if parts == 3:
+            units[0, i, 2, 0] = normals[two * r:][:two]
+        units[1, i, 0, 0] = normals[-two:]
+        # sigma parts: each pair's second member
+        r = rank[1, i, 1] = int(rng.integers(2, dim + 1))
+        rng.dirichlet(np.ones(r))  # dropped, as are its states
+        rng.standard_normal(two * r)
+        mixing[1, i, 1, :r] = rng.dirichlet(np.ones(r))
+        normals = rng.standard_normal(two * r + 2 * two * (parts - 2))
+        units[1, i, 1, :r] = normals[: two * r].reshape(r, two)
+        if parts == 3:
+            units[1, i, 2, 0] = normals[-two:]
+    states = _density_stack(units, mixing, rank)  # (2, T, 3, D, D)
+    mix = np.zeros((2, size, dim, dim), dtype=np.complex128)
+    for k in range(3):  # summed part by part from 0, as ``sum`` adds one trial's parts
+        drawn = rank[0, :, k] > 0
+        mix[:, drawn] += weights[drawn, k, np.newaxis, np.newaxis] * states[:, drawn, k]
+    lhs = np.sqrt(_fidelity_stack(*mix))
+    drawn = rank[0] > 0
     g = np.zeros_like(weights)
-    g[drawn] = np.sqrt(_fidelity_stack(part_r, part_s))
-    # summed part by part from 0 like ``sum`` over one trial's parts; a
-    # padded part adds 0.0, which leaves the sum unchanged
+    g[drawn] = np.sqrt(_fidelity_stack(states[0][drawn], states[1][drawn]))
+    # a padded part adds 0.0, which leaves the sum unchanged
     rhs = sum(w * gk for w, gk in zip(weights.T, g.T))
     return lhs - rhs + 1e-8
 
@@ -516,7 +611,7 @@ def negative_control_check(trials: int, rng: np.random.Generator) -> CheckReport
         for t in range(len(chunk)):  # a Haar state, then one orthogonal to it
             states[0, t] = a = _haar_vector(4, rng)
             states[1, t] = _complement_vector([a], 4, rng)
-        pairs = states[..., :, np.newaxis] * states.conj()[..., np.newaxis, :]
+        pairs = _outers(states)
         if np.any((f_in := _fidelity_stack(*pairs)) > bound):
             first = f_in[f_in > bound][0]
             raise PreconditionViolation(f"inputs have fidelity {first:.6f} > "

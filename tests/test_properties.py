@@ -1,7 +1,6 @@
 """Property tests: fidelity and trace-distance laws, the disturbed family,
 and the array paths of selective games, of emulation-forger games and of the
-swap battery and negative control audits against their per-game and
-per-trial oracles.
+audits against their per-game and per-trial oracles.
 
 Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
 the depolarizing strength; the states themselves come from a numpy generator
@@ -238,4 +237,36 @@ def test_audit_arrays_replay_the_per_trial_oracles(trials, seed, chunk, quarters
         ):
             rng, twin = make_rng(seed), make_rng(seed)
             assert check(trials, rng) == getattr(oracles, check.__name__)(trials, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+STACKED_AUDIT_PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@STACKED_AUDIT_PROPERTY
+@given(
+    epsilon=unit,
+    dim=st.sampled_from([2, 4, 8]),
+    trials=st.integers(0, 70),
+    seed=seeds,
+    chunk=st.sampled_from([3, None]),
+)
+def test_stacked_audits_replay_the_per_trial_oracles(epsilon, dim, trials, seed, chunk):
+    # the disturbance, concavity and emulation audits against their per-trial
+    # loops, report and generator state; c08 trials in chunks of 3 or the default
+    checks = [
+        (verify.distance_contraction_check, (epsilon, dim, trials)),
+        (verify.fidelity_disturbance_check, (epsilon, dim, trials)),
+        (verify.joint_concavity_check, (dim, trials)),
+        (verify.recovery_floor_check, (trials,)),
+        (verify.closed_form_check, (trials,)),
+        (verify.orthogonal_challenge_check, (trials,)),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(verify, "_STACK_CHUNK", chunk * dim**2)
+        for check, args in checks:
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = check(*args, rng)
+            assert got.as_dict() == getattr(oracles, check.__name__)(*args, twin).as_dict()
             assert rng.bit_generator.state == twin.bit_generator.state

@@ -222,17 +222,26 @@ class TestVerifyAudits:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_emulator_audit_samples_inputs_and_targets(self, n):
         rng = np.random.default_rng(SEED + 80 + n)
-        for _ in range(12):
-            cfg, psi, target = verify._random_qe_setup(rng, (n,), (2, 3))
+        for cfg, psi, target in verify._qe_setups(12, rng, (n,), (2, 3)):
             for s in cfg.samples_in + cfg.samples_out + (psi, target):
                 checked(s)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_emulator_audit_devices(self, n):
+        # the stacked QR's raw unitaries, one per trial
+        rng = np.random.default_rng(SEED + 85 + n)
+        made = verify._qe_trials(12, rng, (n,), (2, 3), verify._setup_input)
+        for _, u, _ in made:
+            UnitaryMatrix(u)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_orthogonal_challenge_inputs(self, n, monkeypatch):
         seen = []
-        config = verify._random_qe_config
+        trials_of = verify._qe_trials
         monkeypatch.setattr(
-            verify, "_random_qe_config", lambda rng, _, k: config(rng, (n,), k)
+            verify,
+            "_qe_trials",
+            lambda trials, rng, _, k, draw: trials_of(trials, rng, (n,), k, draw),
         )
 
         def checked_run(cfg, psi, **kw):

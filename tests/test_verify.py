@@ -195,150 +195,28 @@ class TestFullBattery:
         assert a == b
 
 
-# ---------------------------------------------------------------------------
-# The per-trial disturbance checks and 2-d kernels that the stacked ones
-# replaced, kept verbatim as a bit-level oracle: every report of a stacked
-# check, and every single-pair metric, must be equal to theirs.
-
-
-def _old_fidelity_mixed(rho, sigma):
-    w, v = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (v * np.sqrt(_old_drop_round_off(w))) @ v.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    eigs = _old_drop_round_off(np.linalg.eigvalsh(inner))
-    return float(np.sum(np.sqrt(eigs)) ** 2)
-
-
-def _old_drop_round_off(w):
-    return np.where(w > 1e-12 * w[-1], w, 0.0)
-
-
-def _old_sqrt_fidelity_mixed(rho, sigma):
-    return float(np.sqrt(_old_fidelity_mixed(rho, sigma)))
-
-
-def _old_trace_distance(rho, sigma):
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def _old_channel_apply(channel, rho):
-    u = channel.unitary.matrix
-    ideal = u @ rho.matrix @ u.conj().T
-    eps = channel.epsilon
-    mixed = np.eye(rho.dim) / rho.dim
-    return DensityMatrix((1.0 - eps) * ideal + eps * mixed)
-
-
-def _old_report(name, margins, detail=""):
-    worst = min(margins) if margins else float("inf")
-    violations = sum(1 for m in margins if m < 0.0)
-    return CheckReport(
-        name=name,
-        trials=len(margins),
-        violations=violations,
-        worst_margin=worst,
-        passed=violations == 0,
-        detail=detail,
-    )
-
-
-def _old_random_mixed(dim, rank, rng):
-    weights = rng.dirichlet(np.ones(rank))
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        s = haar_state(dim, rng).amplitudes
-        acc += w * np.outer(s, s.conj())
-    return DensityMatrix(acc)
-
-
-def _old_random_pair(dim, rng, mixed):
-    if mixed:
-        rank = int(rng.integers(2, dim + 1))
-        return _old_random_mixed(dim, rank, rng), _old_random_mixed(dim, rank, rng)
-    a = haar_state(dim, rng)
-    b = haar_state(dim, rng)
-    return DensityMatrix.from_state(a), DensityMatrix.from_state(b)
-
-
-def _old_both_channels(epsilon, dim, rng):
-    u = haar_unitary(dim, rng)
-    strength = float(rng.uniform(0.2, 1.0))
-    return (
-        EpsilonDisturbedChannel(epsilon, u),
-        EpsilonDisturbedChannel(epsilon * strength, u),
-    )
-
-
-def _old_distance_contraction_check(epsilon, dim, trials, rng):
-    margins = []
-    for t in range(trials):
-        rho, sigma = _old_random_pair(dim, rng, mixed=bool(t % 2))
-        d_in = _old_trace_distance(rho, sigma)
-        for channel in _old_both_channels(epsilon, dim, rng):
-            d_out = _old_trace_distance(
-                _old_channel_apply(channel, rho), _old_channel_apply(channel, sigma)
-            )
-            gap = d_in - d_out
-            margins.append(gap + 1e-8)  # contractivity
-            margins.append(epsilon * d_in - gap + 1e-8)  # bounded shrinkage
-            exact = (1.0 - channel.epsilon) * d_in
-            margins.append(1e-8 - abs(d_out - exact))  # exact law
-    return _old_report(
-        "distance-contraction", margins, detail=f"eps={epsilon} D={dim}"
-    )
-
-
-def _old_fidelity_disturbance_check(epsilon, dim, trials, rng):
-    margins = []
-    for t in range(trials):
-        mixed = bool(t % 2)
-        rho, sigma = _old_random_pair(dim, rng, mixed=mixed)
-        f_in = _old_fidelity_mixed(rho, sigma)
-        g_in = float(np.sqrt(f_in))  # what sqrt_fidelity_mixed returns
-        d_in = _old_trace_distance(rho, sigma)
-        for channel in _old_both_channels(epsilon, dim, rng):
-            out_r = _old_channel_apply(channel, rho)
-            out_s = _old_channel_apply(channel, sigma)
-            f_out = _old_fidelity_mixed(out_r, out_s)
-            g_out = float(np.sqrt(f_out))
-            margins.append(f_out - f_in + 1e-8)  # monotone, squared
-            margins.append(g_out - g_in + 1e-8)  # monotone, square root
-            margins.append(g_out - (1.0 - epsilon) * g_in + 1e-8)  # concavity
-            if not mixed:
-                bound = 2.0 * channel.epsilon * d_in
-                margins.append(bound - (f_out - f_in) + 1e-8)
-    return _old_report(
-        "fidelity-disturbance", margins, detail=f"eps={epsilon} D={dim}"
-    )
-
-
-def _old_joint_concavity_check(dim, trials, rng):
-    margins = []
-    for _ in range(trials):
-        parts = int(rng.integers(2, 4))
-        weights = rng.dirichlet(np.ones(parts))
-        rhos = [_old_random_pair(dim, rng, mixed=bool(k % 2))[0] for k in range(parts)]
-        sigmas = [_old_random_pair(dim, rng, mixed=bool(k % 2))[1] for k in range(parts)]
-        mix_r = DensityMatrix(
-            sum(w * r.matrix for w, r in zip(weights, rhos))
-        )
-        mix_s = DensityMatrix(
-            sum(w * s.matrix for w, s in zip(weights, sigmas))
-        )
-        lhs = _old_sqrt_fidelity_mixed(mix_r, mix_s)
-        rhs = float(
-            sum(
-                w * _old_sqrt_fidelity_mixed(r, s)
-                for w, r, s in zip(weights, rhos, sigmas)
-            )
-        )
-        margins.append(lhs - rhs + 1e-8)
-    return _old_report("sqrt-fidelity-joint-concavity", margins, detail=f"D={dim}")
+# The stacked checks against their per-trial loops in ``oracles``, which draw
+# and evaluate one trial at a time on validated objects and 2-d kernels:
+# every report, every single-pair metric and the generator state after each
+# check must be equal to theirs.
 
 
 def _one_chunk(dim):
     return max(1, verify._STACK_CHUNK // dim**2)
+
+
+def _mixtures(dim, ranks, rng):
+    """One density matrix per entry of ``ranks`` from the audits' raw-draw
+    producer: pure at rank 1, a Dirichlet mixture of Haar states above it,
+    and zero at rank 0, whose normals are zero and never normalised."""
+    ranks = np.asarray(ranks)
+    units = rng.standard_normal((len(ranks), dim, 2 * dim))
+    units[ranks == 0] = 0.0
+    weights = np.zeros((len(ranks), dim))
+    for w, r in zip(weights, ranks):
+        if r:
+            w[:r] = rng.dirichlet(np.ones(r))
+    return verify._density_stack(units, weights, ranks)
 
 
 def _pairs(dim, rng):
@@ -350,8 +228,8 @@ def _pairs(dim, rng):
     yield pure, DensityMatrix.from_state(StateVector(b_perp / np.linalg.norm(b_perp)))
     yield pure, pure
     for rank in (2, dim):
-        rho = verify._random_mixed(dim, rank, rng)
-        yield DensityMatrix(rho), DensityMatrix(verify._random_mixed(dim, rank, rng))
+        rho, sigma = _mixtures(dim, [rank, rank], rng)
+        yield DensityMatrix(rho), DensityMatrix(sigma)
         yield DensityMatrix(rho), DensityMatrix(rho)
 
 
@@ -361,35 +239,25 @@ class TestStackedChecksBits:
     @pytest.mark.parametrize("epsilon", [0, 0.1, 0.3, 0.5, 1])
     def test_disturbance_checks_match_per_trial_loops(self, epsilon, dim, seed):
         for trials in (0, 1, 2, 61):
-            for new, old in (
-                (distance_contraction_check, _old_distance_contraction_check),
-                (fidelity_disturbance_check, _old_fidelity_disturbance_check),
-            ):
+            for check in (distance_contraction_check, fidelity_disturbance_check):
                 s = SEED + 1000 * seed + trials
-                got = new(epsilon, dim, trials, np.random.default_rng(s))
-                assert got == old(epsilon, dim, trials, np.random.default_rng(s))
+                _assert_matches_oracle(check, (epsilon, dim, trials), s)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_joint_concavity_matches_per_trial_loop(self, dim, seed):
         for trials in (0, 1, 2, 61):
             s = SEED + 1000 * seed + trials
-            want = _old_joint_concavity_check(dim, trials, np.random.default_rng(s))
-            assert joint_concavity_check(dim, trials, np.random.default_rng(s)) == want
+            _assert_matches_oracle(joint_concavity_check, (dim, trials), s)
 
     def test_one_chunk_and_one_trial(self):
         # D = 8 keeps this fast: a chunk is 256 trials there, 4096 at D = 2
         dim = 8
         trials = _one_chunk(dim) + 1
         s = SEED + 7000
-        for new, old in (
-            (distance_contraction_check, _old_distance_contraction_check),
-            (fidelity_disturbance_check, _old_fidelity_disturbance_check),
-        ):
-            got = new(0.3, dim, trials, np.random.default_rng(s))
-            assert got == old(0.3, dim, trials, np.random.default_rng(s))
-        got = joint_concavity_check(dim, trials, np.random.default_rng(s))
-        assert got == _old_joint_concavity_check(dim, trials, np.random.default_rng(s))
+        for check in (distance_contraction_check, fidelity_disturbance_check):
+            _assert_matches_oracle(check, (0.3, dim, trials), s)
+        _assert_matches_oracle(joint_concavity_check, (dim, trials), s)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_odd_sized_chunks(self, dim, monkeypatch):
@@ -397,19 +265,72 @@ class TestStackedChecksBits:
         # pure/mixed alternation must carry on from the previous chunk
         monkeypatch.setattr(verify, "_STACK_CHUNK", 3 * dim**2)
         s = SEED + 8000 + dim
-        for new, old in (
-            (distance_contraction_check, _old_distance_contraction_check),
-            (fidelity_disturbance_check, _old_fidelity_disturbance_check),
-        ):
-            got = new(0.5, dim, 13, np.random.default_rng(s))
-            assert got == old(0.5, dim, 13, np.random.default_rng(s))
-        got = joint_concavity_check(dim, 13, np.random.default_rng(s))
-        assert got == _old_joint_concavity_check(dim, 13, np.random.default_rng(s))
+        for check in (distance_contraction_check, fidelity_disturbance_check):
+            _assert_matches_oracle(check, (0.5, dim, 13), s)
+        _assert_matches_oracle(joint_concavity_check, (dim, 13), s)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "check", [recovery_floor_check, closed_form_check, orthogonal_challenge_check]
+    )
+    def test_emulation_audits_match_per_trial_loops(self, check, seed):
+        for trials in (0, 1, 2, 61):
+            s = SEED + 1000 * seed + trials
+            _assert_matches_oracle(check, (trials,), s)
+
+    def test_complement_redraw_stays_in_its_trial(self, monkeypatch):
+        # the third trial's first complement draw lands on a sample: its
+        # residual is round-off, so it is drawn again before the next trial
+        redraws = []
+
+        def landing_in_span(module):
+            real, calls = module._complement_vector, []
+
+            def complement(basis, dim, rng):
+                calls.append(1)
+                draw = numerics._haar_vector
+
+                def on_a_sample(dim, rng):
+                    draw(dim, rng)  # the draw the sample stands in for
+                    monkeypatch.setattr(numerics, "_haar_vector", draw)
+                    redraws.append(1)
+                    return basis[0].copy()
+
+                if len(calls) == 3:
+                    monkeypatch.setattr(numerics, "_haar_vector", on_a_sample)
+                return real(basis, dim, rng)
+
+            return complement
+
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "_complement_vector", landing_in_span(module))
+        s = SEED + 400
+        _assert_matches_oracle(orthogonal_challenge_check, (5,), s)
+        assert len(redraws) == 2
+
+    def test_post_selection_failure_skips_the_trial(self, monkeypatch):
+        # every third run fails post-selection: its trial adds no margin, and
+        # the next trial's draws follow in order
+        def failing_every_third(module):
+            real, calls = module.run_full, []
+
+            def run(cfg, psi, **kw):
+                calls.append(1)
+                if len(calls) % 3 == 0:
+                    raise PostSelectionFailure("stage 2 cannot pass", pass_prob=0.0)
+                return real(cfg, psi, **kw)
+
+            return run
+
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "run_full", failing_every_third(module))
+        rep = _assert_matches_oracle(recovery_floor_check, (10,), SEED + 500)
+        assert rep.trials == 7
 
     @pytest.mark.parametrize("trials", [1, 2, 37, 2000, 10000])
     def test_swap_battery_matches_per_trial_loop(self, trials):
         s = SEED + trials
-        _assert_matches_oracle(swap_statistics_check, trials, np.random.default_rng, s)
+        _assert_matches_oracle(swap_statistics_check, (trials,), s)
 
     @pytest.mark.parametrize("chunk", [None, 3])
     @pytest.mark.parametrize("trials", [1, 2, 37, 2000])
@@ -419,7 +340,7 @@ class TestStackedChecksBits:
         if chunk is not None:
             monkeypatch.setattr(verify, "_STACK_CHUNK", chunk * 4**2)
         s = SEED + trials
-        _assert_matches_oracle(negative_control_check, trials, np.random.default_rng, s)
+        _assert_matches_oracle(negative_control_check, (trials,), s)
 
     @pytest.mark.parametrize("chunk", [7, 3])
     @pytest.mark.parametrize("trials", [1, 2, 37, 2000])
@@ -431,7 +352,7 @@ class TestStackedChecksBits:
         # one-pair trials, then pieces of 3 and 2, then six of 3 and one of 2
         monkeypatch.setattr(testers, "_DRAW_CHUNK", chunk)
         s = SEED + 100 * chunk + trials
-        _assert_matches_oracle(swap_statistics_check, trials, np.random.default_rng, s)
+        _assert_matches_oracle(swap_statistics_check, (trials,), s)
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("trials", [1, 2, 37])
@@ -441,7 +362,7 @@ class TestStackedChecksBits:
             monkeypatch.setattr(testers, "_DRAW_CHUNK", chunk)
         s = SEED + 200 + trials
         quarters = oracles.QuarterUniforms
-        _assert_matches_oracle(swap_statistics_check, trials, quarters, s)
+        _assert_matches_oracle(swap_statistics_check, (trials,), s, quarters)
 
     def test_negative_control_refuses_close_inputs_like_check_collision(
         self, monkeypatch
@@ -472,26 +393,29 @@ class TestStackedChecksBits:
         rng = np.random.default_rng(SEED + 9000 + dim)
         for _ in range(3):
             for rho, sigma in _pairs(dim, rng):
-                assert fidelity_mixed(rho, sigma) == _old_fidelity_mixed(rho, sigma)
-                assert sqrt_fidelity_mixed(rho, sigma) == _old_sqrt_fidelity_mixed(
+                assert fidelity_mixed(rho, sigma) == oracles.fidelity_2d(rho, sigma)
+                assert sqrt_fidelity_mixed(rho, sigma) == oracles.sqrt_fidelity_2d(
                     rho, sigma
                 )
-                assert trace_distance(rho, sigma) == _old_trace_distance(rho, sigma)
+                want = oracles.trace_distance_2d(rho, sigma)
+                assert trace_distance(rho, sigma) == want
                 channel = EpsilonDisturbedChannel(
                     float(rng.uniform()), haar_unitary(dim, rng)
                 )
                 assert np.array_equal(
                     channel_apply(channel, rho).matrix,
-                    _old_channel_apply(channel, rho).matrix,
+                    oracles.channel_apply_2d(channel, rho).matrix,
                 )
 
 
-def _assert_matches_oracle(check, trials, make_rng, seed):
-    """``check`` and its per-trial loop in ``oracles`` give equal reports and
-    leave equal generator states."""
+def _assert_matches_oracle(check, args, seed, make_rng=np.random.default_rng):
+    """``check(*args, rng)`` and its per-trial loop in ``oracles`` give equal
+    reports and leave equal generator states; returns the report."""
     rng, twin = make_rng(seed), make_rng(seed)
-    assert check(trials, rng) == getattr(oracles, check.__name__)(trials, twin)
+    got = check(*args, rng)
+    assert got.as_dict() == getattr(oracles, check.__name__)(*args, twin).as_dict()
     assert rng.bit_generator.state == twin.bit_generator.state
+    return got
 
 
 def _old_orthogonal_challenge_check(trials, rng):
@@ -499,7 +423,7 @@ def _old_orthogonal_challenge_check(trials, rng):
     with its margins in decades."""
     margins = []
     for _ in range(trials):
-        cfg, _ = verify._random_qe_config(rng, (2, 3), (2, 3))
+        cfg, _ = oracles._random_qe_config(rng, (2, 3), (2, 3))
         proj = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
         for e in span_projector(cfg.samples_in).basis:
             proj += np.outer(e, e.conj())
@@ -515,7 +439,7 @@ def _old_orthogonal_challenge_check(trials, rng):
             margins.append(-12.0 - math.log10(max(exc.pass_prob**2, 1e-300)))
         else:
             margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
-    return _old_report("orthogonal-challenge-rejection", margins)
+    return oracles._loop_report("orthogonal-challenge-rejection", margins)
 
 
 class TestOrthogonalChallengeBits:
@@ -638,12 +562,13 @@ class TestUnvalidatedProducers:
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_random_pairs_and_mixtures(self, dim):
+        # pure states and mixtures at every rank 1..D from raw draws; a
+        # padding entry (rank 0) stays exactly zero, with no NaN from 0/0
         rng = np.random.default_rng(SEED + 100 + dim)
-        for _ in range(10):
-            for mixed in (False, True):
-                _density_matrices(np.array(verify._random_pair(dim, rng, mixed)))
-            for rank in range(1, dim + 1):
-                _density_matrices(verify._random_mixed(dim, rank, rng))
+        ranks = np.repeat(np.arange(dim + 1), 10)
+        states = _mixtures(dim, ranks, rng)
+        _density_matrices(states[ranks > 0])
+        assert not np.any(states[ranks == 0])
 
     @pytest.mark.parametrize("epsilon", [0, 0.3, 1])
     @pytest.mark.parametrize("dim", [2, 4, 8])
