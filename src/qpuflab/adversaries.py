@@ -37,7 +37,7 @@ from .numerics import (
     UnitaryMatrix,
     _as_int,
     _check_dim,
-    _complement_vector,
+    _complement_rows,
     _gram_deviation,
     _normalised,
     _unchecked,
@@ -167,8 +167,9 @@ class _SubspaceChunk:
             guesses += challenges[:, j, np.newaxis] * responses[:, j]
             in_weight += [abs(c) ** 2 for c in challenges[:, j].tolist()]
         rest = 1.0 - np.minimum(in_weight, 1.0)
-        for t in np.flatnonzero(rest > 1e-12) if self.d < dim else ():
-            guesses[t] += np.sqrt(rest[t]) * _complement_vector(responses[t], dim, rngs[t])
+        rows = np.flatnonzero(rest > 1e-12) if self.d < dim else []
+        draws = _complement_rows(responses[rows], [rngs[t] for t in rows])
+        guesses[rows] += np.sqrt(rest[rows])[:, np.newaxis] * draws
         return _normalised(guesses)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -283,7 +284,9 @@ def _add_common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; its subcommands bind ``_cmd_*`` when it is first built."""
     parser = argparse.ArgumentParser(
         prog="qpuflab",
         description="numerical laboratory for unitary-device unforgeability",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
 from .numerics import RANK_TOL, StateVector, _as_int, _check_qubits, _check_seed
-from .numerics import _ginibre, _haar_qr, _haar_vector, _row_dots, _unchecked
+from .numerics import _haar_qr, _haar_rows, _row_dots, _unchecked
 from .numerics import fidelity_pure, haar_state
 # qgen, qeval and span_projector are not called here; the traced benchmark
 # patches them at these names, so they stay importable
@@ -139,17 +139,17 @@ def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDe
 
 
 def _blocks(cfg: "GameConfig", rngs: list[np.random.Generator]) -> np.ndarray:
-    """The ``(T, D, k)`` device blocks of a chunk of game streams: each
-    stream's first draw seeds a ``(D, k)`` Ginibre block, ``k = min(budget +
-    1, D)`` (all a game can span), and one stacked QR factors them all, so
-    block ``t`` is bit for bit the one ``rngs[t]`` alone gives."""
+    """The ``(T, D, k)`` device blocks of a chunk of game streams: each stream's
+    first draw seeds one ``standard_normal(2Dk)`` call, a ``(D, k)`` Ginibre
+    block (``k = min(budget + 1, D)``, all a game can span), and one stacked QR
+    factors them all, so block ``t`` is bit for bit the one ``rngs[t]`` alone gives."""
     _check_qubits(cfg.gen.qubits)
     dim, k = _block_shape(cfg)
-    blocks = []
-    for rng in rngs:
+    raw = np.empty((len(rngs), 2, dim, k))
+    for row, rng in zip(raw, rngs):
         _check_seed(seed := _device_seed(rng))
-        blocks.append(_ginibre(dim, np.random.default_rng(seed), k))
-    return _haar_qr(np.array(blocks))
+        np.random.default_rng(seed).standard_normal(out=row)
+    return _haar_qr(raw[:, 0] + 1j * raw[:, 1])
 
 
 def _block_shape(cfg: "GameConfig") -> tuple[int, int]:
@@ -323,7 +323,7 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list) -> list[T
         # are its block's first d columns, copied to rows as respond's bits need
         d = len(queries)
         responses = np.ascontiguousarray(blocks[:, :, :d].transpose(0, 2, 1))
-        challenges = np.array([_haar_vector(dim, rng) for rng in rngs])
+        challenges = _haar_rows(dim, rngs)
         # the device's Gram-Schmidt step against e_0 .. e_{d-1} takes psi_j as
         # coefficients and leaves psi with them zeroed, exactly, so its second
         # pass, which would project zeros, changes no bit

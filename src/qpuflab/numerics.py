@@ -226,12 +226,16 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def _normalised(rows: np.ndarray) -> np.ndarray:
-    """Each row of a ``(T, D)`` stack over its norm, by the dots
-    ``np.linalg.norm`` takes: row ``t`` has the bits of ``x / np.linalg.norm(x)``
-    for ``x = rows[t]``.  Pass only drawn rows: a zero padding row gives NaN."""
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a ``(T, D)`` stack, bit for bit, by its dots."""
     re, im = rows.real, rows.imag
-    return rows / np.sqrt(_row_dots(re, re) + _row_dots(im, im))[:, np.newaxis]
+    return np.sqrt(_row_dots(re, re) + _row_dots(im, im))
+
+
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    """Each row ``x`` of a ``(T, D)`` stack as ``x / np.linalg.norm(x)``, bit for
+    bit.  Pass only drawn rows: a zero padding row gives NaN."""
+    return rows / _norms(rows)[:, np.newaxis]
 
 
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -350,6 +354,19 @@ def _complement_vector(basis, dim: int, rng: np.random.Generator) -> np.ndarray:
             return v / norm
 
 
+def _complement_rows(bases: np.ndarray, rngs) -> np.ndarray:
+    """``_complement_vector(bases[t], D, rngs[t])`` of each ``(r, D)`` basis of a
+    ``(T, r, D)`` stack, bit for bit, with ``np.vdot``'s projections on the stack;
+    a short residual is redrawn by that call on its own stream, as its loop would."""
+    v = _haar_rows(bases.shape[2], rngs)
+    for e in bases.transpose(1, 0, 2):
+        v -= _row_dots(e.conj(), v)[:, np.newaxis] * e
+    norm = _norms(v)
+    for t in np.flatnonzero(~(norm > 1e-6)):  # the redraw comes normalised
+        v[t], norm[t] = _complement_vector(bases[t], bases.shape[2], rngs[t]), 1.0
+    return v / norm[:, np.newaxis]
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of i.i.d. complex Gaussians."""
     _check_dim(dim)
@@ -361,6 +378,15 @@ def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     validated, and the caller owns the (writable) array."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def _haar_rows(dim: int, rngs) -> np.ndarray:
+    """``_haar_vector(dim, rng)`` of each stream, bit for bit, as ``(T, D)`` rows:
+    one ``standard_normal(2D)`` call per stream, then arithmetic on the stack."""
+    raw = np.empty((len(rngs), 2 * dim))
+    for row, rng in zip(raw, rngs):
+        rng.standard_normal(out=row)
+    return _normalised(raw[:, :dim] + 1j * raw[:, dim:])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:

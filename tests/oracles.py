@@ -32,11 +32,21 @@ from qpuflab.adversaries import _forger_circuit
 from qpuflab.emulator import closed_form_state, run_full, run_stage1
 from qpuflab.numerics import (
     _complement_vector,
+    _ginibre,
+    _haar_qr,
     _haar_vector,
     _unchecked,
     span_projector,
 )
 from qpuflab.verify import _check_inputs, _log_margin, _report
+
+
+def device_block(dim, k, rng):
+    """One game's ``(D, k)`` device block from its own stream alone: the
+    stream's first draw seeds a generator, ``_ginibre`` draws its real and its
+    imaginary parts in two calls, and ``_haar_qr`` factors that one matrix."""
+    seed = int(rng.integers(0, 2**63))
+    return _haar_qr(_ginibre(dim, np.random.default_rng(seed), k)[np.newaxis])[0]
 
 
 class SubspaceOracle(SubspaceAdversary):

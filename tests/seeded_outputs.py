@@ -3,6 +3,7 @@
 Usage::
 
     python tests/seeded_outputs.py OUT [PARENT_OUT [--changed NAME ...]]
+    python tests/seeded_outputs.py OUT --write-digests
 
 Runs nineteen seeded subcommands with the ``qpuflab`` package of this checkout
 (the ``src/`` directory beside this one) and writes each output, with its
@@ -19,6 +20,14 @@ and its own new manifest must replay to the new bytes; the parent's
 manifest is not replayed for it.  Every other output is held to the parent's
 bytes as above.
 
+``--write-digests`` writes OUT, then records the SHA-256 of every output
+(never of a manifest) in ``seeded_digests.json`` beside this file, with the
+environment that produced them: Python, numpy, its BLAS and the BLAS's core
+type, the machine and numpy's SIMD extensions.  A Tier-1 test
+(``test_seeded_digests.py``) checks each output against that file, so a
+change that alters an output commits the new file and names the output in
+CHANGES.md, as ``--changed`` names it here.
+
 The summary also reports this checkout's ``src/qpuflab`` source lines and
 ``len(qpuflab.__all__)``, the two code-size figures ROADMAP tracks.
 
@@ -30,14 +39,22 @@ collect this file, because its name lacks the ``test_`` prefix.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import hashlib
+import json
+import platform
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+import numpy as np  # noqa: E402
+
 import qpuflab  # noqa: E402
 from qpuflab.cli import main as qpuflab_main  # noqa: E402
+
+DIGESTS = Path(__file__).resolve().with_name("seeded_digests.json")
 
 _FORGER = [
     "game", "--mode", "qex", "--adversary", "forger",
@@ -92,6 +109,52 @@ RUNS: dict[str, tuple[list[str], int]] = {
 }
 
 
+def _blas_core() -> str:
+    """The core type the bundled OpenBLAS picked at run time, or ``unknown``."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                corename = getattr(handle, f"{prefix}_get_corename{suffix}", None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    return corename().decode()
+    return "unknown"
+
+
+def environment() -> dict[str, str]:
+    """What an output's bits depend on besides the code and the seed."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # a numpy older than 1.26 only prints its build
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _blas_core(),
+        "machine": platform.machine(),
+        "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
+    }
+
+
+def write_outputs(out: Path) -> list[str]:
+    """Run every seeded subcommand into ``out``; problems for wrong exit codes."""
+    out.mkdir(parents=True, exist_ok=True)
+    problems = []
+    for name, (cmd, code) in RUNS.items():
+        got = qpuflab_main(cmd + ["--out", str(out / name)])
+        if got != code:
+            problems.append(f"{name}: exit {got}, expected {code}")
+    return problems
+
+
+def digests(out: Path) -> dict[str, str]:
+    """The SHA-256 of each output in ``out``, by name."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RUNS}
+
+
 def _same_bytes(a: Path, b: Path) -> bool:
     try:
         return a.read_bytes() == b.read_bytes()
@@ -106,7 +169,13 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("out", type=Path)
     parser.add_argument("parent", type=Path, nargs="?")
     parser.add_argument("--changed", nargs="+", default=[], metavar="NAME")
+    parser.add_argument(
+        "--write-digests", action="store_true",
+        help=f"record the outputs' digests and environment in {DIGESTS.name}",
+    )
     args = parser.parse_args(argv)
+    if args.write_digests and args.parent is not None:
+        parser.error("--write-digests takes no PARENT_OUT")
     unknown = sorted(set(args.changed) - set(RUNS))
     if unknown:
         parser.error(f"--changed names no seeded output: {', '.join(unknown)}")
@@ -130,12 +199,11 @@ def _replay(manifest: Path, out: Path, want: Path, code: int, whose: str) -> lis
 def main(argv: list[str]) -> int:
     args = _parse(argv)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    problems: list[str] = []
-    for name, (cmd, code) in RUNS.items():
-        got = qpuflab_main(cmd + ["--out", str(out / name)])
-        if got != code:
-            problems.append(f"{name}: exit {got}, expected {code}")
+    problems = write_outputs(out)
+    if args.write_digests and not problems:
+        record = {"environment": environment(), "digests": digests(out)}
+        DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {DIGESTS.name}")
     if args.parent is not None:
         parent: Path = args.parent
         replay = out / "replay"

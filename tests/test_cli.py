@@ -289,6 +289,10 @@ class TestParser:
             cli.main(["game", "--mode", "qsel"])
         capsys.readouterr()
 
+    def test_parser_is_built_once_per_process(self):
+        # replay re-enters main: a game and its replay built it three times
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestExitCodes:
     """Bad input exits 2 with an ``error:`` line, never 1 (audit violations)."""

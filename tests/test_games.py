@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ForgerOracle, SubspaceOracle
-from qpuflab import adversaries, emulator, games
+from oracles import ForgerOracle, SubspaceOracle, device_block
+from qpuflab import adversaries, emulator, games, numerics
 from qpuflab import (
     AdversaryInterface,
     BudgetExceeded,
@@ -755,6 +755,155 @@ class TestWinRateEstimate:
         # Haar overlap concentrates near 1/D; delta=0.9 wins should be rare
         est = estimate_win_rate(sel_config(qubits=3, delta=0.9), RandomGuesser, trials=200)
         assert est.win_rate <= 0.05
+
+
+class TestDeviceBlocks:
+    """``games._blocks`` against ``oracles.device_block``, one stream at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_blocks_are_the_per_stream_oracle(self, qubits, chunk):
+        # every block width k = 1 .. D, over 7 streams cut into chunks of 1,
+        # of 3 (the last one partial) or of estimate_win_rate's default size
+        dim = 2**qubits
+        for k in range(1, dim + 1):
+            cfg = sel_config(qubits=qubits, budget=k - 1)
+            assert games._block_shape(cfg) == (dim, k)
+            children = np.random.SeedSequence(SEED + k).spawn(7)
+            rngs = [np.random.default_rng(c) for c in children]
+            twins = [np.random.default_rng(c) for c in children]
+            size = chunk or max(1, games._DRAW_CHUNK // (dim * k))
+            for start in range(0, len(rngs), size):
+                blocks = games._blocks(cfg, rngs[start:start + size])
+                for block, twin in zip(blocks, twins[start:start + size], strict=True):
+                    assert block.tobytes() == device_block(dim, k, twin).tobytes()
+            for rng, twin in zip(rngs, twins):
+                assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def transcript_bits(t):
+    return (
+        [q.amplitudes.tobytes() for q in t.queries],
+        t.d_spanned,
+        t.challenge.amplitudes.tobytes(),
+        t.outcome_b,
+        t.fidelity_of_guess.hex(),
+    )
+
+
+class TestSubspaceComplement:
+    """The rare branches of the chunk guess's complement draw against
+    ``SubspaceOracle`` in ``run_game``, in transcript bits and in the state of
+    every game's stream.  Game ``TARGET`` of three takes the branch."""
+
+    TARGET = 1
+
+    def play(self, cfg, d, plant_chunk=None, plant_oracle=None):
+        """Plays the games both ways; a ``plant_*(monkeypatch, rng)`` hook
+        patches one way with the target game's stream in hand."""
+        children = np.random.SeedSequence(cfg.seed).spawn(3)
+        rngs = [np.random.default_rng(c) for c in children]
+        twins = [np.random.default_rng(c) for c in children]
+        form = SubspaceAdversary(d)._chunk_form
+        with pytest.MonkeyPatch.context() as patch:
+            if plant_chunk is not None:
+                plant_chunk(patch, rngs[self.TARGET])
+            played = games._play_chunk(cfg, form, games._blocks(cfg, rngs), rngs)
+        with pytest.MonkeyPatch.context() as patch:
+            if plant_oracle is not None:
+                plant_oracle(patch, twins[self.TARGET])
+            loop = [run_game(cfg, SubspaceOracle(d), twin) for twin in twins]
+        for got, want in zip(played, loop, strict=True):
+            assert transcript_bits(got) == transcript_bits(want)
+        for rng, twin in zip(rngs, twins):
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_short_residual_redraws_on_its_own_stream(self):
+        # the target's first complement draw is replaced, after it is drawn,
+        # by its device's image of e_0, whose residual is round-off; both
+        # ways must then redraw from that game's stream, and only from it
+        cfg = dataclasses.replace(sel_config(qubits=3, budget=2), test=SWAP5)
+        child = np.random.SeedSequence(cfg.seed).spawn(3)[self.TARGET]
+        image = games._blocks(cfg, [np.random.default_rng(child)])[0][:, 0]
+        redraws, target_draws = [], []
+
+        def plant_chunk(patch, target):
+            def first_draws(dim, rngs):
+                rows = real_rows(dim, rngs)
+                rows[[i for i, rng in enumerate(rngs) if rng is target]] = image
+                return rows
+
+            def redraw(basis, dim, rng):
+                redraws.append(rng is target)
+                return real_redraw(basis, dim, rng)
+
+            real_rows, real_redraw = numerics._haar_rows, numerics._complement_vector
+            patch.setattr(numerics, "_haar_rows", first_draws)
+            patch.setattr(numerics, "_complement_vector", redraw)
+
+        def plant_oracle(patch, target):
+            # the target's draws: its challenge, its first complement, the redraw
+            def draw(dim, rng):
+                v = real_draw(dim, rng)
+                if rng is not target:
+                    return v
+                target_draws.append(v)
+                return image.copy() if len(target_draws) == 2 else v
+
+            real_draw = numerics._haar_vector
+            patch.setattr(numerics, "_haar_vector", draw)
+
+        self.play(cfg, 2, plant_chunk, plant_oracle)
+        assert redraws == [True]
+        assert len(target_draws) == 3
+
+    def test_challenge_in_the_learned_span_draws_no_complement(self):
+        # the target's challenge becomes e_0 after it is drawn: no weight is
+        # left outside the span, so neither way draws a complement for it
+        cfg = sel_config(qubits=3, budget=2)
+        e0 = basis(8, 0)
+        drawn = []
+
+        def plant_chunk(patch, target):
+            def challenges(dim, rngs):
+                rows = real_rows(dim, rngs)
+                rows[[i for i, rng in enumerate(rngs) if rng is target]] = e0.amplitudes
+                return rows
+
+            def complements(dim, rngs):
+                drawn.extend(rng is target for rng in rngs)
+                return real_rows(dim, rngs)
+
+            real_rows = numerics._haar_rows
+            patch.setattr(games, "_haar_rows", challenges)
+            patch.setattr(numerics, "_haar_rows", complements)
+
+        def plant_oracle(patch, target):
+            def challenge(dim, rng):
+                psi = real_state(dim, rng)
+                return e0 if rng is target else psi
+
+            real_state = games.haar_state
+            patch.setattr(games, "haar_state", challenge)
+
+        self.play(cfg, 2, plant_chunk, plant_oracle)
+        assert drawn == [False, False]
+
+    def test_spanning_basis_draws_no_complement(self):
+        # at d = D every challenge lies in the span
+        drawn = []
+
+        def plant_chunk(patch, target):
+            def complements(dim, rngs):
+                drawn.extend(rngs)
+                return real_rows(dim, rngs)
+
+            real_rows = numerics._haar_rows
+            patch.setattr(numerics, "_haar_rows", complements)
+
+        cfg = dataclasses.replace(sel_config(qubits=2, budget=4), test=SWAP5)
+        self.play(cfg, 4, plant_chunk)
+        assert drawn == []
 
 
 class TestTranscriptRecord:
