@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidQuantumObject, MuViolation
 from .numerics import RANK_TOL, StateVector, _as_int, _check_qubits, _check_seed
-from .numerics import _haar_qr, _haar_rows, _row_dots, _unchecked
+from .numerics import _haar_qr, _haar_rows, _row_dots, _seed_words, _stream, _unchecked
 from .numerics import fidelity_pure, haar_state
 # qgen, qeval and span_projector are not called here; the traced benchmark
 # patches them at these names, so they stay importable
@@ -45,6 +45,8 @@ QSEL = "qsel"
 #: ``estimate_win_rate``.  It bounds memory; one QR of the stack costs a
 #: fraction of one ``np.linalg.qr`` call per device at D <= 16
 _DRAW_CHUNK = 2**12
+#: trial keys per ``_seed_words`` call (whole chunks): it bounds the hash's memory
+_HASH_BLOCK = 2**12
 
 
 @runtime_checkable
@@ -141,15 +143,39 @@ def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDe
 def _blocks(cfg: "GameConfig", rngs: list[np.random.Generator]) -> np.ndarray:
     """The ``(T, D, k)`` device blocks of a chunk of game streams: each stream's
     first draw seeds one ``standard_normal(2Dk)`` call, a ``(D, k)`` Ginibre
-    block (``k = min(budget + 1, D)``, all a game can span), and one stacked QR
-    factors them all, so block ``t`` is bit for bit the one ``rngs[t]`` alone gives."""
+    block (``k = min(budget + 1, D)``, all a game can span), on ``default_rng``'s
+    generator for that seed, from one ``_seed_words`` call for the chunk's seeds
+    (low word first).  One stacked QR factors them all, so block ``t`` is bit
+    for bit the one ``rngs[t]`` alone gives."""
     _check_qubits(cfg.gen.qubits)
     dim, k = _block_shape(cfg)
+    seeds = [_device_seed(rng) for rng in rngs]
+    for seed in seeds:
+        _check_seed(seed)
     raw = np.empty((len(rngs), 2, dim, k))
-    for row, rng in zip(raw, rngs):
-        _check_seed(seed := _device_seed(rng))
-        np.random.default_rng(seed).standard_normal(out=row)
+    words = _seed_words(np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2))
+    for row, seed, w in zip(raw, seeds, words):
+        _stream(w, seed).standard_normal(out=row)
     return _haar_qr(raw[:, 0] + 1j * raw[:, 1])
+
+
+def _trial_streams(seed: int, trials: int, per_chunk: int, first: int = 0):
+    """Trial ``k``'s ``default_rng(SeedSequence(seed).spawn(k + 1)[k])`` for the
+    ``trials`` keys from ``first``, a chunk at a time, on words hashed a block
+    at a time: numpy pads the seed's words with zeros to its pool of 4, then
+    appends ``k``'s, low word first, dropping a high word of 0."""
+    block = per_chunk * max(1, _HASH_BLOCK // per_chunk)
+    for start in range(first, first + trials, block):
+        keys = np.arange(start, min(start + block, first + trials), dtype=np.uint64)
+        entropy = np.zeros((len(keys), 6), dtype=np.uint32)
+        entropy[:, :2] = np.array([seed], dtype="<u8").view("<u4")
+        entropy[:, 4:] = keys.astype("<u8").view("<u4").reshape(-1, 2)
+        cut = int(np.searchsorted(keys, 2**32))
+        parts = (entropy[:cut, :5], entropy[cut:])
+        words = np.concatenate([_seed_words(e) for e in parts if len(e)])
+        for at in range(0, len(keys), per_chunk):
+            chunk = zip(words[at:at + per_chunk], keys[at:at + per_chunk].tolist())
+            yield [_stream(w, seed, (key,)) for w, key in chunk]
 
 
 def _block_shape(cfg: "GameConfig") -> tuple[int, int]:
@@ -178,8 +204,9 @@ class GameConfig:
     """Mode, budget, test, and device generator for one game family.
 
     ``learning_budget`` may not exceed ``4 * gen.qubits**2``.  Only
-    ``gen.qubits`` is read: ``gen.seed`` is not, because ``run_game`` draws
-    each device's seed from the game's random stream, derived from ``seed``.
+    ``gen.qubits`` is read: ``gen.seed`` is not, because each device's seed is
+    the first draw of its game's random stream, derived from ``seed`` (in
+    ``estimate_win_rate``, game ``k``'s is ``SeedSequence(seed)``'s ``k``-th child).
     """
 
     mode: str
@@ -368,25 +395,23 @@ def estimate_win_rate(
     after scoring unless ``keep_transcripts`` is set.
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
-    with ``rng_k`` built from the ``k``-th child of
-    ``SeedSequence(cfg.seed)``.  The children are spawned and the devices'
-    blocks drawn a chunk of trials at a time (one stacked QR, about
-    ``_DRAW_CHUNK`` entries), each device from the first draw of its own
-    trial's stream, so every stream is consumed in the same order as by
-    ``run_game``.  A chunk plays as arrays, on ``(T, D)`` stacks, when its
+    with ``rng_k = default_rng(SeedSequence(cfg.seed).spawn(k + 1)[k])``.
+    The streams are built and the devices' blocks drawn a chunk of trials at
+    a time (one stacked QR, about ``_DRAW_CHUNK`` entries), each device from
+    the first draw of its own trial's stream, so every stream is consumed in
+    the same order as by ``run_game``.  No child is spawned: the children's
+    ``SeedSequence`` hash runs on arrays, a block of trial keys per call
+    (``_trial_streams``).  A chunk plays as arrays, on ``(T, D)`` stacks, when its
     adversaries are all ``SubspaceAdversary`` with one ``d`` in ``qsel``
     games or all ``QeForger`` with one ``mu`` in ``qex`` games; any other
     chunk plays game by game.  Either way trial ``k`` is the same game, bit for bit.
     """
     if _as_int(trials, "trials") < 1:
         raise InvalidQuantumObject("at least one trial is required")
-    seeds = np.random.SeedSequence(cfg.seed)
     per_chunk = max(1, _DRAW_CHUNK // math.prod(_block_shape(cfg)))
     wins = 0
     kept: list[Transcript] = []
-    for start in range(0, trials, per_chunk):
-        children = seeds.spawn(min(per_chunk, trials - start))
-        rngs = [np.random.default_rng(c) for c in children]
+    for rngs in _trial_streams(cfg.seed, trials, per_chunk):
         adversaries = [adversary_factory() for _ in rngs]
         forms = {getattr(a, "_chunk_form", None) for a in adversaries}
         form = forms.pop() if len(forms) == 1 else None

@@ -15,6 +15,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from collections.abc import Sequence
@@ -69,6 +70,83 @@ def _check_seed(seed) -> None:
     """The seed rule: an integer with ``0 <= seed < 2**64``."""
     if not 0 <= _as_int(seed, "seed") < 2**64:
         raise InvalidQuantumObject("seed must fit in an unsigned 64-bit integer")
+
+
+@functools.cache
+def _hash_consts(w: int) -> np.ndarray:
+    """numpy's ``SeedSequence`` constants for ``w``-word rows, a column per pool
+    word: ``mix``'s multipliers and shift, then the xor and multiplier of each
+    ``hashmix`` step: the pool's first hashing, ``generate_state``'s halves, the
+    mixing in of each word ``s`` (in a round, column ``s`` is unused)."""
+    a = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) % 2**32 for i in range(4 * max(w, 4) + 1)]
+    b = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(9)]
+    rounds = [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
+    steps = [(a, range(4)), (b, range(4)), (b, range(4, 8))] + [(a, r) for r in rounds]
+    steps += [(a, range(4 * s, 4 * s + 4)) for s in range(4, w)]
+    groups = [[0xCA01F9DD] * 4, [0x4973F715] * 4, [16] * 4]
+    groups += [[c[i + m] for i in step] for c, step in steps for m in (0, 1)]
+    consts = np.array(groups, dtype=np.uint32)
+    consts.setflags(write=False)  # every caller shares the cached array
+    return consts
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of a
+    ``(T, W)`` uint32 array of assembled entropy, as ``(T, 4)`` words: numpy's
+    hash (pool of 4, a short row zero-padded) over all rows at once."""
+    # numpy keeps this hash stable across releases (NEP 19), so these stay the
+    # words that default_rng seeds PCG64 with.  Every constant is spread over
+    # the T rows: numpy's loops run far faster on one shape than on a broadcast
+    t, w = entropy.shape
+    k = np.empty(_hash_consts(w).shape + (t,), dtype=np.uint32)
+    k[...] = _hash_consts(w)[..., None]
+
+    def hashmix(values, j):  # numpy's hashmix at step j's constants
+        h = values ^ k[3 + 2 * j]
+        h *= k[4 + 2 * j]
+        return h ^ h >> k[2]
+
+    def mix(pool, values, j):  # numpy's mix(pool, hashmix(values)), in place
+        pool[...] = pool * k[0] - hashmix(values, j) * k[1]
+        pool ^= pool >> k[2]
+
+    pool = np.zeros((4, t), dtype=np.uint32)
+    pool[:min(w, 4)] = entropy[:, :4].T
+    pool = hashmix(pool, 0)
+    for src in range(4):  # each pool word into every other, in numpy's order
+        word = pool[src].copy()
+        mix(pool, word, 3 + src)
+        pool[src] = word
+    for src in range(4, w):  # each word past the pool into all four
+        mix(pool, entropy[:, src], 3 + src)
+    g = np.concatenate((hashmix(pool, 1), hashmix(pool, 2)))
+    # numpy pairs the 8 words as little-endian uint64s, whatever the machine
+    return g.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _Hashed(np.random.bit_generator.ISpawnableSeedSequence):
+    """``SeedSequence(entropy, spawn_key=spawn_key)`` with its PCG64 words from
+    ``_seed_words``; ``spawn`` and other states come from ``real``, built when asked."""
+
+    def __init__(self, words: np.ndarray, entropy: int, spawn_key: tuple = ()) -> None:
+        self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) == (4, np.uint64):
+            return self.words
+        return self.real.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.real.spawn(n_children)
+
+    @functools.cached_property
+    def real(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
+
+
+def _stream(words: np.ndarray, entropy: int, key: tuple = ()) -> np.random.Generator:
+    """``default_rng(SeedSequence(entropy, spawn_key=key))`` on its ``words``."""
+    return np.random.Generator(np.random.PCG64(_Hashed(words, entropy, key)))
 
 
 def _check_dim(dim, least: int = 1) -> None:

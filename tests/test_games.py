@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -724,20 +725,52 @@ class TestWinRateEstimate:
         with pytest.raises(BudgetExceeded, match="budget of 2 queries"):
             estimate_win_rate(sel_config(budget=2), Glutton, trials=3)
 
-    def test_spawns_one_chunk_of_children_at_a_time(self, monkeypatch):
-        # spawning every trial's child up front held them all at once (a
-        # million trials peaked at 352 MB before the first game)
-        asked = []
+    def test_holds_one_chunk_of_streams_and_one_block_of_words(self, monkeypatch):
+        # building every trial's stream up front held them all at once (a
+        # million trials peaked at 352 MB before the first game): the trial
+        # keys are hashed a bounded block at a time, and when a chunk's
+        # devices are drawn its streams are the only ones alive
+        hashed, alive, built = [], [], []
 
-        class SpySeedSequence(np.random.SeedSequence):
-            def spawn(self, n_children):
-                asked.append(n_children)
-                return super().spawn(n_children)
+        def spy_words(entropy):
+            hashed.append(entropy.shape)
+            return real_words(entropy)
 
-        monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+        def spy_blocks(cfg, rngs):
+            built.extend(weakref.ref(rng.bit_generator.seed_seq) for rng in rngs)
+            alive.append(sum(ref() is not None for ref in built))
+            return real_blocks(cfg, rngs)
+
+        real_words, real_blocks = games._seed_words, games._blocks
+        monkeypatch.setattr(games, "_seed_words", spy_words)
+        monkeypatch.setattr(games, "_blocks", spy_blocks)
         monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * 4)  # 3 blocks of 4 x 1
+        monkeypatch.setattr(games, "_HASH_BLOCK", 7)  # 2 chunks of 3
         estimate_win_rate(sel_config(qubits=2, delta=0.3), RandomGuesser, trials=8)
-        assert asked == [3, 3, 2]
+        # trial keys (5 words a row) by block, device seeds (2 words) by chunk
+        assert hashed == [(6, 5), (3, 2), (3, 2), (2, 5), (2, 2)]
+        assert alive == [3, 3, 2]
+        assert len(built) == 8
+
+    def test_adversaries_see_each_trials_own_seed_sequence(self):
+        # an adversary may spawn from its stream or read its seed sequence;
+        # both must be what the trial's SeedSequence child gives
+        seen = []
+
+        class Probe(RandomGuesser):
+            def learn(self, oracle, dim, budget, rng):
+                seq = rng.bit_generator.seed_seq
+                kids = [c.bit_generator.state for c in rng.spawn(2) + rng.spawn(1)]
+                seen.append((seq.entropy, seq.spawn_key, kids))
+
+        cfg = sel_config(qubits=2, delta=0.3)
+        estimate_win_rate(cfg, Probe, trials=5)
+        for k, (entropy, key, kids) in enumerate(seen):
+            child = np.random.SeedSequence(cfg.seed).spawn(k + 1)[k]
+            want = np.random.default_rng(child)
+            assert (entropy, key) == (child.entropy, child.spawn_key) == (cfg.seed, (k,))
+            assert kids == [c.bit_generator.state for c in want.spawn(2) + want.spawn(1)]
+        assert len(seen) == 5
 
     def test_memory_stays_bounded(self):
         # one stacked draw of every device would hold 300 * 64**2 complex

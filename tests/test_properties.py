@@ -1,6 +1,7 @@
 """Property tests: fidelity and trace-distance laws, the disturbed family,
-and the array paths of selective games, of emulation-forger games and of the
-audits against their per-game and per-trial oracles.
+the array paths of selective games, of emulation-forger games and of the
+audits against their per-game and per-trial oracles, and the array seed hash
+of the game streams against numpy's own ``SeedSequence`` and ``default_rng``.
 
 Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
 the depolarizing strength; the states themselves come from a numpy generator
@@ -8,13 +9,14 @@ seeded by a drawn integer, so every failure shrinks to a replayable seed.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
@@ -38,7 +40,7 @@ from qpuflab import (  # noqa: E402
     run_game,
     trace_distance,
 )
-from qpuflab import games, testers, verify  # noqa: E402
+from qpuflab import games, numerics, testers, verify  # noqa: E402
 
 # fidelity_mixed zeroes round-off eigenvalues before taking square roots, so
 # even rank-one and identical inputs meet the package's derived tolerance.
@@ -270,3 +272,89 @@ def test_stacked_audits_replay_the_per_trial_oracles(epsilon, dim, trials, seed,
             got = check(*args, rng)
             assert got.as_dict() == getattr(oracles, check.__name__)(*args, twin).as_dict()
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# seed hashing against numpy's own SeedSequence and default_rng
+
+# seeds at the edges of numpy's 32-bit entropy words, and trial keys around
+# the edge where a key's words go from one to two
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+EDGE_KEYS = (2**32 - 1, 2**32, 2**40)
+any_seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
+words32 = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+HASH_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def _same_stream(got, want):
+    """Same state, then the same first draws, of two generators."""
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.integers(0, 2**63, size=3).tolist() == want.integers(0, 2**63, size=3).tolist()
+    assert got.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
+
+@HASH_PROPERTY
+@given(width=st.integers(1, 8), data=st.data())
+def test_seed_words_are_numpys_hash(width, data):
+    # every row width numpy pads (W < 4), fills (W = 4) or mixes in past the pool
+    row = st.lists(words32, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    got = numerics._seed_words(np.array(rows, dtype=np.uint32))
+    want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows]
+    assert got.dtype == np.uint64 and got.tobytes() == np.array(want).tobytes()
+
+
+@HASH_PROPERTY
+@given(device_seeds=st.lists(any_seeds, min_size=1, max_size=5), qubits=st.integers(1, 3))
+@example(device_seeds=list(EDGE_SEEDS), qubits=2)
+def test_device_streams_are_default_rngs(device_seeds, qubits):
+    # a chunk's device seeds, at the word edges too (2**64 - 1 is past what a
+    # stream draws), seed the generators and blocks that default_rng gives
+    cfg = GameConfig(mode="qsel", gen=QPufGenParams(qubits=qubits, seed=0),
+                     test=TestConfig(kind="ideal", delta=0.5), learning_budget=1, seed=0)
+    dim, k = games._block_shape(cfg)
+    seeds, built = iter(device_seeds), []
+
+    def stream(*args):
+        built.append(real_stream(*args))
+        return built[-1]
+
+    real_stream = games._stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "_device_seed", lambda rng: next(seeds))
+        patch.setattr(games, "_stream", stream)
+        blocks = games._blocks(cfg, [None] * len(device_seeds))
+    for block, got, seed in zip(blocks, built, device_seeds, strict=True):
+        want = np.random.default_rng(seed)
+        alone = numerics._haar_qr(numerics._ginibre(dim, want, k)[np.newaxis])[0]
+        assert block.tobytes() == alone.tobytes()
+        _same_stream(got, want)
+
+
+@HASH_PROPERTY
+@given(
+    seed=any_seeds,
+    first=st.one_of(st.integers(0, 3), st.sampled_from(EDGE_KEYS).map(lambda key: key - 3)),
+    trials=st.integers(1, 12),
+    per_chunk=st.integers(1, 4),
+    block=st.integers(1, 9),
+)
+@example(seed=2**64 - 1, first=2**32 - 3, trials=7, per_chunk=2, block=5)
+@example(seed=2**32, first=2**40 - 1, trials=3, per_chunk=3, block=9)
+def test_trial_streams_are_numpys_children(seed, first, trials, per_chunk, block):
+    # keys in chunks and hash blocks of any size, across the two-word edge:
+    # trial k's stream is default_rng of SeedSequence(seed).spawn(k + 1)[k],
+    # whose spawn key is (k,)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "_HASH_BLOCK", block)
+        chunks = list(games._trial_streams(seed, trials, per_chunk, first))
+    assert all(1 <= len(chunk) <= per_chunk for chunk in chunks)
+    streams = [rng for chunk in chunks for rng in chunk]
+    for key, got in itertools.zip_longest(range(first, first + trials), streams):
+        child = np.random.SeedSequence(seed, spawn_key=(key,))
+        if key < 4:
+            assert child.state == np.random.SeedSequence(seed).spawn(key + 1)[key].state
+        seq = got.bit_generator.seed_seq
+        assert (seq.entropy, seq.spawn_key) == (seed, (key,))
+        assert seq.words.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        _same_stream(got, np.random.default_rng(child))
