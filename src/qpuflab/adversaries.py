@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import QeConfig, QeRunResult, _system_state, _through_stage2, run_full
+from .emulator import QeConfig, QeRunResult, _final_state, _run, _through_stage2, run_full
 from .errors import (
     BudgetRefusal,
     DimensionMismatch,
@@ -307,10 +307,13 @@ def _forger_circuit(plan: ForgerPlan, responses: tuple) -> QeConfig:
     return QeConfig(samples_in=samples, samples_out=responses, reference_index=1)
 
 
-def _principal_states(rho: np.ndarray) -> np.ndarray:
-    """The normalised principal eigenvectors of a ``(T, D, D)`` stack of
-    density matrices, each turned so that its largest entry is positive."""
-    vecs = np.linalg.eigh(rho)[1][..., -1]
+def _principal_states(final: np.ndarray) -> np.ndarray:
+    """The normalised principal eigenvectors of ``F F^dag`` for a ``(T, D, m)``
+    stack of circuit states ``F``, each turned so that its largest entry is
+    positive.  ``F^dag F u = lam u`` gives ``F F^dag (F u) = lam F u``, so they
+    are ``F u / sqrt(lam)``: one ``eigh`` of the ``(m, m)`` Gram matrix each."""
+    gram = final.conj().swapaxes(-1, -2) @ final
+    vecs = (final @ np.linalg.eigh(gram)[1][..., -1:])[..., 0]
     # on numpy scalars: array abs and Python complex division round otherwise
     phases = [x[p].conj() / abs(x[p]) for x in vecs for p in [np.argmax(np.abs(x))]]
     return _normalised(vecs * np.array(phases)[:, np.newaxis])
@@ -321,7 +324,8 @@ class QeForger:
 
     Learning queries the plan's ``phi1`` and ``phi2``; the challenge is
     ``phi3``; the guess is the principal eigenvector of the circuit's output
-    (``phi2`` as reference), exact whenever that output is pure.
+    (``phi2`` as reference), exact whenever that output is pure; it comes from
+    the ``(2, 2)`` Gram matrix of the circuit's state, not the ``(D, D)`` output.
     The stage-2 measurement is sampled (one physical run, no retries), so on
     the weighted branch the guess occasionally comes from the failure
     branch; at mu <= 1/2 stage 2 passes with certainty.
@@ -359,16 +363,16 @@ class QeForger:
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
         cfg = _forger_circuit(self.plan, self._responses)
-        self.last_result = run_full(cfg, challenge, rng=rng)
-        rho = self.last_result.output_mixed.matrix
-        return _unchecked(StateVector, amplitudes=_principal_states(rho[np.newaxis])[0])
+        self.last_result, final = _run(cfg, challenge, rng)
+        return _unchecked(StateVector, amplitudes=_principal_states(final[np.newaxis])[0])
 
 
 @dataclass(frozen=True)
 class _ForgerChunk:
     """``QeForger(mu)``'s queries, challenge and guess over a chunk of ``qex``
     games as arrays: stages 1 and 2 and the failure branch's guess once, and
-    stage 4 and the guess on ``(T, D)`` stacks of the games' responses."""
+    stage 4 and the guess on ``(T, D)`` stacks of the games' responses, the
+    guess from ``(T, 2, 2)`` Gram matrices, with no ``(T, D, D)`` stack."""
 
     mu: float
     mode = QEX
@@ -390,10 +394,10 @@ class _ForgerChunk:
         passed = np.array([rng.random() < stage2[2] for rng in rngs])
         guesses = np.empty(challenges.shape, dtype=np.complex128)
         if not passed.all():
-            guesses[~passed] = _principal_states(_system_state(circuit, stage2)[np.newaxis])
+            guesses[~passed] = _principal_states(_final_state(circuit, stage2)[np.newaxis])
         if passed.any():
             outputs = (responses[passed, 0], responses[passed, 1])
-            guesses[passed] = _principal_states(_system_state(circuit, stage2, outputs))
+            guesses[passed] = _principal_states(_final_state(circuit, stage2, outputs))
         return guesses
 
 

@@ -282,25 +282,21 @@ def _through_stage2(cfg: QeConfig, psi: StateVector) -> tuple:
     return joint, anc_overlap, pass_prob
 
 
-def _system_state(cfg: QeConfig, stage2: tuple, outputs: tuple | None = None) -> np.ndarray:
-    """The system's normalised state after ``_through_stage2``: as the failure
-    branch leaves it if ``outputs`` is None, else after stages 3 and 4 on the
-    output samples' amplitudes, (D,) for one run or (T, D) for a stack."""
+def _final_state(cfg: QeConfig, stage2: tuple, outputs: tuple | None = None) -> np.ndarray:
+    """The normalised (D, 2**blocks) joint state ``F`` after ``_through_stage2``:
+    as the failure branch leaves it if ``outputs`` is None, else after stages 3
+    and 4 on the output samples' amplitudes, (D,) for one run or (T, D) for a
+    stack of T states ``F``.  The system's output is ``F F^dag`` over its trace."""
     joint, anc_overlap, pass_prob = stage2
     if outputs is None:
         ref_in = cfg.samples_in[cfg.reference_index].amplitudes
         final = joint - np.multiply.outer(ref_in, anc_overlap)
-        final = final / np.linalg.norm(final)
-    else:
-        # the post-stage-2 state is ref (x) omega; stage 3 swaps in the output
-        # reference, stage 4 restores the input's information from omega
-        ref, omega = outputs[cfg.reference_index], anc_overlap / np.sqrt(pass_prob)
-        final = _run_blocks(ref[..., None] * omega, cfg, outputs, reverse=True)
-        final = final.reshape(*ref.shape, -1)
-    rho = final @ final.conj().swapaxes(-1, -2)
-    rho += rho.conj().swapaxes(-1, -2)  # in place: a stack holds fewer copies
-    rho *= 0.5
-    return np.divide(rho, np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], out=rho)
+        return final / np.linalg.norm(final)
+    # the post-stage-2 state is ref (x) omega; stage 3 swaps in the output
+    # reference, stage 4 restores the input's information from omega
+    ref, omega = outputs[cfg.reference_index], anc_overlap / np.sqrt(pass_prob)
+    final = _run_blocks(ref[..., None] * omega, cfg, outputs, reverse=True)
+    return final.reshape(*ref.shape, -1)
 
 
 def run_full(
@@ -319,6 +315,11 @@ def run_full(
     ``POST_SELECT_FLOOR`` raises :class:`PostSelectionFailure`, which carries
     it as ``pass_prob``, before anything is drawn.
     """
+    return _run(cfg, psi, rng, target)[0]
+
+
+def _run(cfg: QeConfig, psi: StateVector, rng=None, target=None) -> tuple:
+    """``run_full``'s result and the run's ``_final_state``."""
     d = cfg.dim
     if target is not None and target.dim != d:
         raise DimensionMismatch(f"target dim {target.dim} != system dim {d}")
@@ -326,7 +327,10 @@ def run_full(
     pass_prob = stage2[2]
     stage2_bit = 0 if rng is None or rng.random() < pass_prob else 1
     outputs = None if stage2_bit else tuple(s.amplitudes for s in cfg.samples_out)
-    output_mixed = _unchecked(DensityMatrix, matrix=_system_state(cfg, stage2, outputs))
+    final = _final_state(cfg, stage2, outputs)
+    rho = final @ final.conj().T
+    rho = (rho + rho.conj().T) * 0.5
+    output_mixed = _unchecked(DensityMatrix, matrix=rho / np.trace(rho).real)
     fidelity = None
     if target is not None:
         t = target.amplitudes
@@ -337,4 +341,4 @@ def run_full(
         p_succ_stage1=pass_prob**2,
         stage2_pass_prob=pass_prob,
         fidelity_vs_target=fidelity,
-    )
+    ), final

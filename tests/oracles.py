@@ -29,7 +29,7 @@ from qpuflab import (
     testers,
 )
 from qpuflab.adversaries import _forger_circuit
-from qpuflab.emulator import closed_form_state, run_full, run_stage1
+from qpuflab.emulator import _run, closed_form_state, run_full, run_stage1
 from qpuflab.numerics import (
     _complement_vector,
     _ginibre,
@@ -80,9 +80,10 @@ class SubspaceOracle(SubspaceAdversary):
 
 
 class ForgerOracle(QeForger):
-    """``QeForger`` whose guess is one game's principal eigenvector of the
-    one-run ``run_full`` output, written out, instead of the library's stack
-    rule; the phase is fixed on numpy scalars.
+    """``QeForger`` whose guess is one game's principal eigenvector, written
+    out for one run instead of the library's stack rule: the top eigenvector
+    ``u`` of the ``(m, m)`` Gram matrix ``F^dag F`` of the run's final state
+    ``F``, mapped to ``F u``; the phase is fixed on numpy scalars.
 
     Being a subclass, it has no chunk form, so games play it through
     ``games._play``.
@@ -92,11 +93,18 @@ class ForgerOracle(QeForger):
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
         cfg = _forger_circuit(self.plan, self._responses)
-        self.last_result = run_full(cfg, challenge, rng=rng)
-        vec = np.linalg.eigh(self.last_result.output_mixed.matrix)[1][:, -1]
+        self.last_result, final = _run(cfg, challenge, rng)
+        vec = final @ np.linalg.eigh(final.conj().T @ final)[1][:, -1]
         pivot = int(np.argmax(np.abs(vec)))
         vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
         return _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
+
+
+def dxd_principal_state(rho):
+    """The forger's guess by its former rule, kept as an independent check:
+    the principal eigenvector of the ``(D, D)`` output ``rho``, from one
+    ``np.linalg.eigh`` of the whole matrix."""
+    return np.linalg.eigh(rho)[1][:, -1]
 
 
 def run_test(cfg, target, guess, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import SubspaceOracle
+from oracles import SubspaceOracle, dxd_principal_state
 from qpuflab import (
     BudgetRefusal,
     DimensionCapExceeded,
@@ -213,6 +213,38 @@ class TestQeForger:
             self._config(0.75, delta=0.4), lambda: QeForger(0.75), trials=60
         )
         assert 0.6 <= est.win_rate <= 1.0
+
+    @pytest.mark.parametrize("mu", [0.5, 0.75, 0.875])
+    def test_gram_guess_is_the_dxd_principal_state(self, mu):
+        # the guess from the (2, 2) Gram matrix against the (D, D) output's
+        # principal eigenvector, over registers of 1 to 64 dimensions and
+        # both stage-2 branches; a passed game's fidelity is the same on
+        # every device and register (ROADMAP item 9's forger closed form)
+        class Recorder(QeForger):
+            def respond(self, challenge, rng):
+                self.guess = super().respond(challenge, rng)
+                return self.guess
+
+        passed = []
+        for n in (1, 2, 3, 4, 6):
+            if mu > 1.0 - 0.5 / 2**n:
+                continue  # 7/8 is past the forger's margin on one qubit
+            cfg = self._config(mu, delta=0.5, qubits=n)
+            bits = set()
+            for k in range(20):
+                forger = Recorder(mu)
+                t = run_game(cfg, forger, np.random.default_rng([SEED, n, k]))
+                old = dxd_principal_state(forger.last_result.output_mixed.matrix)
+                assert abs(np.vdot(forger.guess.amplitudes, old)) ** 2 >= 1.0 - 1e-12
+                bits.add(forger.last_result.stage2_bit)
+                if forger.last_result.stage2_bit == 0:
+                    passed.append(t.fidelity_of_guess)
+            assert bits == ({0} if mu <= 0.5 else {0, 1})
+        assert max(passed) - min(passed) <= 1e-12
+        if mu <= 0.5:
+            assert min(passed) >= 1.0 - 1e-12
+        if mu == 0.75:
+            assert passed[0] == pytest.approx(0.944526631, abs=1e-9)
 
     def test_records_its_last_run(self):
         forger = QeForger(0.5)

@@ -784,6 +784,21 @@ class TestWinRateEstimate:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_forger_chunk_holds_no_dxd_stack(self):
+        # one chunk of forger games at n = 6 peaks below the bytes of one
+        # (T, D, D) complex128 stack: its guesses come from (T, 2, 2) Gram
+        # matrices of the circuit's states, not from the (D, D) outputs
+        cfg = forger_config(0.75, qubits=6)
+        dim, k = games._block_shape(cfg)
+        per_chunk = games._DRAW_CHUNK // (dim * k)
+        tracemalloc.start()
+        try:
+            estimate_win_rate(cfg, lambda: QeForger(0.75), trials=per_chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_chunk * dim * dim * np.dtype(np.complex128).itemsize
+
     def test_random_guesser_rarely_wins_strict_test(self):
         # Haar overlap concentrates near 1/D; delta=0.9 wins should be rare
         est = estimate_win_rate(sel_config(qubits=3, delta=0.9), RandomGuesser, trials=200)
