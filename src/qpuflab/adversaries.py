@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import QeConfig, QeRunResult, _final_state, _run, _through_stage2, run_full
+from .emulator import QeConfig, QeRunResult, _check_dims, _final_state, _run, run_full
+from .emulator import _through_stage2
 from .errors import (
     BudgetRefusal,
     DimensionMismatch,
@@ -314,8 +315,9 @@ def _principal_states(final: np.ndarray) -> np.ndarray:
     are ``F u / sqrt(lam)``: one ``eigh`` of the ``(m, m)`` Gram matrix each."""
     gram = final.conj().swapaxes(-1, -2) @ final
     vecs = (final @ np.linalg.eigh(gram)[1][..., -1:])[..., 0]
+    pivots = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=-1)]
     # on numpy scalars: array abs and Python complex division round otherwise
-    phases = [x[p].conj() / abs(x[p]) for x in vecs for p in [np.argmax(np.abs(x))]]
+    phases = [p.conj() / abs(p) for p in pivots]
     return _normalised(vecs * np.array(phases)[:, np.newaxis])
 
 
@@ -363,7 +365,10 @@ class QeForger:
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
         cfg = _forger_circuit(self.plan, self._responses)
-        self.last_result, final = _run(cfg, challenge, rng)
+        _check_dims(cfg, challenge)
+        self.last_result, final = _run(
+            cfg._rows_in, cfg._rows_out, cfg.reference_index, challenge.amplitudes, rng
+        )
         return _unchecked(StateVector, amplitudes=_principal_states(final[np.newaxis])[0])
 
 
@@ -387,17 +392,15 @@ class _ForgerChunk:
     def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
         """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams."""
         plan = make_forger_plan(self.mu, challenges.shape[1])
-        # the plan's queries stand in for the circuit's output samples:
-        # stages 1 and 2 never read them, stage 4 takes the games' stacks
-        circuit = _forger_circuit(plan, (plan.phi1, plan.phi2))
-        stage2 = _through_stage2(circuit, plan.phi3)
+        queries = np.array([plan.phi1.amplitudes, plan.phi2.amplitudes])  # phi2: reference
+        stage2 = _through_stage2(queries, 1, plan.phi3.amplitudes)
         passed = np.array([rng.random() < stage2[2] for rng in rngs])
         guesses = np.empty(challenges.shape, dtype=np.complex128)
         if not passed.all():
-            guesses[~passed] = _principal_states(_final_state(circuit, stage2)[np.newaxis])
+            guesses[~passed] = _principal_states(_final_state(queries, 1, stage2)[np.newaxis])
         if passed.any():
-            outputs = (responses[passed, 0], responses[passed, 1])
-            guesses[passed] = _principal_states(_final_state(circuit, stage2, outputs))
+            outputs = responses[passed].transpose(1, 0, 2)  # (2, T, D)
+            guesses[passed] = _principal_states(_final_state(queries, 1, stage2, outputs))
         return guesses
 
 

@@ -24,6 +24,10 @@ The gates act on the contiguous joint array through reshaped views: ancilla
 ``j`` of ``n`` is the middle axis of ``(D, 2**(j-1), 2, 2**(n-j))``, so no
 axis is moved.  Each reflection takes its overlaps with one ``np.dot`` of
 the operands ``np.tensordot`` used to build, which keeps every output bit.
+
+The public stages check sizes against a validated :class:`QeConfig`, which
+keeps its samples as stacked ``(k, D)`` rows; the kernels read only such raw
+rows, a reference index and amplitudes, so raw draws need no ``QeConfig``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidQuantumObject, PostSelectionFailure
-from .numerics import DensityMatrix, StateVector, _as_int, _check_qubits, _row_dots
-from .numerics import _unchecked
+from .numerics import DensityMatrix, StateVector, _as_int, _check_qubits, _frozen_array
+from .numerics import _row_dots, _unchecked
 
 #: label used for the circuit input state in closed-form terms
 INPUT_LABEL = -1
@@ -71,6 +75,9 @@ class QeConfig:
                 f"reference_index {self.reference_index} outside 0..{k - 1}"
             )
         _check_qubits(k - 1, least=0, factor=dim)  # one ancilla per block
+        # what the kernels read: both sample sets as read-only (k, D) rows
+        for name, states in (("_rows_in", self.samples_in), ("_rows_out", self.samples_out)):
+            object.__setattr__(self, name, _frozen_array([s.amplitudes for s in states]))
 
     @property
     def dim(self) -> int:
@@ -84,9 +91,20 @@ class QeConfig:
     @property
     def block_sample_indices(self) -> tuple[int, ...]:
         """Sample indices driving the blocks, in application order."""
-        return tuple(
-            i for i in range(len(self.samples_in)) if i != self.reference_index
-        )
+        return tuple(_block_order(len(self.samples_in), self.reference_index))
+
+
+def _block_order(k: int, ref: int) -> list[int]:
+    """The indices of k samples but the reference ``ref``: the blocks' order."""
+    return [i for i in range(k) if i != ref]
+
+
+def _check_dims(cfg: QeConfig, psi: StateVector, target: StateVector | None = None) -> None:
+    """The public stages' size checks: ``target``, if given, then ``psi``."""
+    if target is not None and target.dim != cfg.dim:
+        raise DimensionMismatch(f"target dim {target.dim} != system dim {cfg.dim}")
+    if psi.dim != cfg.dim:
+        raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
 
 
 @dataclass(frozen=True)
@@ -158,32 +176,33 @@ def _hadamard(joint: np.ndarray, axis: int, lead: int = 1) -> np.ndarray:
     return out
 
 
-def _initial_joint(cfg: QeConfig, psi: StateVector) -> np.ndarray:
-    joint = psi.amplitudes
-    for _ in range(cfg.n_blocks):
-        joint = np.multiply.outer(joint, _MINUS)
-    return joint
-
-
-def _run_blocks(
-    joint: np.ndarray, cfg: QeConfig, samples: tuple, reverse: bool = False
-) -> np.ndarray:
+def _run_blocks(joint, samples: np.ndarray, ref: int, reverse=False) -> np.ndarray:
     """Apply the blocks built from ``samples`` (stage 1, or stage 4 reversed).
 
     Each block is (axis, reflect around ``a``, Hadamard, reflect around
-    ``b``) with ``a`` the reference and ``b`` the block's sample;
-    ``reverse`` runs the blocks, and the steps inside each, backwards.
-    ``samples`` are amplitudes: (D,) for one run, (T, D) for a stack of runs.
+    ``b``) with ``a`` the reference ``samples[ref]`` and ``b`` the block's
+    sample; ``reverse`` runs the blocks, and the steps inside each, backwards.
+    ``samples`` are amplitude rows: (k, D) for one run, (k, T, D) for a stack
+    of runs.
     """
-    ref = samples[cfg.reference_index]
-    blocks = [(1 + pos, ref, samples[i]) for pos, i in enumerate(cfg.block_sample_indices)]
+    order = _block_order(len(samples), ref)
+    blocks = [(1 + pos, samples[ref], samples[i]) for pos, i in enumerate(order)]
     for axis, a, b in reversed(blocks) if reverse else blocks:
         if reverse:
             a, b = b, a
         joint = _controlled_reflect(joint, a, axis)
-        joint = _hadamard(joint, axis, ref.ndim)
+        joint = _hadamard(joint, axis, samples.ndim - 1)
         joint = _controlled_reflect(joint, b, axis)
     return joint
+
+
+def _stage1(samples: np.ndarray, ref: int, psi: np.ndarray) -> np.ndarray:
+    """The (D, 2**blocks) joint state after stage 1 on the (k, D) sample rows
+    from input amplitudes ``psi`` and every ancilla in ``|->``."""
+    joint = psi
+    for _ in range(len(samples) - 1):
+        joint = np.multiply.outer(joint, _MINUS)
+    return _run_blocks(joint, samples, ref).reshape(len(psi), -1)
 
 
 def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
@@ -192,16 +211,9 @@ def run_stage1(cfg: QeConfig, psi: StateVector) -> StateVector:
     The joint state lives on system x ancillas with one ancilla per block,
     system register first.
     """
-    if psi.dim != cfg.dim:
-        raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
-    inputs = tuple(s.amplitudes for s in cfg.samples_in)
-    joint = _run_blocks(_initial_joint(cfg, psi), cfg, inputs)
+    _check_dims(cfg, psi)
+    joint = _stage1(cfg._rows_in, cfg.reference_index, psi.amplitudes)
     return _unchecked(StateVector, amplitudes=joint.reshape(-1))
-
-
-def _system_vector(cfg: QeConfig, psi: StateVector, label: int) -> np.ndarray:
-    """Amplitudes of a closed-form system label."""
-    return psi.amplitudes if label == INPUT_LABEL else cfg.samples_in[label].amplitudes
 
 
 def stage1_closed_form(cfg: QeConfig, psi: StateVector) -> list[ClosedFormTerm]:
@@ -213,17 +225,19 @@ def stage1_closed_form(cfg: QeConfig, psi: StateVector) -> list[ClosedFormTerm]:
     label and ancilla bits are merged; coefficients below 1e-14 (exactly
     cancelled or structurally zero branches) are dropped.
     """
-    if psi.dim != cfg.dim:
-        raise DimensionMismatch(f"input dim {psi.dim} != sample dim {cfg.dim}")
+    _check_dims(cfg, psi)
+    return _closed_form(cfg._rows_in, cfg.reference_index, psi.amplitudes)
+
+
+def _closed_form(samples: np.ndarray, ref: int, psi: np.ndarray) -> list[ClosedFormTerm]:
+    """``stage1_closed_form`` on the (k, D) sample rows and raw ``psi``."""
+    rows = np.vstack([samples, psi])  # INPUT_LABEL, -1, indexes the input
 
     def ip(a: int, b: int) -> complex:
-        return complex(
-            np.vdot(_system_vector(cfg, psi, a), _system_vector(cfg, psi, b))
-        )
+        return complex(np.vdot(rows[a], rows[b]))
 
-    r = cfg.reference_index
     terms: dict[tuple[int, tuple[int, ...]], complex] = {(INPUT_LABEL, ()): 1.0 + 0j}
-    for sample_idx in cfg.block_sample_indices:
+    for sample_idx in _block_order(len(samples), ref):
         new: dict[tuple[int, tuple[int, ...]], complex] = {}
 
         def add(label: int, bits: tuple[int, ...], c: complex) -> None:
@@ -231,12 +245,12 @@ def stage1_closed_form(cfg: QeConfig, psi: StateVector) -> list[ClosedFormTerm]:
             new[key] = new.get(key, 0.0 + 0j) + c
 
         for (label, bits), c in terms.items():
-            ref_overlap = ip(r, label)
-            add(r, bits + (0,), c * ref_overlap)
+            ref_overlap = ip(ref, label)
+            add(ref, bits + (0,), c * ref_overlap)
             add(label, bits + (1,), c)
-            add(r, bits + (1,), -c * ref_overlap)
+            add(ref, bits + (1,), -c * ref_overlap)
             add(sample_idx, bits + (1,), -2.0 * c * ip(sample_idx, label))
-            add(sample_idx, bits + (1,), 2.0 * c * ip(sample_idx, r) * ref_overlap)
+            add(sample_idx, bits + (1,), 2.0 * c * ip(sample_idx, ref) * ref_overlap)
         terms = new
 
     kept = [
@@ -252,26 +266,34 @@ def closed_form_state(
     cfg: QeConfig, psi: StateVector, terms: list[ClosedFormTerm] | None = None
 ) -> StateVector:
     """Sum a closed-form term list back into a joint state vector."""
+    _check_dims(cfg, psi)
+    joint = _closed_form_state(cfg._rows_in, cfg.reference_index, psi.amplitudes, terms)
+    return StateVector(joint)
+
+
+def _closed_form_state(samples, ref: int, psi, terms: list | None = None) -> np.ndarray:
+    """``closed_form_state``'s amplitudes on the (k, D) sample rows and raw ``psi``."""
     if terms is None:
-        terms = stage1_closed_form(cfg, psi)
-    d = cfg.dim
-    joint = np.zeros((d,) + (2,) * cfg.n_blocks, dtype=np.complex128)
+        terms = _closed_form(samples, ref, psi)
+    rows, n_blocks = np.vstack([samples, psi]), len(samples) - 1
+    joint = np.zeros((len(psi),) + (2,) * n_blocks, dtype=np.complex128)
     for t in terms:
-        if len(t.ancilla_bits) != cfg.n_blocks:
+        if len(t.ancilla_bits) != n_blocks:
             raise DimensionMismatch("term has wrong number of ancilla bits")
-        sys_vec = _system_vector(cfg, psi, t.system_label)
-        joint[(slice(None),) + t.ancilla_bits] += t.coefficient * sys_vec
-    return StateVector(joint.reshape(-1))
+        if not INPUT_LABEL <= t.system_label < len(samples):
+            raise InvalidQuantumObject(f"term label {t.system_label} names no state")
+        joint[(slice(None),) + t.ancilla_bits] += t.coefficient * rows[t.system_label]
+    return joint.reshape(-1)
 
 
-def _through_stage2(cfg: QeConfig, psi: StateVector) -> tuple:
-    """Stage 1's (D, 2**blocks) joint state, its overlaps with the input
-    reference and the stage-2 pass probability, which raises
+def _through_stage2(samples: np.ndarray, ref: int, psi: np.ndarray) -> tuple:
+    """``_stage1``'s joint state, its overlaps with the input reference
+    ``samples[ref]`` and the stage-2 pass probability, which raises
     :class:`PostSelectionFailure` below ``POST_SELECT_FLOOR``; no output sample."""
-    joint = run_stage1(cfg, psi).amplitudes.reshape(cfg.dim, -1)
+    joint = _stage1(samples, ref, psi)
     # stage 2: measure the projector onto the reference (via an ancilla that
     # is never represented explicitly: outcome 0 projects, outcome 1 deflects)
-    anc_overlap = _overlaps(cfg.samples_in[cfg.reference_index].amplitudes, joint)
+    anc_overlap = _overlaps(samples[ref], joint)
     pass_prob = float(np.sum(np.abs(anc_overlap) ** 2))
     pass_prob = min(max(pass_prob, 0.0), 1.0)
     if pass_prob < POST_SELECT_FLOOR:
@@ -282,21 +304,20 @@ def _through_stage2(cfg: QeConfig, psi: StateVector) -> tuple:
     return joint, anc_overlap, pass_prob
 
 
-def _final_state(cfg: QeConfig, stage2: tuple, outputs: tuple | None = None) -> np.ndarray:
-    """The normalised (D, 2**blocks) joint state ``F`` after ``_through_stage2``:
-    as the failure branch leaves it if ``outputs`` is None, else after stages 3
-    and 4 on the output samples' amplitudes, (D,) for one run or (T, D) for a
-    stack of T states ``F``.  The system's output is ``F F^dag`` over its trace."""
+def _final_state(samples: np.ndarray, ref: int, stage2: tuple, outputs=None) -> np.ndarray:
+    """The normalised (D, 2**blocks) joint state ``F`` after ``_through_stage2``
+    on the input ``samples``: as the failure branch leaves it if ``outputs`` is
+    None, else after stages 3 and 4 on the output rows, (k, D) for one run or
+    (k, T, D) for T states ``F``.  The system's output is ``F F^dag`` / trace."""
     joint, anc_overlap, pass_prob = stage2
     if outputs is None:
-        ref_in = cfg.samples_in[cfg.reference_index].amplitudes
-        final = joint - np.multiply.outer(ref_in, anc_overlap)
+        final = joint - np.multiply.outer(samples[ref], anc_overlap)
         return final / np.linalg.norm(final)
     # the post-stage-2 state is ref (x) omega; stage 3 swaps in the output
     # reference, stage 4 restores the input's information from omega
-    ref, omega = outputs[cfg.reference_index], anc_overlap / np.sqrt(pass_prob)
-    final = _run_blocks(ref[..., None] * omega, cfg, outputs, reverse=True)
-    return final.reshape(*ref.shape, -1)
+    out_ref, omega = outputs[ref], anc_overlap / np.sqrt(pass_prob)
+    final = _run_blocks(out_ref[..., None] * omega, outputs, ref, reverse=True)
+    return final.reshape(*out_ref.shape, -1)
 
 
 def run_full(
@@ -315,26 +336,23 @@ def run_full(
     ``POST_SELECT_FLOOR`` raises :class:`PostSelectionFailure`, which carries
     it as ``pass_prob``, before anything is drawn.
     """
-    return _run(cfg, psi, rng, target)[0]
+    _check_dims(cfg, psi, target)
+    t = None if target is None else target.amplitudes
+    return _run(cfg._rows_in, cfg._rows_out, cfg.reference_index, psi.amplitudes, rng, t)[0]
 
 
-def _run(cfg: QeConfig, psi: StateVector, rng=None, target=None) -> tuple:
-    """``run_full``'s result and the run's ``_final_state``."""
-    d = cfg.dim
-    if target is not None and target.dim != d:
-        raise DimensionMismatch(f"target dim {target.dim} != system dim {d}")
-    stage2 = _through_stage2(cfg, psi)
+def _run(samples_in, samples_out, ref: int, psi, rng=None, target=None) -> tuple:
+    """``run_full``'s result and the run's ``_final_state``, on raw rows and amplitudes."""
+    stage2 = _through_stage2(samples_in, ref, psi)
     pass_prob = stage2[2]
     stage2_bit = 0 if rng is None or rng.random() < pass_prob else 1
-    outputs = None if stage2_bit else tuple(s.amplitudes for s in cfg.samples_out)
-    final = _final_state(cfg, stage2, outputs)
+    final = _final_state(samples_in, ref, stage2, None if stage2_bit else samples_out)
     rho = final @ final.conj().T
     rho = (rho + rho.conj().T) * 0.5
     output_mixed = _unchecked(DensityMatrix, matrix=rho / np.trace(rho).real)
     fidelity = None
     if target is not None:
-        t = target.amplitudes
-        fidelity = float(np.real(t.conj() @ output_mixed.matrix @ t))
+        fidelity = float(np.real(target.conj() @ output_mixed.matrix @ target))
     return QeRunResult(
         output_mixed=output_mixed,
         stage2_bit=stage2_bit,

@@ -17,9 +17,10 @@ per stack.  LAPACK and BLAS treat each matrix of a stack on its own, so every
 margin is bit for bit the one-trial value.  What they build from Haar draws,
 mixtures and the epsilon-channel is a density matrix by construction and is
 not validated again; tests check that on sampled draws.  The swap battery
-draws each cell as one array.  The emulation audits draw every trial's
-config first, the same way, and factor its devices by one stacked QR per
-dimension; their circuits still run one at a time.
+draws each cell as one array.  The emulation audits draw every trial in
+stream order too, and run the circuit kernels on raw sample rows, one circuit
+at a time.  Only the recovery-floor audit forms its devices, by one stacked QR
+per dimension; the other two run stages that read only the input samples.
 
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .emulator import QeConfig, run_full, run_stage1, closed_form_state
+from .emulator import _closed_form_state, _run, _stage1, _through_stage2
 from .errors import InvalidQuantumObject, PostSelectionFailure, PreconditionViolation
 from .numerics import (
     DERIVED_TOL,
@@ -55,7 +56,8 @@ from .numerics import (
 )
 from .testers import _swap_tally, expected_acceptance
 # bench/tracer.py patches haar_state, fidelity_mixed, trace_distance,
-# channel_apply and run_test here
+# channel_apply, run_test, run_full, run_stage1 and closed_form_state here
+from .emulator import closed_form_state, run_full, run_stage1  # noqa: F401
 from .numerics import fidelity_mixed, haar_state, trace_distance  # noqa: F401
 from .qpuf import channel_apply  # noqa: F401
 from .testers import run_test  # noqa: F401
@@ -158,75 +160,51 @@ def haar_subspace_weight_check(
 
 
 def _qe_trials(
-    trials: int,
-    rng: np.random.Generator,
-    n_choices: tuple[int, ...],
-    k_choices: tuple[int, ...],
-    draw_input,
+    trials: int, rng: np.random.Generator, n_choices: tuple, k_choices: tuple, draw_input
 ) -> list[tuple]:
-    """``trials`` random emulation configs: a device, k samples and a reference.
+    """``trials`` random emulation trials: a device, k samples and a reference.
 
-    The draw loop holds only generator calls, in the order of a register
-    size and a sample count from the choices, ``haar_unitary``, k
-    ``haar_state`` calls and ``integers(k)``; the unitary's and the samples'
-    normals are one call.  ``draw_input(rng, dim, k, normals)`` then draws the
-    trial's input.  One stacked QR per dimension factors the devices and one
-    row normalisation per dimension gives the samples.  Returns each trial's
-    ``(cfg, u, input draw)``, with ``u`` a raw unitary.
+    Each trial draws, in order, a register size and a sample count from the
+    choices, the normals of ``haar_unitary`` and of k ``haar_state`` calls in
+    one call, and ``integers(k)``; ``draw_input(rng, samples)`` then draws
+    the trial's input from its normalised ``(k, D)`` sample rows.  Returns
+    each trial's ``(samples, reference, ginibre, input draw)``, with
+    ``ginibre`` the device's unfactored ``(2, D, D)`` real and imaginary parts.
     """
-    draws = []
+    made = []
     for _ in range(trials):
         dim = 2 ** n_choices[rng.integers(len(n_choices))]
         k = k_choices[rng.integers(len(k_choices))]
         normals = rng.standard_normal(2 * dim * (dim + k))
         ref = int(rng.integers(k))
-        draws.append((dim, k, normals, ref, draw_input(rng, dim, k, normals)))
-    made = [None] * trials
-    for dim in {draw[0] for draw in draws}:
-        group = [t for t, draw in enumerate(draws) if draw[0] == dim]
         cut = 2 * dim * dim
-        ginibre = np.array([draws[t][2][:cut] for t in group]).reshape(-1, 2, dim, dim)
-        units = np.concatenate([draws[t][2][cut:] for t in group]).reshape(-1, 2, dim)
-        samples = iter(_normalised(units[:, 0] + 1j * units[:, 1]))
-        for t, u in zip(group, _haar_qr(ginibre[:, 0] + 1j * ginibre[:, 1])):
-            _, k, _, ref, drawn_input = draws[t]
-            amps = [next(samples) for _ in range(k)]
-            cfg = QeConfig(
-                samples_in=tuple(_unchecked(StateVector, amplitudes=a) for a in amps),
-                samples_out=tuple(
-                    _unchecked(StateVector, amplitudes=u @ a) for a in amps
-                ),
-                reference_index=ref,
-            )
-            made[t] = cfg, u, drawn_input
+        units = normals[cut:].reshape(k, 2, dim)
+        samples = _normalised(units[:, 0] + 1j * units[:, 1])
+        ginibre = normals[:cut].reshape(2, dim, dim)
+        made.append((samples, ref, ginibre, draw_input(rng, samples)))
     return made
 
 
-def _setup_input(
-    rng: np.random.Generator, dim: int, k: int, normals: np.ndarray
-) -> tuple:
-    """A fair coin, then the normals of k span coefficients or a Haar state."""
+def _haar_devices(ginibre: list[np.ndarray]) -> list[np.ndarray]:
+    """Raw Haar unitaries of ``(2, D, D)`` Ginibre parts, one stacked QR per dimension."""
+    devices = [None] * len(ginibre)
+    for dim in {g.shape[-1] for g in ginibre}:
+        group = [t for t, g in enumerate(ginibre) if g.shape[-1] == dim]
+        stack = np.array([ginibre[t] for t in group])
+        for t, u in zip(group, _haar_qr(stack[:, 0] + 1j * stack[:, 1])):
+            devices[t] = u
+    return devices
+
+
+def _setup_input(rng: np.random.Generator, samples: np.ndarray) -> np.ndarray:
+    """A fair coin, then either a state in the samples' span, from the normals
+    of k coefficients, or a Haar state from the normals of its amplitudes."""
     in_span = rng.random() < 0.5
-    return in_span, rng.standard_normal(2 * k if in_span else 2 * dim)
-
-
-def _qe_setups(
-    trials: int,
-    rng: np.random.Generator,
-    n_choices: tuple[int, ...] = (1, 2),
-    k_choices: tuple[int, ...] = (2, 3),
-) -> list[tuple[QeConfig, StateVector, StateVector]]:
-    """Random configs and an input each, half of them in the samples' span and
-    half Haar states; returns each ``(cfg, psi, U psi)``."""
-    setups = []
-    made = _qe_trials(trials, rng, n_choices, k_choices, _setup_input)
-    for cfg, u, (in_span, z) in made:
-        z = z[: len(z) // 2] + 1j * z[len(z) // 2:]  # k coefficients, or D amplitudes
-        vec = sum(c * s.amplitudes for c, s in zip(z, cfg.samples_in)) if in_span else z
-        psi = vec / np.linalg.norm(vec)
-        setups.append((cfg, _unchecked(StateVector, amplitudes=psi),
-                       _unchecked(StateVector, amplitudes=u @ psi)))
-    return setups
+    k, dim = samples.shape
+    z = rng.standard_normal(2 * k if in_span else 2 * dim)
+    z = z[: len(z) // 2] + 1j * z[len(z) // 2:]  # k coefficients, or D amplitudes
+    vec = sum(c * s for c, s in zip(z, samples)) if in_span else z
+    return vec / np.linalg.norm(vec)
 
 
 def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
@@ -236,10 +214,12 @@ def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
     generic inputs), reference choices, and register sizes.
     """
     _check_inputs(trials)
+    setups = _qe_trials(trials, rng, (1, 2), (2, 3), _setup_input)
     margins: list[float] = []
-    for cfg, psi, target in _qe_setups(trials, rng):
+    for (samples, ref, _, psi), u in zip(setups, _haar_devices([s[2] for s in setups])):
+        images = np.array([u @ s for s in samples])
         try:
-            res = run_full(cfg, psi, target=target)
+            res = _run(samples, images, ref, psi, target=u @ psi)[0]
         except PostSelectionFailure:
             continue  # nothing to condition on; the floor is vacuous
         margins.append(res.fidelity_vs_target - np.sqrt(res.p_succ_stage1) + 1e-8)
@@ -254,8 +234,11 @@ def pure_state_distance_bound(a: StateVector, b: StateVector) -> float:
     full resolution near zero and dominates the trace distance, so a small
     value is a rigorous certificate.
     """
-    av = a.amplitudes
-    bv = b.amplitudes
+    return _aligned_distance(a.amplitudes, b.amplitudes)
+
+
+def _aligned_distance(av: np.ndarray, bv: np.ndarray) -> float:
+    """``pure_state_distance_bound`` on amplitudes."""
     ov = np.vdot(av, bv)
     if abs(ov) > 0.0:
         bv = bv * (ov.conjugate() / abs(ov))
@@ -270,10 +253,10 @@ def closed_form_check(trials: int, rng: np.random.Generator) -> CheckReport:
     """
     _check_inputs(trials)
     margins: list[float] = []
-    for cfg, psi, _ in _qe_setups(trials, rng, k_choices=(2, 3, 4)):
-        circuit = run_stage1(cfg, psi)
-        symbolic = closed_form_state(cfg, psi)
-        margins.append(1e-9 - pure_state_distance_bound(circuit, symbolic))
+    for samples, ref, _, psi in _qe_trials(trials, rng, (1, 2), (2, 3, 4), _setup_input):
+        circuit = _stage1(samples, ref, psi).reshape(-1)
+        symbolic = _closed_form_state(samples, ref, psi)
+        margins.append(1e-9 - _aligned_distance(circuit, symbolic))
     return _report("stage1-closed-form", margins)
 
 
@@ -288,27 +271,21 @@ def orthogonal_challenge_check(trials: int, rng: np.random.Generator) -> CheckRe
     _check_inputs(trials)
     margins: list[float] = []
     # at most 3 samples in D >= 4 leave a non-trivial complement
-    for cfg, _, v in _qe_trials(trials, rng, (2, 3), (2, 3), _complement_input):
-        psi = _unchecked(StateVector, amplitudes=v)
+    for samples, ref, _, psi in _qe_trials(trials, rng, (2, 3), (2, 3), _complement_input):
         try:
-            res = run_full(cfg, psi)
+            pass_prob = _through_stage2(samples, ref, psi)[2]
         except PostSelectionFailure as exc:
             margins.append(_log_margin(exc.pass_prob**2))
         else:
-            margins.append(min(1e-12 - res.p_succ_stage1, -1.0))
+            margins.append(min(1e-12 - pass_prob**2, -1.0))
     return _report("orthogonal-challenge-rejection", margins)
 
 
-def _complement_input(
-    rng: np.random.Generator, dim: int, k: int, normals: np.ndarray
-) -> np.ndarray:
-    """A Haar state orthogonal to the trial's samples.  The samples are not
-    orthogonal, so it is drawn against their span's orthonormal basis; its
-    redraw rule reads a residual, so the samples are normalised here."""
-    units = normals[2 * dim * dim:].reshape(k, 2, dim)
-    samples = _normalised(units[:, 0] + 1j * units[:, 1])
+def _complement_input(rng: np.random.Generator, samples: np.ndarray) -> np.ndarray:
+    """A Haar state orthogonal to the trial's samples.  They are not
+    orthogonal, so it is drawn against their span's orthonormal basis."""
     span = span_projector([_unchecked(StateVector, amplitudes=s) for s in samples])
-    return _complement_vector(span.basis, dim, rng)
+    return _complement_vector(span.basis, samples.shape[1], rng)
 
 
 def _log_margin(p2: float) -> float:

@@ -28,7 +28,6 @@ from qpuflab import (
     pure_state_distance_bound,
     testers,
 )
-from qpuflab.adversaries import _forger_circuit
 from qpuflab.emulator import _run, closed_form_state, run_full, run_stage1
 from qpuflab.numerics import (
     _complement_vector,
@@ -83,7 +82,8 @@ class ForgerOracle(QeForger):
     """``QeForger`` whose guess is one game's principal eigenvector, written
     out for one run instead of the library's stack rule: the top eigenvector
     ``u`` of the ``(m, m)`` Gram matrix ``F^dag F`` of the run's final state
-    ``F``, mapped to ``F u``; the phase is fixed on numpy scalars.
+    ``F``, mapped to ``F u``; the phase is fixed on numpy scalars.  The run
+    takes the plan's queries and the responses as rows, ``phi2`` the reference.
 
     Being a subclass, it has no chunk form, so games play it through
     ``games._play``.
@@ -92,8 +92,9 @@ class ForgerOracle(QeForger):
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
-        cfg = _forger_circuit(self.plan, self._responses)
-        self.last_result, final = _run(cfg, challenge, rng)
+        queries = np.array([self.plan.phi1.amplitudes, self.plan.phi2.amplitudes])
+        responses = np.array([r.amplitudes for r in self._responses])
+        self.last_result, final = _run(queries, responses, 1, challenge.amplitudes, rng)
         vec = final @ np.linalg.eigh(final.conj().T @ final)[1][:, -1]
         pivot = int(np.argmax(np.abs(vec)))
         vec = vec * (vec[pivot].conj() / abs(vec[pivot]))

@@ -180,6 +180,18 @@ class TestQeForger:
         with pytest.raises(InvalidQuantumObject):
             forger.choose_challenge(np.random.default_rng(0))
 
+    def test_wrong_size_challenge_raises_before_the_draw(self):
+        inst = qgen(QPufGenParams(qubits=2, seed=52))
+        rng = np.random.default_rng(SEED)
+        forger = QeForger(0.75)
+        forger.learn(device_oracle(inst), inst.dim, 2, rng)
+        before = rng.bit_generator.state
+        for challenge in (basis(2, 1), basis(8, 1)):
+            with pytest.raises(DimensionMismatch, match="input dim"):
+                forger.respond(challenge, rng)
+        assert rng.bit_generator.state == before
+        assert forger.last_result is None
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_balanced_guess_is_the_true_response(self, n):
         # the circuit's output is pure at mu = 1/2, so its principal

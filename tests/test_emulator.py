@@ -12,6 +12,7 @@ import pytest
 
 from qpuflab import (
     INPUT_LABEL,
+    ClosedFormTerm,
     DimensionCapExceeded,
     DimensionMismatch,
     InvalidQuantumObject,
@@ -433,6 +434,19 @@ class TestClosedForm:
         assert terms[0].ancilla_bits == (1,)
         np.testing.assert_allclose(terms[0].coefficient, 1.0)
 
+    def test_term_label_outside_the_states_rejected(self):
+        # labels index the samples and INPUT_LABEL the input; the input sits
+        # after the samples, so a label of k must not silently name it
+        cfg = QeConfig(
+            samples_in=(basis(4, 0), basis(4, 1)),
+            samples_out=(basis(4, 2), basis(4, 3)),
+            reference_index=0,
+        )
+        for label in (INPUT_LABEL - 1, 2):
+            term = ClosedFormTerm(1.0 + 0j, label, (1,))
+            with pytest.raises(InvalidQuantumObject, match="names no state"):
+                closed_form_state(cfg, basis(4, 2), [term])
+
 
 class TestSuccessProbability:
     @pytest.mark.parametrize("mu", [0.55, 0.6, 0.75, 0.9])
@@ -570,6 +584,21 @@ class TestStage2Modes:
         before = rng.bit_generator.state
         with pytest.raises(DimensionMismatch):
             run_full(cfg, plan.phi3, rng=rng, target=basis(8, 0))
+        assert rng.bit_generator.state == before
+
+    def test_wrong_size_input_raises_before_the_draw(self):
+        cfg, plan, inst = self._forger_setup(0.9, margin=0.05)
+        rng = np.random.default_rng(63)
+        before = rng.bit_generator.state
+        terms = stage1_closed_form(cfg, plan.phi3)
+        for psi in (basis(2, 1), basis(8, 1)):
+            with pytest.raises(DimensionMismatch, match="input dim"):
+                run_full(cfg, psi, rng=rng, target=qeval(inst, plan.phi3))
+            for stage in (run_stage1, stage1_closed_form, closed_form_state):
+                with pytest.raises(DimensionMismatch, match="input dim"):
+                    stage(cfg, psi)
+            with pytest.raises(DimensionMismatch, match="input dim"):
+                closed_form_state(cfg, psi, terms)
         assert rng.bit_generator.state == before
 
     def test_no_target_reports_none(self):

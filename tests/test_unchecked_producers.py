@@ -37,6 +37,7 @@ from qpuflab import (
     orthogonal_challenge_check,
     qeval,
     qgen,
+    recovery_floor_check,
     run_full,
     run_stage1,
 )
@@ -219,24 +220,13 @@ class TestAdversaries:
 
 
 class TestVerifyAudits:
-    @pytest.mark.parametrize("n", [1, 2, 3, 6])
-    def test_emulator_audit_samples_inputs_and_targets(self, n):
-        rng = np.random.default_rng(SEED + 80 + n)
-        for cfg, psi, target in verify._qe_setups(12, rng, (n,), (2, 3)):
-            for s in cfg.samples_in + cfg.samples_out + (psi, target):
-                checked(s)
+    """The emulation audits hand the circuit kernels raw rows: every sample,
+    image, input, target and factored device must pass the public
+    constructors."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6])
-    def test_emulator_audit_devices(self, n):
-        # the stacked QR's raw unitaries, one per trial
-        rng = np.random.default_rng(SEED + 85 + n)
-        made = verify._qe_trials(12, rng, (n,), (2, 3), verify._setup_input)
-        for _, u, _ in made:
-            UnitaryMatrix(u)
-
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_orthogonal_challenge_inputs(self, n, monkeypatch):
-        seen = []
+    @staticmethod
+    def _at_size(monkeypatch, n):
+        # every trial of an emulation audit on a register of n qubits
         trials_of = verify._qe_trials
         monkeypatch.setattr(
             verify,
@@ -244,10 +234,43 @@ class TestVerifyAudits:
             lambda trials, rng, _, k, draw: trials_of(trials, rng, (n,), k, draw),
         )
 
-        def checked_run(cfg, psi, **kw):
-            seen.append(checked(psi).dim)
-            return run_full(cfg, psi, **kw)
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_emulator_audit_samples_inputs_and_targets(self, n, monkeypatch):
+        self._at_size(monkeypatch, n)
+        seen, run = [], verify._run
 
-        monkeypatch.setattr(verify, "run_full", checked_run)
+        def checked_run(samples, images, ref, psi, target):
+            states = [StateVector(a) for a in (*samples, *images, psi, target)]
+            k = len(samples)
+            QeConfig(states[:k], states[k : 2 * k], ref)
+            seen.append(states[-1].dim)
+            return run(samples, images, ref, psi, target=target)
+
+        monkeypatch.setattr(verify, "_run", checked_run)
+        recovery_floor_check(12, np.random.default_rng(SEED + 80 + n))
+        assert seen == [2**n] * 12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_emulator_audit_devices(self, n):
+        # the stacked QR's raw unitaries, one per trial
+        rng = np.random.default_rng(SEED + 85 + n)
+        made = verify._qe_trials(12, rng, (n,), (2, 3), verify._setup_input)
+        devices = verify._haar_devices([ginibre for _, _, ginibre, _ in made])
+        assert len(devices) == 12
+        for u in devices:
+            UnitaryMatrix(u)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_orthogonal_challenge_inputs(self, n, monkeypatch):
+        self._at_size(monkeypatch, n)
+        seen, stage2 = [], verify._through_stage2
+
+        def checked_stage2(samples, ref, psi):
+            states = [StateVector(s) for s in samples]
+            QeConfig(states, states, ref)  # stages 1 and 2 read no outputs
+            seen.append(StateVector(psi).dim)
+            return stage2(samples, ref, psi)
+
+        monkeypatch.setattr(verify, "_through_stage2", checked_stage2)
         assert orthogonal_challenge_check(6, np.random.default_rng(SEED + 90 + n)).passed
         assert seen == [2**n] * 6

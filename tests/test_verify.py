@@ -278,6 +278,17 @@ class TestStackedChecksBits:
             s = SEED + 1000 * seed + trials
             _assert_matches_oracle(check, (trials,), s)
 
+    @pytest.mark.parametrize("check", [closed_form_check, orthogonal_challenge_check])
+    def test_audits_that_never_read_a_device_factor_none(self, check, monkeypatch):
+        # stage 1 and stage 2 read only the input samples: the devices' normals
+        # are drawn in stream order, but no QR factors them
+        def refuse(ginibre):
+            raise AssertionError("a device was factored")
+
+        monkeypatch.setattr(verify, "_haar_qr", refuse)
+        for trials in (1, 40):
+            _assert_matches_oracle(check, (trials,), SEED + 600 + trials)
+
     def test_complement_redraw_stays_in_its_trial(self, monkeypatch):
         # the third trial's first complement draw lands on a sample: its
         # residual is round-off, so it is drawn again before the next trial
@@ -311,19 +322,20 @@ class TestStackedChecksBits:
     def test_post_selection_failure_skips_the_trial(self, monkeypatch):
         # every third run fails post-selection: its trial adds no margin, and
         # the next trial's draws follow in order
-        def failing_every_third(module):
-            real, calls = module.run_full, []
+        def failing_every_third(real):
+            calls = []
 
-            def run(cfg, psi, **kw):
+            def run(*args, **kw):
                 calls.append(1)
                 if len(calls) % 3 == 0:
                     raise PostSelectionFailure("stage 2 cannot pass", pass_prob=0.0)
-                return real(cfg, psi, **kw)
+                return real(*args, **kw)
 
             return run
 
-        for module in (verify, oracles):
-            monkeypatch.setattr(module, "run_full", failing_every_third(module))
+        # the audit runs the kernel on raw rows, the oracle the public run
+        monkeypatch.setattr(verify, "_run", failing_every_third(verify._run))
+        monkeypatch.setattr(oracles, "run_full", failing_every_third(oracles.run_full))
         rep = _assert_matches_oracle(recovery_floor_check, (10,), SEED + 500)
         assert rep.trials == 7
 
@@ -488,10 +500,10 @@ class TestOrthogonalChallengeMargin:
 
     @pytest.mark.parametrize("pass_prob, passed", [(0.0, True), (1e-5, False)])
     def test_check_reports_the_log_margin(self, monkeypatch, pass_prob, passed):
-        def failing_run_full(cfg, psi):
+        def failing_stage2(samples, ref, psi):
             raise PostSelectionFailure("stage 2 cannot pass", pass_prob=pass_prob)
 
-        monkeypatch.setattr(verify, "run_full", failing_run_full)
+        monkeypatch.setattr(verify, "_through_stage2", failing_stage2)
         rep = orthogonal_challenge_check(3, np.random.default_rng(SEED))
         assert rep.passed is passed and rep.violations == (0 if passed else 3)
         assert rep.worst_margin == verify._log_margin(pass_prob**2)
