@@ -36,15 +36,15 @@ from .numerics import fidelity_pure, haar_state
 # patches them at these names, so they stay importable
 from .numerics import span_projector  # noqa: F401
 from .qpuf import QPufGenParams, qeval, qgen  # noqa: F401
-from .testers import TestConfig, _verdict, run_test
+from .testers import TestConfig, _accepted, run_test
 
 QEX = "qex"
 QSEL = "qsel"
 
 #: complex entries per stacked draw of devices' ``(D, k)`` blocks in
-#: ``estimate_win_rate``.  It bounds memory; one QR of the stack costs a
-#: fraction of one ``np.linalg.qr`` call per device at D <= 16
-_DRAW_CHUNK = 2**12
+#: ``estimate_win_rate`` (14 games at (64, 9)).  It bounds memory; one QR of
+#: the stack costs a fraction of one ``np.linalg.qr`` call per device at D <= 16
+_DRAW_CHUNK = 2**13
 #: trial keys per ``_seed_words`` call (whole chunks): it bounds the hash's memory
 _HASH_BLOCK = 2**12
 
@@ -145,18 +145,21 @@ def _blocks(cfg: "GameConfig", rngs: list[np.random.Generator]) -> np.ndarray:
     first draw seeds one ``standard_normal(2Dk)`` call, a ``(D, k)`` Ginibre
     block (``k = min(budget + 1, D)``, all a game can span), on ``default_rng``'s
     generator for that seed, from one ``_seed_words`` call for the chunk's seeds
-    (low word first).  One stacked QR factors them all, so block ``t`` is bit
-    for bit the one ``rngs[t]`` alone gives."""
+    (low word first), into one reused ``(2, D, k)`` row copied into the complex
+    stack's parts: the bits of ``re + 1j * im``, whose ``1j * im`` has real part
+    ±0, which leaves a nonzero ``re`` as it is.  One stacked QR factors them
+    all, so block ``t`` is bit for bit the one ``rngs[t]`` alone gives."""
     _check_qubits(cfg.gen.qubits)
     dim, k = _block_shape(cfg)
     seeds = [_device_seed(rng) for rng in rngs]
     for seed in seeds:
         _check_seed(seed)
-    raw = np.empty((len(rngs), 2, dim, k))
+    z, row = np.empty((len(rngs), dim, k), dtype=np.complex128), np.empty((2, dim, k))
     words = _seed_words(np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2))
-    for row, seed, w in zip(raw, seeds, words):
+    for block, seed, w in zip(z, seeds, words):
         _stream(w, seed).standard_normal(out=row)
-    return _haar_qr(raw[:, 0] + 1j * raw[:, 1])
+        block.real, block.imag = row[0], row[1]
+    return _haar_qr(z)
 
 
 def _trial_streams(seed: int, trials: int, per_chunk: int, first: int = 0):
@@ -325,11 +328,11 @@ def _check_challenge(cfg: GameConfig, challenge: StateVector, queries: tuple, di
         raise MuViolation(f"challenge is not {cfg.mu}-distinguishable from the queries")
 
 
-def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list) -> list[Transcript]:
-    """``_play`` of a chunk of games on ``(T, D)`` stacks; game ``t`` is bit
-    for bit ``_play`` on block ``t`` and ``rngs[t]``, which gives a ``qsel``
-    challenge, then the adversaries' draws, then the test's.  ``form`` is the
-    adversaries' shared ``_chunk_form``; a ``qex`` one names the challenge."""
+def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: bool):
+    """``_play`` of a chunk of games on ``(T, D)`` stacks: their accept bits, and
+    transcripts only if ``keep``.  Game ``t`` is ``_play`` on block ``t`` and
+    ``rngs[t]``, bit for bit: a ``qsel`` challenge, the adversaries' draws, the
+    test's.  ``form``, the adversaries' ``_chunk_form``, names a ``qex`` challenge."""
     dim, k = blocks.shape[1:]
     queries = form.queries(dim)
     if len(queries) > cfg.learning_budget:
@@ -361,14 +364,14 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list) -> list[T
         if d < k:
             coeffs[:, d] = np.where(norm > RANK_TOL, norm, 0.0)
         truth = _images(blocks, coeffs)
-        shown = [_unchecked(StateVector, amplitudes=psi) for psi in challenges]
     guesses = form.respond(challenges, responses, rngs)
     # as fidelity_pure: Python's abs and ** round as numpy's scalars do
     fidelities = [abs(z) ** 2 for z in _row_dots(truth.conj(), guesses).tolist()]
-    return [
-        Transcript(queries, d, psi, int(_verdict(cfg.test, f, rng).accepted), f)
-        for psi, f, rng in zip(shown, fidelities, rngs)
-    ]
+    accepted = _accepted(cfg.test, fidelities, rngs)
+    if keep and cfg.mode == QSEL:
+        shown = [_unchecked(StateVector, amplitudes=psi) for psi in challenges]
+    kept = zip(shown, accepted, fidelities) if keep else ()
+    return accepted, [Transcript(queries, d, psi, int(b), f) for psi, b, f in kept]
 
 
 @dataclass(frozen=True)
@@ -391,16 +394,17 @@ def estimate_win_rate(
     Every trial gets a fresh device, a fresh adversary from the factory, and
     an independent child random stream derived from ``cfg.seed``, so results
     are reproducible and order-independent.  The standard error is the
-    binomial one, ``sqrt(r (1 - r) / trials)``.  Transcripts are dropped
-    after scoring unless ``keep_transcripts`` is set.
+    binomial one, ``sqrt(r (1 - r) / trials)``.  Unless ``keep_transcripts``
+    is set, a chunk played as arrays builds no transcript, challenge state or
+    test outcome, only each game's accept bit.
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
     with ``rng_k = default_rng(SeedSequence(cfg.seed).spawn(k + 1)[k])``.
-    The streams are built and the devices' blocks drawn a chunk of trials at
-    a time (one stacked QR, about ``_DRAW_CHUNK`` entries), each device from
-    the first draw of its own trial's stream, so every stream is consumed in
-    the same order as by ``run_game``.  No child is spawned: the children's
-    ``SeedSequence`` hash runs on arrays, a block of trial keys per call
+    The streams are built and the devices' blocks drawn a chunk of trials at a
+    time (one stacked QR of up to ``_DRAW_CHUNK`` entries, built in place), each
+    device from the first draw of its own trial's stream, so every stream is
+    consumed in the same order as by ``run_game``.  No child is spawned: the
+    children's ``SeedSequence`` hash runs on arrays, a block of trial keys per call
     (``_trial_streams``).  A chunk plays as arrays, on ``(T, D)`` stacks, when its
     adversaries are all ``SubspaceAdversary`` with one ``d`` in ``qsel``
     games or all ``QeForger`` with one ``mu`` in ``qex`` games; any other
@@ -416,11 +420,14 @@ def estimate_win_rate(
         forms = {getattr(a, "_chunk_form", None) for a in adversaries}
         form = forms.pop() if len(forms) == 1 else None
         if form is not None and form.mode == cfg.mode:
-            played = _play_chunk(cfg, form, _blocks(cfg, rngs), rngs)
+            accepted, played = _play_chunk(
+                cfg, form, _blocks(cfg, rngs), rngs, keep_transcripts
+            )
         else:
             devices = _devices(cfg, rngs)
             played = [_play(cfg, *game) for game in zip(adversaries, devices, rngs)]
-        wins += sum(t.outcome_b for t in played)
+            accepted = [t.outcome_b for t in played]
+        wins += sum(accepted)
         if keep_transcripts:
             kept.extend(played)
     rate = wins / trials

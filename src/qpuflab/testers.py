@@ -96,13 +96,20 @@ def run_test(
 
 
 def _verdict(cfg: TestConfig, f: float, rng: np.random.Generator) -> TestOutcome:
-    """The configured test's verdict on a guess of fidelity ``f``: the ideal
-    threshold, or ``cfg.pairs`` swap draws from ``rng``."""
+    """The configured test's verdict on a guess of fidelity ``f``, with its
+    swap-pass tally: ``_accepted``'s rule for one game."""
     if cfg.kind == IDEAL:
-        accepted = f >= cfg.delta - 1e-12
-        return TestOutcome(accepted, int(accepted), 1, f)
+        return TestOutcome(a := _accepted(cfg, [f], [rng])[0], int(a), 1, f)
     passes, accepted = _swap_tally(f, 1, c := cfg.pairs, rng)
     return TestOutcome(accepted == 1, passes, c, f)
+
+
+def _accepted(cfg: TestConfig, fidelities: list[float], rngs) -> list[bool]:
+    """Each game's accept bit at fidelity ``fidelities[t]``, with no ``TestOutcome``:
+    the ideal threshold, or ``cfg.pairs`` swap draws from ``rngs[t]``, in order."""
+    if cfg.kind == IDEAL:
+        return [f >= cfg.delta - 1e-12 for f in fidelities]
+    return [_swap_tally(f, 1, cfg.pairs, rng)[1] for f, rng in zip(fidelities, rngs)]
 
 
 def _swap_tally(f: float, trials: int, pairs: int, rng) -> tuple[int, int]:

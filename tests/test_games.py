@@ -784,6 +784,22 @@ class TestWinRateEstimate:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_selective_call_working_set(self):
+        # one 100-game call of the (d, n) = (8, 6) grid cell peaks near 0.5 MB:
+        # its chunks of at most _DRAW_CHUNK complex entries are built in place,
+        # and no game's transcript or test outcome is built.  Chunks of 2**14
+        # entries peak near 1 MB, which raised the selective grid's resident
+        # peak by 2.6%, and chunks holding the whole call near 3.4 MB
+        cfg = sel_config(qubits=6, budget=8)
+        estimate_win_rate(cfg, lambda: SubspaceAdversary(8), trials=1)  # warm-up
+        tracemalloc.start()
+        try:
+            estimate_win_rate(cfg, lambda: SubspaceAdversary(8), trials=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
+
     def test_forger_chunk_holds_no_dxd_stack(self):
         # one chunk of forger games at n = 6 peaks below the bytes of one
         # (T, D, D) complex128 stack: its guesses come from (T, 2, 2) Gram
@@ -856,7 +872,7 @@ class TestSubspaceComplement:
         with pytest.MonkeyPatch.context() as patch:
             if plant_chunk is not None:
                 plant_chunk(patch, rngs[self.TARGET])
-            played = games._play_chunk(cfg, form, games._blocks(cfg, rngs), rngs)
+            _, played = games._play_chunk(cfg, form, games._blocks(cfg, rngs), rngs, True)
         with pytest.MonkeyPatch.context() as patch:
             if plant_oracle is not None:
                 plant_oracle(patch, twins[self.TARGET])

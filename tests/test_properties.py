@@ -156,24 +156,43 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def _assert_replays(est, loop, keep):
+    """The estimate's counts, and its transcripts if kept (else none), are
+    the per-game oracle's games, in every field."""
+    wins = sum(t.outcome_b for t in loop)
+    rate = wins / len(loop)
+    assert (est.wins, est.trials) == (wins, len(loop))
+    assert est.win_rate == rate
+    assert est.stderr == float(np.sqrt(rate * (1.0 - rate) / len(loop)))
+    if not keep:
+        assert est.transcripts == ()
+        return
+    for got, want in zip(est.transcripts, loop, strict=True):
+        for f in dataclasses.fields(Transcript):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
 @GAME_PROPERTY
-@given(game=subspace_games(), trials=st.integers(1, 7), chunk=st.sampled_from([1, 3, None]))
-def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk):
+@given(
+    game=subspace_games(),
+    trials=st.integers(1, 7),
+    chunk=st.sampled_from([1, 3, None]),
+    keep=st.booleans(),
+)
+def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk, keep):
     # chunks of 1 or 3 devices, or the default, play the games that the
-    # per-game oracle plays on the same child streams, in every field
+    # per-game oracle plays on the same child streams, with or without
+    # transcripts
     cfg, d = game
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
         est = estimate_win_rate(
-            cfg, lambda: SubspaceAdversary(d), trials, keep_transcripts=True
+            cfg, lambda: SubspaceAdversary(d), trials, keep_transcripts=keep
         )
     children = np.random.SeedSequence(cfg.seed).spawn(trials)
     loop = [run_game(cfg, SubspaceOracle(d), np.random.default_rng(c)) for c in children]
-    assert est.wins == sum(t.outcome_b for t in loop)
-    for got, want in zip(est.transcripts, loop, strict=True):
-        for f in dataclasses.fields(Transcript):
-            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+    _assert_replays(est, loop, keep)
 
 
 @st.composite
@@ -196,21 +215,23 @@ def forger_games(draw):
 
 
 @GAME_PROPERTY
-@given(cfg=forger_games(), trials=st.integers(1, 7), chunk=st.sampled_from([1, 3, None]))
-def test_forger_chunks_replay_the_per_game_oracle(cfg, trials, chunk):
+@given(
+    cfg=forger_games(),
+    trials=st.integers(1, 7),
+    chunk=st.sampled_from([1, 3, None]),
+    keep=st.booleans(),
+)
+def test_forger_chunks_replay_the_per_game_oracle(cfg, trials, chunk, keep):
     # as the subspace property, for the emulation forger at the game's mu
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
         est = estimate_win_rate(
-            cfg, lambda: QeForger(cfg.mu), trials, keep_transcripts=True
+            cfg, lambda: QeForger(cfg.mu), trials, keep_transcripts=keep
         )
     children = np.random.SeedSequence(cfg.seed).spawn(trials)
     loop = [run_game(cfg, ForgerOracle(cfg.mu), np.random.default_rng(c)) for c in children]
-    assert est.wins == sum(t.outcome_b for t in loop)
-    for got, want in zip(est.transcripts, loop, strict=True):
-        for f in dataclasses.fields(Transcript):
-            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+    _assert_replays(est, loop, keep)
 
 
 AUDIT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qpuflab import testers
 from qpuflab import (
     DimensionMismatch,
     InvalidQuantumObject,
@@ -211,6 +212,44 @@ class TestSwapTest:
         out = run_test(cfg, basis(2, 0), basis(2, 1), np.random.default_rng(SEED))
         assert out.pairs_run == 3
         assert 0 <= out.pass_count <= 3
+
+
+class TestChunkVerdict:
+    """``testers._accepted``, the accept bits of a chunk of games, against
+    ``_verdict`` game by game."""
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 1e-12, 0.3])
+    def test_ideal_bits_at_the_threshold_edges(self, delta):
+        # the threshold as rounded, and one float step either side of it
+        edge = delta - 1e-12
+        fs = [np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)]
+        fs = [float(f) for f in fs] + [0.0, 1.0]
+        cfg = TestConfig(kind="ideal", delta=delta)
+        rngs = [np.random.default_rng(SEED + i) for i in range(len(fs))]
+        bits = testers._accepted(cfg, fs, rngs)
+        assert bits == [testers._verdict(cfg, f, None).accepted for f in fs]
+        assert bits[:3] == [False, True, True]
+        # an ideal test draws nothing
+        fresh = [np.random.default_rng(SEED + i) for i in range(len(fs))]
+        assert [r.random() for r in rngs] == [r.random() for r in fresh]
+
+    @pytest.mark.parametrize("piece", [None, 2])
+    @pytest.mark.parametrize("kappas", [(1, 1), (3, 5), (5, 5)])
+    def test_swap_bits_and_streams_match_the_verdict(self, kappas, piece, monkeypatch):
+        # each game's bit and its stream's state after its draws, with the
+        # uniforms drawn whole or in pieces of 2; F = 0 and F = 1 included
+        if piece is not None:
+            monkeypatch.setattr(testers, "_DRAW_CHUNK", piece)
+        cfg = TestConfig(kind="swap", kappa1=kappas[0], kappa2=kappas[1])
+        fs = [0.0, 1.0, 0.5, *np.random.default_rng(SEED).random(20).tolist()]
+        rngs = [np.random.default_rng(SEED + i) for i in range(len(fs))]
+        twins = [np.random.default_rng(SEED + i) for i in range(len(fs))]
+        bits = testers._accepted(cfg, fs, rngs)
+        want = [testers._verdict(cfg, f, twin).accepted for f, twin in zip(fs, twins)]
+        assert bits == want
+        assert len(set(bits)) == 2  # both verdicts occur
+        for rng, twin in zip(rngs, twins):
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCircuitCrossCheck:
