@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import QeConfig, QeRunResult, _check_dims, _final_state, _run, run_full
-from .emulator import _through_stage2
+from .emulator import QeConfig, _final_state, _through_stage2, run_full
 from .errors import (
     BudgetRefusal,
     DimensionMismatch,
@@ -169,7 +168,9 @@ class _SubspaceChunk:
             in_weight += [abs(c) ** 2 for c in challenges[:, j].tolist()]
         rest = 1.0 - np.minimum(in_weight, 1.0)
         rows = np.flatnonzero(rest > 1e-12) if self.d < dim else []
-        draws = _complement_rows(responses[rows], [rngs[t] for t in rows])
+        # every game drawing, the usual case, reads the stack itself, no copy
+        bases = responses if len(rows) == len(responses) else responses[rows]
+        draws = _complement_rows(bases, [rngs[t] for t in rows])
         guesses[rows] += np.sqrt(rest[rows])[:, np.newaxis] * draws
         return _normalised(guesses)
 
@@ -302,12 +303,6 @@ def forgery_fidelity_bound(mu: float) -> float:
     return (1.0 - mu) * (1.0 + 4.0 * mu * (1.0 - mu))
 
 
-def _forger_circuit(plan: ForgerPlan, responses: tuple) -> QeConfig:
-    """The emulation circuit on the plan's two queries, ``phi2`` as reference."""
-    samples = (plan.phi1, plan.phi2)
-    return QeConfig(samples_in=samples, samples_out=responses, reference_index=1)
-
-
 def _principal_states(final: np.ndarray) -> np.ndarray:
     """The normalised principal eigenvectors of ``F F^dag`` for a ``(T, D, m)``
     stack of circuit states ``F``, each turned so that its largest entry is
@@ -326,22 +321,21 @@ class QeForger:
 
     Learning queries the plan's ``phi1`` and ``phi2``; the challenge is
     ``phi3``; the guess is the principal eigenvector of the circuit's output
-    (``phi2`` as reference), exact whenever that output is pure; it comes from
-    the ``(2, 2)`` Gram matrix of the circuit's state, not the ``(D, D)`` output.
-    The stage-2 measurement is sampled (one physical run, no retries), so on
-    the weighted branch the guess occasionally comes from the failure
-    branch; at mu <= 1/2 stage 2 passes with certainty.
+    (``phi2`` as reference), exact whenever that output is pure.  The stage-2
+    measurement is sampled (one physical run, no retries), so on the weighted
+    branch the guess occasionally comes from the failure branch; at
+    mu <= 1/2 stage 2 passes with certainty.  The guess is that of
+    ``_ForgerChunk(mu)`` on one game, for whatever challenge it is given.
     """
 
     def __init__(self, mu: float) -> None:
         if not 0.0 <= mu <= 1.0:
             raise InvalidQuantumObject(f"mu={mu} outside [0, 1]")
-        self._mu = mu
         self.plan: ForgerPlan | None = None
-        self.last_result: QeRunResult | None = None
-        self._responses: tuple[StateVector, StateVector] | None = None
+        self._responses: np.ndarray | None = None  # (2, D) rows
+        self._form = _ForgerChunk(mu)
         # as SubspaceAdversary's: a subclass plays game by game
-        self._chunk_form = _ForgerChunk(mu) if type(self) is QeForger else None
+        self._chunk_form = self._form if type(self) is QeForger else None
 
     def learn(
         self,
@@ -350,11 +344,9 @@ class QeForger:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        self.plan = make_forger_plan(self._mu, dim)
-        self._responses = (
-            oracle.query(self.plan.phi1),
-            oracle.query(self.plan.phi2),
-        )
+        self.plan = make_forger_plan(self._form.mu, dim)
+        queries = (self.plan.phi1, self.plan.phi2)
+        self._responses = np.array([oracle.query(q).amplitudes for q in queries])
 
     def choose_challenge(self, rng: np.random.Generator) -> StateVector:
         if self.plan is None:
@@ -362,22 +354,23 @@ class QeForger:
         return self.plan.phi3
 
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
-        if self.plan is None or self._responses is None:
+        if self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
-        cfg = _forger_circuit(self.plan, self._responses)
-        _check_dims(cfg, challenge)
-        self.last_result, final = _run(
-            cfg._rows_in, cfg._rows_out, cfg.reference_index, challenge.amplitudes, rng
-        )
-        return _unchecked(StateVector, amplitudes=_principal_states(final[np.newaxis])[0])
+        dim = self._responses.shape[1]
+        if challenge.dim != dim:
+            raise DimensionMismatch(f"input dim {challenge.dim} != sample dim {dim}")
+        psi, outputs = challenge.amplitudes[np.newaxis], self._responses[np.newaxis]
+        guess = self._form.respond(psi, outputs, [rng])[0]
+        return _unchecked(StateVector, amplitudes=guess)
 
 
 @dataclass(frozen=True)
 class _ForgerChunk:
     """``QeForger(mu)``'s queries, challenge and guess over a chunk of ``qex``
-    games as arrays: stages 1 and 2 and the failure branch's guess once, and
-    stage 4 and the guess on ``(T, D)`` stacks of the games' responses, the
-    guess from ``(T, 2, 2)`` Gram matrices, with no ``(T, D, D)`` stack."""
+    games as arrays; one game is a chunk of one.  Stages 1 and 2 and the
+    failure branch's guess run once, and stage 4 and the guess on ``(T, D)``
+    stacks of the games' responses, the guess from ``(T, 2, 2)`` Gram matrices,
+    with no ``(T, D, D)`` stack."""
 
     mu: float
     mode = QEX
@@ -390,10 +383,11 @@ class _ForgerChunk:
         return make_forger_plan(self.mu, dim).phi3
 
     def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
-        """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams."""
-        plan = make_forger_plan(self.mu, challenges.shape[1])
-        queries = np.array([plan.phi1.amplitudes, plan.phi2.amplitudes])  # phi2: reference
-        stage2 = _through_stage2(queries, 1, plan.phi3.amplitudes)
+        """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams to
+        the chunk's one challenge, ``challenges[0]``; a stage-2 pass probability
+        below the floor raises :class:`PostSelectionFailure` before any draw."""
+        queries = np.array([q.amplitudes for q in self.queries(challenges.shape[1])])
+        stage2 = _through_stage2(queries, 1, challenges[0])  # phi2: reference
         passed = np.array([rng.random() < stage2[2] for rng in rngs])
         guesses = np.empty(challenges.shape, dtype=np.complex128)
         if not passed.all():
@@ -428,7 +422,8 @@ def run_forgery(
     """
     plan = make_forger_plan(mu, instance.dim, margin=margin)
     responses = (qeval(instance, plan.phi1), qeval(instance, plan.phi2))
-    cfg = _forger_circuit(plan, responses)
+    # the emulation circuit on the plan's two queries, phi2 as reference
+    cfg = QeConfig((plan.phi1, plan.phi2), responses, reference_index=1)
     result = run_full(cfg, plan.phi3, target=qeval(instance, plan.phi3))
     return ForgeryReport(
         mu=mu,

@@ -6,7 +6,7 @@ manifest and, because every code path is seeded, reproduces the output file
 byte for byte.
 
 Exit codes: 0 on success, 1 when an audit reports violations, 2 on usage or
-domain errors.
+domain errors, 70 on an internal error (a bug), never an audit result.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from collections.abc import Callable
 
 import numpy as np
@@ -377,6 +378,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    except Exception:
+        # anything else is a bug: EX_SOFTWARE, so it never reads as an audit's 1
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -338,11 +338,11 @@ def run_full(
     """
     _check_dims(cfg, psi, target)
     t = None if target is None else target.amplitudes
-    return _run(cfg._rows_in, cfg._rows_out, cfg.reference_index, psi.amplitudes, rng, t)[0]
+    return _run(cfg._rows_in, cfg._rows_out, cfg.reference_index, psi.amplitudes, rng, t)
 
 
-def _run(samples_in, samples_out, ref: int, psi, rng=None, target=None) -> tuple:
-    """``run_full``'s result and the run's ``_final_state``, on raw rows and amplitudes."""
+def _run(samples_in, samples_out, ref: int, psi, rng=None, target=None) -> QeRunResult:
+    """``run_full``'s result on raw rows and amplitudes."""
     stage2 = _through_stage2(samples_in, ref, psi)
     pass_prob = stage2[2]
     stage2_bit = 0 if rng is None or rng.random() < pass_prob else 1
@@ -359,4 +359,4 @@ def _run(samples_in, samples_out, ref: int, psi, rng=None, target=None) -> tuple
         p_succ_stage1=pass_prob**2,
         stage2_pass_prob=pass_prob,
         fidelity_vs_target=fidelity,
-    ), final
+    )

@@ -219,7 +219,7 @@ def recovery_floor_check(trials: int, rng: np.random.Generator) -> CheckReport:
     for (samples, ref, _, psi), u in zip(setups, _haar_devices([s[2] for s in setups])):
         images = np.array([u @ s for s in samples])
         try:
-            res = _run(samples, images, ref, psi, target=u @ psi)[0]
+            res = _run(samples, images, ref, psi, target=u @ psi)
         except PostSelectionFailure:
             continue  # nothing to condition on; the floor is vacuous
         margins.append(res.fidelity_vs_target - np.sqrt(res.p_succ_stage1) + 1e-8)

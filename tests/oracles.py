@@ -28,7 +28,8 @@ from qpuflab import (
     pure_state_distance_bound,
     testers,
 )
-from qpuflab.emulator import _run, closed_form_state, run_full, run_stage1
+from qpuflab.emulator import _final_state, _run, _through_stage2, closed_form_state
+from qpuflab.emulator import run_full, run_stage1
 from qpuflab.numerics import (
     _complement_vector,
     _ginibre,
@@ -83,18 +84,24 @@ class ForgerOracle(QeForger):
     out for one run instead of the library's stack rule: the top eigenvector
     ``u`` of the ``(m, m)`` Gram matrix ``F^dag F`` of the run's final state
     ``F``, mapped to ``F u``; the phase is fixed on numpy scalars.  The run
-    takes the plan's queries and the responses as rows, ``phi2`` the reference.
+    takes the plan's queries and the responses as rows, ``phi2`` the reference,
+    and is recorded as ``last_result``; ``F`` is that run's final state,
+    recomputed from its stage-2 bit with no second draw.
 
     Being a subclass, it has no chunk form, so games play it through
     ``games._play``.
     """
 
+    last_result = None
+
     def respond(self, challenge: StateVector, rng: np.random.Generator) -> StateVector:
         if self.plan is None or self._responses is None:
             raise InvalidQuantumObject("respond called before learn")
         queries = np.array([self.plan.phi1.amplitudes, self.plan.phi2.amplitudes])
-        responses = np.array([r.amplitudes for r in self._responses])
-        self.last_result, final = _run(queries, responses, 1, challenge.amplitudes, rng)
+        psi = challenge.amplitudes
+        self.last_result = _run(queries, self._responses, 1, psi, rng)
+        outputs = None if self.last_result.stage2_bit else self._responses
+        final = _final_state(queries, 1, _through_stage2(queries, 1, psi), outputs)
         vec = final @ np.linalg.eigh(final.conj().T @ final)[1][:, -1]
         pivot = int(np.argmax(np.abs(vec)))
         vec = vec * (vec[pivot].conj() / abs(vec[pivot]))

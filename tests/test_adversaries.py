@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import SubspaceOracle, dxd_principal_state
+from oracles import ForgerOracle, SubspaceOracle, dxd_principal_state
 from qpuflab import (
     BudgetRefusal,
     DimensionCapExceeded,
@@ -11,6 +11,7 @@ from qpuflab import (
     ForgerPlan,
     GameConfig,
     InvalidQuantumObject,
+    PostSelectionFailure,
     PreconditionViolation,
     PrivilegedReadout,
     PrivilegeRequired,
@@ -190,7 +191,6 @@ class TestQeForger:
             with pytest.raises(DimensionMismatch, match="input dim"):
                 forger.respond(challenge, rng)
         assert rng.bit_generator.state == before
-        assert forger.last_result is None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_balanced_guess_is_the_true_response(self, n):
@@ -226,16 +226,58 @@ class TestQeForger:
         )
         assert 0.6 <= est.win_rate <= 1.0
 
+    @pytest.mark.parametrize("mu", [0.5, 0.75])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_respond_answers_the_challenge_it_is_given(self, n, mu):
+        # stages 1 and 2 run on the challenge respond is given, not on the
+        # plan's phi3: the guess is the oracle's one run, bit for bit, with
+        # the same draw, on the plan's challenge, a Haar state and a state
+        # that overlaps a query; stage 2 both passes and fails, but for the
+        # one case where it cannot fail: at D = 2 and mu = 1/2 every input
+        # passes with certainty (3/4 is inside the margin even at n = 1)
+        inst = qgen(QPufGenParams(qubits=n, seed=60 + n))
+        forger, oracle = QeForger(mu), ForgerOracle(mu)
+        for adv in (forger, oracle):
+            adv.learn(device_oracle(inst), inst.dim, 2, np.random.default_rng(SEED))
+        plan = forger.plan
+        overlapping = (plan.phi1.amplitudes + plan.phi3.amplitudes) / np.sqrt(2.0)
+        challenges = (
+            plan.phi3,
+            haar_state(inst.dim, np.random.default_rng([SEED, n])),
+            StateVector(overlapping),
+        )
+        bits = set()
+        for c, challenge in enumerate(challenges):
+            for k in range(16):
+                mine, theirs = (np.random.default_rng([SEED, n, c, k]) for _ in "ab")
+                got = forger.respond(challenge, mine)
+                want = oracle.respond(challenge, theirs)
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+                assert mine.bit_generator.state == theirs.bit_generator.state
+                bits.add(oracle.last_result.stage2_bit)
+        assert bits == ({0} if inst.dim == 2 and mu <= 0.5 else {0, 1})
+        if inst.dim >= 4:  # e_2 is orthogonal to both queries
+            rng = np.random.default_rng(SEED)
+            before = rng.bit_generator.state
+            for adv in (forger, oracle):
+                with pytest.raises(PostSelectionFailure):
+                    adv.respond(basis(inst.dim, 2), rng)
+            assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("mu", [0.5, 0.75, 0.875])
     def test_gram_guess_is_the_dxd_principal_state(self, mu):
-        # the guess from the (2, 2) Gram matrix against the (D, D) output's
-        # principal eigenvector, over registers of 1 to 64 dimensions and
-        # both stage-2 branches; a passed game's fidelity is the same on
-        # every device and register (ROADMAP item 9's forger closed form)
-        class Recorder(QeForger):
-            def respond(self, challenge, rng):
-                self.guess = super().respond(challenge, rng)
-                return self.guess
+        # the guess from the (2, 2) Gram matrix is the oracle's, bit for bit,
+        # on an identical stream, and the (D, D) output's principal
+        # eigenvector, over registers of 1 to 64 dimensions and both stage-2
+        # branches; a passed game's fidelity is the same on every device and
+        # register (ROADMAP item 9's forger closed form)
+        def recording(cls):
+            class Recorder(cls):
+                def respond(self, challenge, rng):
+                    self.guess = super().respond(challenge, rng)
+                    return self.guess
+
+            return Recorder(mu)
 
         passed = []
         for n in (1, 2, 3, 4, 6):
@@ -244,26 +286,25 @@ class TestQeForger:
             cfg = self._config(mu, delta=0.5, qubits=n)
             bits = set()
             for k in range(20):
-                forger = Recorder(mu)
+                forger, oracle = recording(QeForger), recording(ForgerOracle)
                 t = run_game(cfg, forger, np.random.default_rng([SEED, n, k]))
-                old = dxd_principal_state(forger.last_result.output_mixed.matrix)
-                assert abs(np.vdot(forger.guess.amplitudes, old)) ** 2 >= 1.0 - 1e-12
-                bits.add(forger.last_result.stage2_bit)
-                if forger.last_result.stage2_bit == 0:
+                run_game(cfg, oracle, np.random.default_rng([SEED, n, k]))
+                guess = forger.guess.amplitudes
+                assert guess.tobytes() == oracle.guess.amplitudes.tobytes()
+                run = oracle.last_result
+                old = dxd_principal_state(run.output_mixed.matrix)
+                assert abs(np.vdot(guess, old)) ** 2 >= 1.0 - 1e-12
+                bits.add(run.stage2_bit)
+                if run.stage2_bit == 0:
                     passed.append(t.fidelity_of_guess)
+                if mu <= 0.5:  # stage 1 succeeds with certainty
+                    assert run.p_succ_stage1 == pytest.approx(1.0, abs=1e-9)
             assert bits == ({0} if mu <= 0.5 else {0, 1})
         assert max(passed) - min(passed) <= 1e-12
         if mu <= 0.5:
             assert min(passed) >= 1.0 - 1e-12
         if mu == 0.75:
             assert passed[0] == pytest.approx(0.944526631, abs=1e-9)
-
-    def test_records_its_last_run(self):
-        forger = QeForger(0.5)
-        run_game(self._config(0.5, delta=0.5), forger)
-        assert forger.last_result is not None
-        assert forger.last_result.stage2_bit == 0
-        assert forger.last_result.p_succ_stage1 == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSubspaceKnowledge:

@@ -250,6 +250,19 @@ class TestGame:
         assert err.startswith("error:")
         assert "memory" in err
 
+    def test_internal_error_exits_seventy(self, monkeypatch, capsys):
+        # a bug is neither a domain error (2) nor an audit violation (1)
+        def crash(*args, **kwargs):
+            raise ValueError("planted bug")
+
+        monkeypatch.setattr(cli, "run_all_checks", crash)
+        code, out, err = run_cli(["verify-all", "--seed", "5"], capsys)
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" in err
+        assert "ValueError: planted bug" in err
+
 
 class TestQeDemo:
     def test_payload_values(self, capsys):

@@ -216,7 +216,6 @@ class TestAdversaries:
             adv = QeForger(mu)
             adv.learn(oracle, dim, 2, rng)
             checked(adv.respond(adv.choose_challenge(rng), rng))
-            checked(adv.last_result.output_mixed)
 
 
 class TestVerifyAudits:
