@@ -125,7 +125,8 @@ class SubspaceAdversary:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        basis_in = self._form.queries(dim)
+        rows, _ = self._form.inputs(dim)
+        basis_in = tuple(_unchecked(StateVector, amplitudes=q) for q in rows)
         basis_out = tuple(oracle.query(b) for b in basis_in)
         self.knowledge = _unchecked(
             SubspaceKnowledge, dim=dim, basis_in=basis_in, basis_out=basis_out
@@ -144,16 +145,18 @@ class SubspaceAdversary:
 
 @dataclass(frozen=True)
 class _SubspaceChunk:
-    """The queries and the guess rule of ``SubspaceAdversary(d)``, over a
-    chunk of games as arrays; one game is a chunk of one."""
+    """The queries ``e_0 .. e_{d-1}`` (``_play_chunk`` reads their images as the
+    blocks' first d columns) and the guess rule of ``SubspaceAdversary(d)``
+    over a chunk of ``qsel`` games as arrays; one game is a chunk of one."""
 
     d: int
     mode = QSEL
 
-    def queries(self, dim: int) -> tuple[StateVector, ...]:
+    def inputs(self, dim: int) -> tuple[np.ndarray, None]:
+        """The ``(d, D)`` query rows, and no challenge: the challenger draws it."""
         if self.d > dim:
             raise InvalidQuantumObject(f"subspace dim {self.d} exceeds space {dim}")
-        return tuple(_basis_state(dim, i) for i in range(self.d))
+        return np.eye(self.d, dim, dtype=np.complex128), None
 
     def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
         """``(T, D)`` guesses from the challenges, the ``(T, d, D)`` responses
@@ -265,7 +268,8 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
     ``dim``-dimensional register.  Raises :class:`PreconditionViolation` when
     mu exceeds ``1 - margin`` (default ``1 / (2 dim)``): the attack's
     fidelity floor degenerates as mu -> 1, so a non-negligible margin is part
-    of its contract.  A margin outside ``[0, 1]`` raises too.
+    of its contract.  A margin outside ``[0, 1]`` raises too.  Past these
+    checks the states and the plan are built without re-validation.
     """
     _check_dim(dim, 2)  # the challenge |1> needs a second basis state
     if margin is None:
@@ -280,14 +284,10 @@ def make_forger_plan(mu: float, dim: int, margin: float | None = None) -> Forger
     phi3 = _basis_state(dim, 1)
     weight = max(mu, 0.5)
     amps2 = np.sqrt(weight) * phi1.amplitudes + np.sqrt(1.0 - weight) * phi3.amplitudes
-    phi2 = StateVector(amps2)
-    return ForgerPlan(
-        mu=mu,
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
-        alpha=float(np.sqrt(1.0 - weight)),
-        beta=float(np.sqrt(weight)),
+    phi2 = _unchecked(StateVector, amplitudes=amps2)
+    alpha, beta = float(np.sqrt(1.0 - weight)), float(np.sqrt(weight))
+    return _unchecked(
+        ForgerPlan, mu=mu, phi1=phi1, phi2=phi2, phi3=phi3, alpha=alpha, beta=beta
     )
 
 
@@ -367,26 +367,24 @@ class QeForger:
 @dataclass(frozen=True)
 class _ForgerChunk:
     """``QeForger(mu)``'s queries, challenge and guess over a chunk of ``qex``
-    games as arrays; one game is a chunk of one.  Stages 1 and 2 and the
-    failure branch's guess run once, and stage 4 and the guess on ``(T, D)``
-    stacks of the games' responses, the guess from ``(T, 2, 2)`` Gram matrices,
-    with no ``(T, D, D)`` stack."""
+    games as arrays; one game is a chunk of one.  It queries the plan's
+    ``phi1`` and ``phi2`` and names ``phi3`` as every game's challenge.  Stages
+    1 and 2 and the failure branch's guess run once, and stage 4 and the guess
+    on ``(T, D)`` stacks of the games' responses, the guess from ``(T, 2, 2)``
+    Gram matrices, with no ``(T, D, D)`` stack."""
 
     mu: float
     mode = QEX
 
-    def queries(self, dim: int) -> tuple[StateVector, ...]:
-        plan = make_forger_plan(self.mu, dim)
-        return plan.phi1, plan.phi2
-
-    def challenge(self, dim: int) -> StateVector:
-        return make_forger_plan(self.mu, dim).phi3
+    def inputs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        plan = make_forger_plan(self.mu, dim)  # its margin check raises before any draw
+        return np.array([plan.phi1.amplitudes, plan.phi2.amplitudes]), plan.phi3.amplitudes
 
     def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
         """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams to
         the chunk's one challenge, ``challenges[0]``; a stage-2 pass probability
         below the floor raises :class:`PostSelectionFailure` before any draw."""
-        queries = np.array([q.amplitudes for q in self.queries(challenges.shape[1])])
+        queries = self.inputs(challenges.shape[1])[0]
         stage2 = _through_stage2(queries, 1, challenges[0])  # phi2: reference
         passed = np.array([rng.random() < stage2[2] for rng in rngs])
         guesses = np.empty(challenges.shape, dtype=np.complex128)

@@ -267,7 +267,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             if value:
                 argv.append(flag)
         else:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={value}")  # one token: "-inf" is no option
     argv.extend(["--out", out])
     return main(argv)
 

@@ -332,26 +332,28 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: boo
     """``_play`` of a chunk of games on ``(T, D)`` stacks: their accept bits, and
     transcripts only if ``keep``.  Game ``t`` is ``_play`` on block ``t`` and
     ``rngs[t]``, bit for bit: a ``qsel`` challenge, the adversaries' draws, the
-    test's.  ``form``, the adversaries' ``_chunk_form``, names a ``qex`` challenge."""
+    test's.  ``form``, the adversaries' ``_chunk_form``, gives raw query rows and
+    a ``qex`` challenge row; only the mu rule and transcripts read states."""
     dim, k = blocks.shape[1:]
-    queries = form.queries(dim)
-    if len(queries) > cfg.learning_budget:
+    rows, psi = form.inputs(dim)
+    if len(rows) > cfg.learning_budget:
         raise BudgetExceeded(f"learning budget of {cfg.learning_budget} queries exhausted")
     if cfg.mode == QEX:
         # a device's rows depend on its inputs only, which the chunk shares,
         # so one device's Gram-Schmidt gives every game's coefficients
         device = _LazyDevice(blocks[0])
-        coeffs = [device.coefficients(q.amplitudes) for q in queries]
-        d, challenge = device.rank, form.challenge(dim)
+        coeffs = [device.coefficients(q) for q in rows]
+        queries = tuple(_unchecked(StateVector, amplitudes=q) for q in rows)
+        d, challenge = device.rank, _unchecked(StateVector, amplitudes=psi)
         _check_challenge(cfg, challenge, queries, dim)
         responses = np.stack([_images(blocks, c) for c in coeffs], 1)
-        truth = _images(blocks, device.coefficients(challenge.amplitudes))
-        challenges = np.broadcast_to(challenge.amplitudes, truth.shape)
+        truth = _images(blocks, device.coefficients(psi))
+        challenges = np.broadcast_to(psi, truth.shape)
         shown = [challenge] * len(rngs)
     else:
         # learning leaves each device the rows e_0 .. e_{d-1}; their images
         # are its block's first d columns, copied to rows as respond's bits need
-        d = len(queries)
+        d = len(rows)
         responses = np.ascontiguousarray(blocks[:, :, :d].transpose(0, 2, 1))
         challenges = _haar_rows(dim, rngs)
         # the device's Gram-Schmidt step against e_0 .. e_{d-1} takes psi_j as
@@ -369,6 +371,7 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: boo
     fidelities = [abs(z) ** 2 for z in _row_dots(truth.conj(), guesses).tolist()]
     accepted = _accepted(cfg.test, fidelities, rngs)
     if keep and cfg.mode == QSEL:
+        queries = tuple(_unchecked(StateVector, amplitudes=q) for q in rows)
         shown = [_unchecked(StateVector, amplitudes=psi) for psi in challenges]
     kept = zip(shown, accepted, fidelities) if keep else ()
     return accepted, [Transcript(queries, d, psi, int(b), f) for psi, b, f in kept]

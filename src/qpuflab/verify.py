@@ -30,7 +30,7 @@ exists to prove the harness can reject, and is only included on request.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -145,14 +145,9 @@ def haar_subspace_weight_check(
     stderr = float(np.std(weights, ddof=1) / np.sqrt(trials))
     allowance = 3.0 * stderr + 1e-12
     margin = allowance - abs(mean - d / dim)
-    return CheckReport(
-        name="haar-subspace-weight",
-        trials=trials,
-        violations=int(not margin >= 0.0),
-        worst_margin=margin,
-        passed=margin >= 0.0,
-        detail=f"d={d} D={dim} mean={mean:.6f} expected={d / dim:.6f} 3se={allowance:.2e}",
-    )
+    detail = f"d={d} D={dim} mean={mean:.6f} expected={d / dim:.6f} 3se={allowance:.2e}"
+    report = _report_chunks("haar-subspace-weight", [np.array([margin])], detail)
+    return replace(report, trials=trials)  # one margin from all the trials
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import ForgerOracle, SubspaceOracle, device_block
+import qpuflab
 from qpuflab import adversaries, emulator, games, numerics
 from qpuflab import (
     AdversaryInterface,
@@ -968,6 +969,68 @@ class TestSubspaceComplement:
         cfg = dataclasses.replace(sel_config(qubits=2, budget=4), test=SWAP5)
         self.play(cfg, 4, plant_chunk)
         assert drawn == []
+
+
+class TestChunksValidateNothing:
+    """A chunk of games builds what it reads from raw rows: no library
+    dataclass check runs inside one, and a selective chunk without
+    transcripts wraps no array in a state at all."""
+
+    @staticmethod
+    def replays_unchecked(cfg, factory, trials, keep):
+        want = estimate_win_rate(cfg, factory, trials, keep_transcripts=keep)
+        checked = []
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.__post_init__ ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in qpuflab.__all__:
+                obj = getattr(qpuflab, name)
+                if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__"):
+                    patch.setattr(obj, "__post_init__", refuse)
+                    checked.append(obj)
+            got = estimate_win_rate(cfg, factory, trials, keep_transcripts=keep)
+        assert {StateVector, adversaries.ForgerPlan, GameConfig} <= set(checked)
+        assert got.wins == want.wins
+        assert len(got.transcripts) == (trials if keep else 0)
+        assert [transcript_bits(t) for t in got.transcripts] == [
+            transcript_bits(t) for t in want.transcripts
+        ]
+
+    @pytest.mark.parametrize("mu", [0.5, 0.75])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_forger_chunk_runs_no_post_init(self, qubits, mu):
+        cfg = forger_config(mu, qubits=qubits)
+        self.replays_unchecked(cfg, lambda: QeForger(mu), 20, keep=True)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_subspace_chunk_runs_no_post_init(self, keep):
+        cfg = dataclasses.replace(sel_config(qubits=3, budget=3), test=SWAP5)
+        self.replays_unchecked(cfg, lambda: SubspaceAdversary(3), 20, keep)
+
+    @staticmethod
+    def unchecked_calls(keep):
+        # one 100-game call of the (d, n) = (8, 6) grid cell, as in
+        # test_selective_call_working_set
+        cfg = sel_config(qubits=6, budget=8)
+        calls, real = [], numerics._unchecked
+
+        def counted(cls, **fields):
+            calls.append(cls)
+            return real(cls, **fields)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (games, adversaries):
+                patch.setattr(module, "_unchecked", counted)
+            estimate_win_rate(cfg, lambda: SubspaceAdversary(8), 100, keep_transcripts=keep)
+        return calls
+
+    def test_selective_call_wraps_no_state(self):
+        assert self.unchecked_calls(keep=False) == []
+        # the count is live: kept transcripts wrap each of the 8 chunks' 8
+        # queries and the 100 challenges
+        assert self.unchecked_calls(keep=True) == [StateVector] * (8 * 8 + 100)
 
 
 class TestTranscriptRecord:

@@ -18,7 +18,9 @@ from qpuflab import adversaries, games, numerics, verify
 from qpuflab import (
     DensityMatrix,
     EpsilonDisturbedChannel,
+    ForgerPlan,
     GameConfig,
+    PreconditionViolation,
     PrivilegedReadout,
     QeConfig,
     QeForger,
@@ -34,6 +36,7 @@ from qpuflab import (
     channel_apply,
     haar_state,
     haar_unitary,
+    make_forger_plan,
     orthogonal_challenge_check,
     qeval,
     qgen,
@@ -58,6 +61,11 @@ def checked(obj):
         raise TypeError(type(obj))
     assert arr.dtype == np.complex128 and not arr.flags.writeable
     return obj
+
+
+def subspace_rows(dim):
+    """A spanning subspace chunk's query rows, ``e_0 .. e_{D-1}``."""
+    return adversaries._SubspaceChunk(dim).inputs(dim)[0]
 
 
 def device_oracle(dim, seed):
@@ -110,27 +118,30 @@ class TestNumerics:
 
     def test_from_state(self, dim):
         rng = np.random.default_rng(SEED + 10 + dim)
+        row = subspace_rows(dim)[dim - 1]
         for psi in (haar_state(dim, rng), adversaries._basis_state(dim, dim - 1)):
             checked(DensityMatrix.from_state(psi))
+        checked(DensityMatrix.from_state(StateVector(row)))
 
 
 @pytest.mark.parametrize("dim", DIMS)
 class TestGames:
     def test_lazy_device_responses(self, dim):
-        # new directions from the block, then an in-span basis state and a
-        # repeated query; budget 3 covers the three fresh states and the
-        # basis state, as a game's budget covers its calls
+        # new directions from the block, then a basis state, a repeated query
+        # and a subspace chunk's query row e_1; budget 4 covers the three fresh
+        # states and the two basis states, as a game's budget covers its calls
         rng = np.random.default_rng(SEED + 40 + dim)
         cfg = GameConfig(
             mode="qsel",
             gen=QPufGenParams(qubits=dim.bit_length() - 1, seed=0),
             test=TestConfig(kind="ideal", delta=0.5),
-            learning_budget=3,
+            learning_budget=4,
             seed=SEED,
         )
         (device,) = games._devices(cfg, [rng])
         states = [haar_state(dim, rng) for _ in range(min(dim, 3))]
-        for psi in states + [adversaries._basis_state(dim, 0), states[0]]:
+        e1 = StateVector(subspace_rows(dim)[1])
+        for psi in states + [adversaries._basis_state(dim, 0), states[0], e1]:
             checked(device(psi))
 
 
@@ -185,6 +196,35 @@ class TestAdversaries:
     def test_basis_states(self, dim):
         for i in (0, dim // 2, dim - 1):
             checked(adversaries._basis_state(dim, i))
+
+    def test_subspace_chunk_rows(self, dim):
+        # the raw query rows a subspace chunk learns on: e_0 .. e_{d-1}, no
+        # challenge; each passes the constructor and is the basis state
+        for d in sorted({0, 1, dim // 2, dim}):
+            rows, psi = adversaries._SubspaceChunk(d).inputs(dim)
+            assert psi is None and rows.shape == (d, dim) and rows.dtype == np.complex128
+            for i, row in enumerate(rows):
+                assert StateVector(row).amplitudes.tobytes() == (
+                    adversaries._basis_state(dim, i).amplitudes.tobytes()
+                )
+
+    @pytest.mark.parametrize("margin", [None, 0.1])
+    @pytest.mark.parametrize("mu", [0, 0.3, 0.5, 0.75, 7 / 8])
+    def test_forger_plan(self, dim, mu, margin):
+        # every state and the plan pass the public constructors, where the
+        # margin (default 1/(2D)) allows the mu at all
+        if mu > 1.0 - (0.5 / dim if margin is None else margin):
+            with pytest.raises(PreconditionViolation):
+                make_forger_plan(mu, dim, margin)
+            return
+        plan = make_forger_plan(mu, dim, margin)
+        states = [checked(s) for s in (plan.phi1, plan.phi2, plan.phi3)]
+        rebuilt = ForgerPlan(plan.mu, *states, plan.alpha, plan.beta)
+        assert (rebuilt.mu, rebuilt.alpha, rebuilt.beta) == (mu, plan.alpha, plan.beta)
+        if margin is None:  # the forger chunk's raw rows are this plan's states
+            rows, psi = adversaries._ForgerChunk(mu).inputs(dim)
+            assert rows.tobytes() == np.array([s.amplitudes for s in states[:2]]).tobytes()
+            assert psi.tobytes() == states[2].amplitudes.tobytes()
 
     def test_subspace_knowledge_and_guess(self, dim):
         rng = np.random.default_rng(SEED + 50 + dim)

@@ -76,7 +76,8 @@ class TestIndividualChecks:
         rng = np.random.default_rng(SEED + 2)
         rep = haar_subspace_weight_check(3, 8, 20000, rng)
         assert rep.passed
-        assert rep.violations == 0
+        assert (rep.trials, rep.violations) == (20000, 0)
+        assert type(rep.worst_margin) is float and rep.worst_margin >= 0.0
 
     def test_recovery_floor(self):
         rep = recovery_floor_check(60, np.random.default_rng(SEED + 3))
@@ -147,7 +148,7 @@ class TestIndividualChecks:
 
         with np.errstate(invalid="ignore"):
             rep = haar_subspace_weight_check(1, 4, 10, NanDraws())
-        assert (rep.violations, rep.passed) == (1, False)
+        assert (rep.trials, rep.violations, rep.passed) == (10, 1, False)
         assert math.isnan(rep.worst_margin)
 
     def test_as_dict_round_trip(self):
