@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 import traceback
@@ -34,7 +35,7 @@ from .adversaries import (
     run_forgery,
 )
 from .errors import PrivilegeRequired, QpufLabError
-from .games import GameConfig, estimate_win_rate, transcript_record
+from .games import GameConfig, estimate_win_rate
 from .numerics import _check_seed
 from .qpuf import QPufGenParams, qgen
 from .testers import TestConfig
@@ -190,6 +191,25 @@ def _game_adversary(args: argparse.Namespace) -> tuple[str, Callable, int]:
     return "qsel", lambda: TomographyAdversary(readout), 2**args.qubits
 
 
+def _transcript_lines(cfg: GameConfig, transcripts) -> list[str]:
+    """``json.dumps(transcript_record(cfg, t), sort_keys=True)`` for each game,
+    from one template: ``k``, ``mode`` and ``n`` are encoded once, and each game
+    writes only ``b``, ``d_spanned`` and ``fidelity_of_guess`` (the keys that
+    sort first) as json does: by ``int.__repr__`` and ``float.__repr__``, and
+    ``NaN`` and ``±Infinity`` by json itself."""
+    shared = {"k": cfg.learning_budget, "mode": cfg.mode, "n": cfg.gen.qubits}
+    tail = json.dumps(shared, sort_keys=True)[1:]
+    return [
+        f'{{"b": {int.__repr__(t.outcome_b)}, "d_spanned": {int.__repr__(t.d_spanned)}, '
+        f'"fidelity_of_guess": {_json_float(t.fidelity_of_guess)}, {tail}'
+        for t in transcripts
+    ]
+
+
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _cmd_game(args: argparse.Namespace) -> int:
     gen = QPufGenParams(qubits=args.qubits, seed=args.seed)  # caps 2**qubits
     mode, factory, budget = _game_adversary(args)
@@ -204,10 +224,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
         mu=args.mu if args.mode == "qex" else None,
     )
     estimate = estimate_win_rate(cfg, factory, args.trials, keep_transcripts=True)
-    lines = [
-        json.dumps(transcript_record(cfg, t), sort_keys=True)
-        for t in estimate.transcripts
-    ]
+    lines = _transcript_lines(cfg, estimate.transcripts)
     summary = {
         "summary": {
             "adversary": args.adversary,

@@ -420,8 +420,9 @@ def estimate_win_rate(
     kept: list[Transcript] = []
     for rngs in _trial_streams(cfg.seed, trials, per_chunk):
         adversaries = [adversary_factory() for _ in rngs]
-        forms = {getattr(a, "_chunk_form", None) for a in adversaries}
-        form = forms.pop() if len(forms) == 1 else None
+        form = getattr(adversaries[0], "_chunk_form", None)
+        if any(getattr(a, "_chunk_form", None) != form for a in adversaries[1:]):
+            form = None
         if form is not None and form.mode == cfg.mode:
             accepted, played = _play_chunk(
                 cfg, form, _blocks(cfg, rngs), rngs, keep_transcripts

@@ -106,10 +106,23 @@ def _verdict(cfg: TestConfig, f: float, rng: np.random.Generator) -> TestOutcome
 
 def _accepted(cfg: TestConfig, fidelities: list[float], rngs) -> list[bool]:
     """Each game's accept bit at fidelity ``fidelities[t]``, with no ``TestOutcome``:
-    the ideal threshold, or ``cfg.pairs`` swap draws from ``rngs[t]``, in order."""
+    the ideal threshold, or ``cfg.pairs`` swap draws from ``rngs[t]``, in order.
+    Each stream fills its game's row of one ``(T, c)`` uniform array, in pieces
+    of as many whole games as ``_DRAW_CHUNK`` holds, and one comparison with
+    ``expected_acceptance(f, 1)`` scores them all: ``_swap_tally``'s uniforms and
+    rule.  A battery longer than ``_DRAW_CHUNK`` is tallied game by game."""
     if cfg.kind == IDEAL:
         return [f >= cfg.delta - 1e-12 for f in fidelities]
-    return [_swap_tally(f, 1, cfg.pairs, rng)[1] for f, rng in zip(fidelities, rngs)]
+    if (rows := _DRAW_CHUNK // (c := cfg.pairs)) < 1:
+        return [_swap_tally(f, 1, c, rng)[1] for f, rng in zip(fidelities, rngs)]
+    p = expected_acceptance(np.array(fidelities, dtype=np.float64), 1)[:, np.newaxis]
+    u, bits = np.empty((min(rows, len(rngs)), c)), []
+    for start in range(0, len(rngs), rows):
+        games = rngs[start:start + rows]
+        for row, rng in zip(u, games):
+            rng.random(out=row)
+        bits += (u[:len(games)] < p[start:start + rows]).all(1).tolist()
+    return bits
 
 
 def _swap_tally(f: float, trials: int, pairs: int, rng) -> tuple[int, int]:

@@ -7,6 +7,7 @@ it in a fresh process against this checkout's package, so it needs no install.
 """
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -15,10 +16,12 @@ import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpuflab
-from qpuflab import cli
+from qpuflab import GameConfig, QPufGenParams, StateVector, TestConfig, Transcript, cli
+from qpuflab import transcript_record
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -262,6 +265,63 @@ class TestGame:
         assert err.startswith("internal error:")
         assert "Traceback" in err
         assert "ValueError: planted bug" in err
+
+
+class TestTranscriptLines:
+    """``game``'s lines from one template, against json's own encoding."""
+
+    CONFIGS = [
+        GameConfig(
+            mode="qex", gen=QPufGenParams(qubits=2, seed=1),
+            test=TestConfig(kind="swap"), learning_budget=2, seed=5, mu=0.5,
+        ),
+        GameConfig(
+            mode="qsel", gen=QPufGenParams(qubits=3, seed=1),
+            test=TestConfig(kind="ideal", delta=0.5), learning_budget=12, seed=5,
+        ),
+    ]
+    FIDELITIES = [
+        0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1 + 0.2, np.float64(2.0) / 3.0,
+        float("nan"), float("inf"), float("-inf"),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["qex", "qsel"])
+    def test_lines_are_the_records_json(self, cfg):
+        challenge = StateVector(np.array([1.0, 0.0]))
+        games = [
+            Transcript((), d, challenge, b, f)
+            for (d, b), f in zip(itertools.cycle([(0, 0), (3, 1), (12, 1)]), self.FIDELITIES)
+        ]
+        want = [json.dumps(transcript_record(cfg, t), sort_keys=True) for t in games]
+        assert cli._transcript_lines(cfg, games) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "qsel", "--adversary", "subspace", "--d", "3", "--qubits", "3"],
+        ["--mode", "qex", "--adversary", "forger", "--mu", "0.75", "--test", "swap",
+         "--kappa1", "3", "--kappa2", "4"],
+    ], ids=["subspace", "forger"])
+    def test_game_output_keeps_the_per_record_encoding(self, argv, tmp_path, monkeypatch):
+        argv = ["game", *argv, "--trials", "40", "--seed", "23"]
+        assert cli.main([*argv, "--out", str(tmp_path / "template.jsonl")]) == 0
+        monkeypatch.setattr(cli, "_transcript_lines", lambda cfg, games: [
+            json.dumps(transcript_record(cfg, t), sort_keys=True) for t in games
+        ])
+        assert cli.main([*argv, "--out", str(tmp_path / "records.jsonl")]) == 0
+        lines = (tmp_path / "template.jsonl").read_text().splitlines()
+        assert lines == (tmp_path / "records.jsonl").read_text().splitlines()
+        assert len(lines) == 41
+
+    def test_no_json_call_per_game(self, tmp_path, monkeypatch):
+        calls, dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(1) or dumps(*a, **kw))
+        counts = []
+        for trials in ("1", "30"):
+            out = str(tmp_path / f"game-{trials}.jsonl")
+            argv = ["game", "--mode", "qex", "--adversary", "forger", "--mu", "0.5"]
+            assert cli.main([*argv, "--trials", trials, "--out", out]) == 0
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1]
 
 
 class TestQeDemo:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from qpuflab import testers
 from qpuflab import (
     DimensionMismatch,
@@ -233,22 +234,54 @@ class TestChunkVerdict:
         fresh = [np.random.default_rng(SEED + i) for i in range(len(fs))]
         assert [r.random() for r in rngs] == [r.random() for r in fresh]
 
-    @pytest.mark.parametrize("piece", [None, 2])
-    @pytest.mark.parametrize("kappas", [(1, 1), (3, 5), (5, 5)])
+    @pytest.mark.parametrize("piece", [None, 4, 2])
+    @pytest.mark.parametrize("kappas", [(1, 1), (2, 2), (3, 5), (5, 5)])
     def test_swap_bits_and_streams_match_the_verdict(self, kappas, piece, monkeypatch):
-        # each game's bit and its stream's state after its draws, with the
-        # uniforms drawn whole or in pieces of 2; F = 0 and F = 1 included
+        # each game's bit and its stream's state after its draws, against
+        # _verdict and the oracle's own pass rule, with the uniforms drawn whole
+        # or in pieces: a piece of 4 holds 4 games at c = 1, 2 at c = 2 and 1 at
+        # c = 3, and a piece below c leaves each battery to its own tally
         if piece is not None:
             monkeypatch.setattr(testers, "_DRAW_CHUNK", piece)
         cfg = TestConfig(kind="swap", kappa1=kappas[0], kappa2=kappas[1])
-        fs = [0.0, 1.0, 0.5, *np.random.default_rng(SEED).random(20).tolist()]
-        rngs = [np.random.default_rng(SEED + i) for i in range(len(fs))]
-        twins = [np.random.default_rng(SEED + i) for i in range(len(fs))]
+        # guesses at F = 0, F = 1, F = 1/2 and 20 more against |0>
+        weights = [0.0, 1.0, 0.5, *np.random.default_rng(SEED).random(20).tolist()]
+        guesses = [StateVector(np.array([np.sqrt(w), np.sqrt(1.0 - w)])) for w in weights]
+        rngs, twins, others = (
+            [np.random.default_rng(SEED + i) for i in range(len(guesses))] for _ in range(3)
+        )
+        outcomes = [oracles.run_test(cfg, basis(2, 0), g, r) for g, r in zip(guesses, others)]
+        fs = [o.fidelity for o in outcomes]
         bits = testers._accepted(cfg, fs, rngs)
-        want = [testers._verdict(cfg, f, twin).accepted for f, twin in zip(fs, twins)]
-        assert bits == want
+        assert bits == [o.accepted for o in outcomes]
+        assert bits == [testers._verdict(cfg, f, twin).accepted for f, twin in zip(fs, twins)]
         assert len(set(bits)) == 2  # both verdicts occur
-        for rng, twin in zip(rngs, twins):
+        for rng, twin, other in zip(rngs, twins, others):
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.bit_generator.state == other.bit_generator.state
+
+    def test_a_stack_of_long_batteries_holds_one_piece(self, monkeypatch):
+        # 1000 games at c = _DRAW_CHUNK: one game's row at a time, no per-game
+        # tally, and a peak of about one piece's uniforms (512 KiB)
+        def tally(*args):
+            raise AssertionError("a battery within one piece was tallied alone")
+
+        monkeypatch.setattr(testers, "_swap_tally", tally)
+        c = testers._DRAW_CHUNK
+        cfg = TestConfig(kind="swap", kappa1=c, kappa2=c)
+        rngs = [np.random.default_rng(SEED + i) for i in range(1000)]
+        fs = [1.0, 0.0] * 500
+        tracemalloc.start()
+        try:
+            bits = testers._accepted(cfg, fs, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert bits == [True, False] * 500
+        for i, rng in enumerate(rngs):
+            twin = np.random.default_rng(SEED + i)
+            twin.bit_generator.advance(c)
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
