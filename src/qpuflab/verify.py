@@ -11,16 +11,18 @@ Every check validates its parameters on entry, before its first draw.
 The disturbance and concavity audits and the negative control then work on
 plain arrays, a bounded chunk of trials at a time: a draw loop that holds
 only generator calls takes every trial's raw draws in stream order, with
-consecutive normal draws merged into one call, and the chunk is then built
-and evaluated as ``(T, D, D)`` stacks with one ``eigvalsh``/``eigh``/matmul
-per stack.  LAPACK and BLAS treat each matrix of a stack on its own, so every
-margin is bit for bit the one-trial value.  What they build from Haar draws,
-mixtures and the epsilon-channel is a density matrix by construction and is
-not validated again; tests check that on sampled draws.  The swap battery
-draws each cell as one array.  The emulation audits draw every trial in
-stream order too, and run the circuit kernels on raw sample rows, one circuit
-at a time.  Only the recovery-floor audit forms its devices, by one stacked QR
-per dimension; the other two run stages that read only the input samples.
+consecutive normal draws merged into one call and mixture weights drawn as
+exponentials (normalised per chunk, as ``Generator.dirichlet`` does), and the
+chunk is then built and evaluated as ``(T, D, D)`` stacks with one
+``eigvalsh``/``eigh``/matmul per stack.  LAPACK and BLAS treat each matrix of
+a stack on its own, so every margin is bit for bit the one-trial value.
+What they build from Haar draws, mixtures and the epsilon-channel is a
+density matrix by construction and is not validated again; tests check that
+on sampled draws.  The swap battery draws each cell as one array.  The
+emulation audits draw every trial in stream order too, and run the circuit
+kernels on raw sample rows, one circuit at a time.  Only the recovery-floor
+audit forms its devices, by one stacked QR per dimension; the other two run
+stages that read only the input samples.
 
 The negative control deliberately audits a false claim (a heavily disturbed
 device sold as strongly collision-resistant) and is expected to FAIL; it
@@ -337,6 +339,12 @@ def _outers(states: np.ndarray) -> np.ndarray:
     return states[..., :, np.newaxis] * states.conj()[..., np.newaxis, :]
 
 
+def _normalise_rows(w: np.ndarray, drawn) -> None:
+    """Scale the ``drawn`` rows of exponentials ``w`` in place by ``1.0 /``
+    their left-to-right sum, as ``Generator.dirichlet(np.ones(r))`` does."""
+    w[drawn] *= 1.0 / np.cumsum(w[drawn], axis=-1)[..., -1:]
+
+
 def _disturbed_pairs(
     epsilon: float, dim: int, trials: range, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
@@ -347,8 +355,11 @@ def _disturbed_pairs(
     [0.2, 1): the members at ``epsilon`` and ``epsilon * s`` share that
     unitary.  The draw loop holds only generator calls, with consecutive
     normals in one call: a pure trial is one ``standard_normal(4D + 2D**2)``
-    and one ``uniform``.  The pairs are then built on stacks and one stacked
-    QR factors the chunk's unitaries.  Returns ``rho, sigma`` as
+    and one ``uniform``; a mixture's weights are exponentials, normalised once
+    per chunk.  ``s`` stays a per-trial ``uniform``: numpy forms ``low + range
+    * u`` in C, where it may fuse into one FMA, so no array expression keeps
+    its bits on every build.  The pairs are then built on stacks and one
+    stacked QR factors the chunk's unitaries.  Returns ``rho, sigma`` as
     ``(T, D, D)``, the members' epsilons as ``(T, 2)`` and both outputs as
     ``(T, 2, D, D)``.
     """
@@ -361,9 +372,9 @@ def _disturbed_pairs(
     for i, t in enumerate(trials):
         if t % 2:  # two mixtures of one rank
             r = rank[:, i] = int(rng.integers(2, dim + 1))
-            weights[0, i, :r] = rng.dirichlet(np.ones(r))
+            rng.standard_exponential(out=weights[0, i, :r])
             rng.standard_normal(out=units[0, i, :r])
-            weights[1, i, :r] = rng.dirichlet(np.ones(r))
+            rng.standard_exponential(out=weights[1, i, :r])
             normals = rng.standard_normal(2 * dim * r + cut)
             units[1, i, :r] = normals[:-cut].reshape(r, 2 * dim)
         else:
@@ -371,6 +382,7 @@ def _disturbed_pairs(
             units[:, i, 0] = normals[:-cut].reshape(2, 2 * dim)
         ginibre[i] = normals[-cut:]
         strength[i] = rng.uniform(0.2, 1.0)
+    _normalise_rows(weights, rank > 1)
     rho, sigma = _density_stack(units, weights, rank)
     ginibre = ginibre.reshape(size, 2, dim, dim)
     u = _haar_qr(ginibre[:, 0] + 1j * ginibre[:, 1])
@@ -469,7 +481,8 @@ def _concavity_margins(
     for the rhos (keeping the first matrix) and one per part for the sigmas
     (keeping the second): a pure pair at even parts, a mixed one at part 1.
     The draw loop makes every draw of the pairs, the halves it does not keep
-    too, with consecutive normals in one call; only the kept halves are built.
+    too, with consecutive normals in one call and weights as exponentials,
+    normalised once per chunk; only the kept halves are built.
     """
     size, two = len(trials), 2 * dim
     weights = np.zeros((size, 3))  # padded with zero weights
@@ -478,14 +491,14 @@ def _concavity_margins(
     rank = np.zeros((2, size, 3), dtype=np.int64)  # 0: a part not drawn
     for i in range(size):
         parts = int(rng.integers(2, 4))
-        weights[i, :parts] = rng.dirichlet(np.ones(parts))
+        rng.standard_exponential(out=weights[i, :parts])
         rank[:, i, :parts] = 1
         # rho parts: each pair's first member; a pure pair is 4D normals
         units[0, i, 0, 0] = rng.standard_normal(2 * two)[:two]
         r = rank[0, i, 1] = int(rng.integers(2, dim + 1))
-        mixing[0, i, 1, :r] = rng.dirichlet(np.ones(r))
+        rng.standard_exponential(out=mixing[0, i, 1, :r])
         rng.standard_normal(out=units[0, i, 1, :r])
-        rng.dirichlet(np.ones(r))  # dropped, as are its states
+        rng.standard_exponential(r)  # dropped, as are its states
         # part 1's dropped states, then the pairs of rho part 2 and sigma part 0
         normals = rng.standard_normal(two * r + 2 * two * (parts - 1))
         if parts == 3:
@@ -493,13 +506,15 @@ def _concavity_margins(
         units[1, i, 0, 0] = normals[-two:]
         # sigma parts: each pair's second member
         r = rank[1, i, 1] = int(rng.integers(2, dim + 1))
-        rng.dirichlet(np.ones(r))  # dropped, as are its states
+        rng.standard_exponential(r)  # dropped, as are its states
         rng.standard_normal(two * r)
-        mixing[1, i, 1, :r] = rng.dirichlet(np.ones(r))
+        rng.standard_exponential(out=mixing[1, i, 1, :r])
         normals = rng.standard_normal(two * r + 2 * two * (parts - 2))
         units[1, i, 1, :r] = normals[: two * r].reshape(r, two)
         if parts == 3:
             units[1, i, 2, 0] = normals[-two:]
+    _normalise_rows(weights, slice(None))
+    _normalise_rows(mixing, rank > 1)
     states = _density_stack(units, mixing, rank)  # (2, T, 3, D, D)
     mix = np.zeros((2, size, dim, dim), dtype=np.complex128)
     for k in range(3):  # summed part by part from 0, as ``sum`` adds one trial's parts

@@ -187,6 +187,19 @@ class QuarterUniforms:
         return np.floor(4.0 * self._rng.random(size)) / 4.0
 
 
+class AuditDraws:
+    """A generator stand-in with only the draws of the disturbance and
+    concavity audits, each that of ``default_rng(seed)``, so that an audit
+    calling ``dirichlet`` (or any other draw) fails on it."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        self.bit_generator = rng.bit_generator
+        self.integers, self.standard_normal = rng.integers, rng.standard_normal
+        self.standard_exponential = rng.standard_exponential
+        self.uniform, self.random = rng.uniform, rng.random
+
+
 # ---------------------------------------------------------------------------
 # the emulation audits, one trial at a time: each draws its config with
 # ``rng.choice``, ``haar_unitary`` and ``haar_state``, then runs the circuit

@@ -3,9 +3,11 @@ the array paths of selective games, of emulation-forger games and of the
 audits against their per-game and per-trial oracles, and the array seed hash
 of the game streams against numpy's own ``SeedSequence`` and ``default_rng``.
 
-Hypothesis picks the dimension (2 to 8), the kind of input pair, epsilon and
-the depolarizing strength; the states themselves come from a numpy generator
-seeded by a drawn integer, so every failure shrinks to a replayable seed.
+Hypothesis picks the dimension (2 to 8, and 16 for the stacked audits, so
+that mixture ranks above 8 meet their oracles), the kind of input pair,
+epsilon and the depolarizing strength; the states themselves come from a
+numpy generator seeded by a drawn integer, so every failure shrinks to a
+replayable seed.
 """
 
 import dataclasses
@@ -269,7 +271,7 @@ STACKED_AUDIT_PROPERTY = settings(max_examples=12, deadline=None, derandomize=Tr
 @STACKED_AUDIT_PROPERTY
 @given(
     epsilon=unit,
-    dim=st.sampled_from([2, 4, 8]),
+    dim=st.sampled_from([2, 4, 8, 16]),
     trials=st.integers(0, 70),
     seed=seeds,
     chunk=st.sampled_from([3, None]),

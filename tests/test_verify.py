@@ -421,13 +421,60 @@ class TestStackedChecksBits:
                 )
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+WEIGHTED_AUDITS = [
+    (distance_contraction_check, (0.3, 8, 9)),
+    (fidelity_disturbance_check, (0.3, 8, 9)),
+    (joint_concavity_check, (8, 9)),
+]
+
+
+class TestDirichletWeights:
+    """The audits draw Dirichlet(1, ..., 1) weights as standard exponentials
+    and normalise a chunk's rows at once; that must be numpy's own rule."""
+
+    @pytest.mark.parametrize("bits", BIT_GENERATORS)
+    @pytest.mark.parametrize("r", [2, 3, 7, 8, 9, 17])
+    def test_normalised_exponentials_are_numpys_dirichlet(self, r, bits):
+        # rows of rank r in a zero-padded stack, chosen by rank beside rows of
+        # rank 0 and 1, which hold no weights and must stay zero
+        rank = np.array([[r, 0, r, 1], [1, r, r, 0], [r, r, 0, r]])
+        for seed in range(12):
+            rng, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+            got = np.zeros(rank.shape + (r + 3,))
+            want = np.zeros_like(got)
+            for i in zip(*np.nonzero(rank > 1)):
+                rng.standard_exponential(out=got[i][:r])
+                want[i][:r] = twin.dirichlet(np.ones(r))
+            verify._normalise_rows(got, rank > 1)
+            assert got.tobytes() == want.tobytes()
+            assert rng.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
+            np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize("check, args", WEIGHTED_AUDITS)
+    def test_audits_on_mt19937_match_per_trial_loops(self, check, args):
+        def mt19937(seed):
+            return np.random.Generator(np.random.MT19937(seed))
+
+        _assert_matches_oracle(check, args, SEED + 9500, mt19937)
+
+    @pytest.mark.parametrize("check, args", WEIGHTED_AUDITS)
+    def test_audits_draw_no_dirichlet(self, check, args):
+        # the stand-in has no ``dirichlet``; the oracle draws by it
+        rng, twin = oracles.AuditDraws(SEED + 9600), np.random.default_rng(SEED + 9600)
+        got = check(*args, rng)
+        assert got.as_dict() == getattr(oracles, check.__name__)(*args, twin).as_dict()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def _assert_matches_oracle(check, args, seed, make_rng=np.random.default_rng):
     """``check(*args, rng)`` and its per-trial loop in ``oracles`` give equal
     reports and leave equal generator states; returns the report."""
     rng, twin = make_rng(seed), make_rng(seed)
     got = check(*args, rng)
     assert got.as_dict() == getattr(oracles, check.__name__)(*args, twin).as_dict()
-    assert rng.bit_generator.state == twin.bit_generator.state
+    # assert_equal compares the arrays of an MT19937 or Philox state too
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
     return got
 
 
