@@ -311,9 +311,9 @@ def _principal_states(final: np.ndarray) -> np.ndarray:
     gram = final.conj().swapaxes(-1, -2) @ final
     vecs = (final @ np.linalg.eigh(gram)[1][..., -1:])[..., 0]
     pivots = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=-1)]
-    # on numpy scalars: array abs and Python complex division round otherwise
-    phases = [p.conj() / abs(p) for p in pivots]
-    return _normalised(vecs * np.array(phases)[:, np.newaxis])
+    # Python's abs is hypot, as numpy's scalar abs is; array np.abs rounds otherwise
+    phases = pivots.conj() / np.array([abs(p) for p in pivots.tolist()])
+    return _normalised(vecs * phases[:, np.newaxis])
 
 
 class QeForger:

@@ -3,7 +3,10 @@
 Every run that writes an output file also writes ``<out>.manifest.json``
 recording the subcommand, its flags, and the seed.  ``replay`` re-executes a
 manifest and, because every code path is seeded, reproduces the output file
-byte for byte.
+byte for byte.  Both files are rewritten in place: an existing file keeps its
+inode and mode, and its tail past the new bytes is cut.  Nothing is synced, so
+after a crash a rewritten file may hold old, new or mixed blocks; ``replay``
+writes it again.
 
 Exit codes: 0 on success, 1 when an audit reports violations, 2 on usage or
 domain errors, 70 on an internal error (a bug), never an audit result.
@@ -17,6 +20,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 import traceback
@@ -46,6 +51,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_in_place(path: str, text: str) -> None:
+    """``open(path, "w")`` without first truncating an existing file to zero."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # not a FIFO or /dev/null
+            fh.truncate()
+
+
 def _write_with_manifest(args: argparse.Namespace, subcommand: str, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
@@ -64,11 +78,9 @@ def _write_with_manifest(args: argparse.Namespace, subcommand: str, text: str) -
         "out": args.out,
     }
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_in_place(args.out, text)
+        manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        _write_in_place(args.out + ".manifest.json", manifest_text)
     except OSError as exc:
         raise QpufLabError(f"cannot write {args.out}: {exc}") from None
 

@@ -83,10 +83,10 @@ class ForgerOracle(QeForger):
     """``QeForger`` whose guess is one game's principal eigenvector, written
     out for one run instead of the library's stack rule: the top eigenvector
     ``u`` of the ``(m, m)`` Gram matrix ``F^dag F`` of the run's final state
-    ``F``, mapped to ``F u``; the phase is fixed on numpy scalars.  The run
-    takes the plan's queries and the responses as rows, ``phi2`` the reference,
-    and is recorded as ``last_result``; ``F`` is that run's final state,
-    recomputed from its stage-2 bit with no second draw.
+    ``F``, mapped to ``F u`` (``principal_state``).  The run takes the plan's
+    queries and the responses as rows, ``phi2`` the reference, and is recorded
+    as ``last_result``; ``F`` is that run's final state, recomputed from its
+    stage-2 bit with no second draw.
 
     Being a subclass, it has no chunk form, so games play it through
     ``games._play``.
@@ -102,10 +102,17 @@ class ForgerOracle(QeForger):
         self.last_result = _run(queries, self._responses, 1, psi, rng)
         outputs = None if self.last_result.stage2_bit else self._responses
         final = _final_state(queries, 1, _through_stage2(queries, 1, psi), outputs)
-        vec = final @ np.linalg.eigh(final.conj().T @ final)[1][:, -1]
-        pivot = int(np.argmax(np.abs(vec)))
-        vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
-        return _unchecked(StateVector, amplitudes=vec / np.linalg.norm(vec))
+        return _unchecked(StateVector, amplitudes=principal_state(final))
+
+
+def principal_state(final):
+    """One ``(D, m)`` final state's guess: ``F u`` for the top eigenvector ``u``
+    of ``F^dag F``, its largest entry turned positive by dividing numpy
+    scalars, then normalised."""
+    vec = final @ np.linalg.eigh(final.conj().T @ final)[1][:, -1]
+    pivot = int(np.argmax(np.abs(vec)))
+    vec = vec * (vec[pivot].conj() / abs(vec[pivot]))
+    return vec / np.linalg.norm(vec)
 
 
 def dxd_principal_state(rho):

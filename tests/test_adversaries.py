@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import ForgerOracle, SubspaceOracle, dxd_principal_state
+from oracles import ForgerOracle, SubspaceOracle, dxd_principal_state, principal_state
 from qpuflab import (
     BudgetRefusal,
     DimensionCapExceeded,
@@ -36,6 +36,7 @@ from qpuflab import (
     run_forgery,
     run_game,
 )
+from qpuflab.adversaries import _principal_states
 from qpuflab.numerics import _unchecked
 
 SEED = 5150
@@ -306,6 +307,39 @@ class TestQeForger:
         if mu == 0.75:
             assert passed[0] == pytest.approx(0.944526631, abs=1e-9)
 
+
+
+class TestPrincipalStates:
+    """The stacked guess rule against ``oracles.principal_state``, one state at
+    a time with its phase fixed on numpy scalars, bit for bit."""
+
+    @staticmethod
+    def _assert_oracle(final):
+        got = _principal_states(final)
+        want = np.array([principal_state(f) for f in final])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 3, 100])
+    def test_gram_stacks(self, t):
+        rng = np.random.default_rng([SEED, t])
+        for dim in (2, 4, 8, 64):
+            for _ in range(10):
+                re, im = rng.standard_normal((2, t, dim, 2))
+                self._assert_oracle(re + 1j * im)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "imaginary"])
+    @pytest.mark.parametrize("t", [1, 3, 100])
+    def test_pivots_from_1e_300_to_1e300(self, t, kind):
+        # at m = 1 LAPACK returns the (1, 1) Gram matrix's eigenvector as
+        # exactly 1, even where that entry overflows, so each pivot is an
+        # entry as drawn; past about 1e+-154 the norm overflows or underflows
+        rng = np.random.default_rng([SEED, t, len(kind)])
+        for _ in range(20):
+            re, im = rng.standard_normal((2, t, 8, 1))
+            final = {"complex": re + 1j * im, "real": re + 0j, "imaginary": 1j * im}[kind]
+            final = final * 10.0 ** rng.uniform(-300.0, 300.0, (t, 1, 1))
+            with np.errstate(all="ignore"):
+                self._assert_oracle(final)
 
 class TestSubspaceKnowledge:
     def test_validates_orthonormality(self):

@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -126,6 +127,53 @@ class TestReplay:
         )
         assert code == 0
         assert target.read_bytes() == original
+
+
+class TestOverwrite:
+    """Outputs are rewritten in place, tail cut, with the bytes, inode and mode
+    of ``open(path, "w")``."""
+
+    GAME = [
+        "game", "--mode", "qex", "--adversary", "forger", "--mu", "0.5",
+        "--qubits", "2", "--trials", "5", "--delta", "0.9", "--seed", "7",
+    ]
+
+    def test_game_over_a_larger_file_holds_only_the_new_bytes(self, tmp_path, capsys):
+        target = tmp_path / "game.jsonl"
+        manifest = tmp_path / "game.jsonl.manifest.json"
+        assert run_cli(self.GAME + ["--out", str(target)], capsys)[0] == 0
+        fresh, fresh_manifest = target.read_bytes(), json.loads(manifest.read_bytes())
+        junk = np.random.default_rng(0).bytes(100_000)
+        target.write_bytes(junk)
+        manifest.write_bytes(junk)
+        os.chmod(target, 0o640)
+        before = [os.stat(p) for p in (target, manifest)]
+        assert run_cli(self.GAME + ["--out", str(target)], capsys)[0] == 0
+        assert target.read_bytes() == fresh
+        written = manifest.read_bytes()
+        record = json.loads(written)
+        assert written == (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()
+        for r in (record, fresh_manifest):
+            del r["created_unix"]
+        assert record == fresh_manifest
+        for old, p in zip(before, (target, manifest)):
+            new = os.stat(p)
+            assert (new.st_ino, new.st_mode) == (old.st_ino, old.st_mode)
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+    def test_a_new_file_gets_0o666_under_the_umask(self, tmp_path, capsys):
+        mask = os.umask(0o027)
+        try:
+            argv = ["qe-demo", "--qubits", "2", "--out", str(tmp_path / "d")]
+            code, _, _ = run_cli(argv, capsys)
+        finally:
+            os.umask(mask)
+        assert code == 0
+        for name in ("d", "d.manifest.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+
+    def test_writing_to_dev_null_raises_nothing(self):
+        cli._write_in_place(os.devnull, "x" * 10_000)
 
 
 class TestVerifyAll:
@@ -401,6 +449,11 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_out_naming_a_directory(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["qe-demo", "--qubits", "2", "--out", str(tmp_path)], capsys, "cannot write"
+        )
 
     def test_replay_of_a_missing_manifest(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.manifest.json")
