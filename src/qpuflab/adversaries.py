@@ -139,7 +139,7 @@ class SubspaceAdversary:
         if challenge.dim != kn.dim:
             raise DimensionMismatch(f"challenge dim {challenge.dim} != space {kn.dim}")
         rows = np.array([b.amplitudes for b in kn.basis_out]).reshape(1, kn.d, kn.dim)
-        guess = self._form.respond(challenge.amplitudes[np.newaxis], rows, [rng])[0]
+        guess = self._form.respond(None, challenge.amplitudes[np.newaxis], rows, [rng])[0]
         return _unchecked(StateVector, amplitudes=guess)
 
 
@@ -158,9 +158,10 @@ class _SubspaceChunk:
             raise InvalidQuantumObject(f"subspace dim {self.d} exceeds space {dim}")
         return np.eye(self.d, dim, dtype=np.complex128), None
 
-    def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
+    def respond(self, queries, challenges: np.ndarray, responses: np.ndarray, rngs):
         """``(T, D)`` guesses from the challenges, the ``(T, d, D)`` responses
-        to the queries and each game's random stream; never a device."""
+        to the queries and each game's random stream; never a device.  The
+        queries are ``e_0 .. e_{d-1}``, so their rows are not read."""
         dim = challenges.shape[1]
         # <e_j|psi> is psi_j exactly; in_weight sums Python floats, as a loop
         # of vdot does: numpy's array abs and square round differently
@@ -332,6 +333,7 @@ class QeForger:
         if not 0.0 <= mu <= 1.0:
             raise InvalidQuantumObject(f"mu={mu} outside [0, 1]")
         self.plan: ForgerPlan | None = None
+        self._queries: np.ndarray | None = None  # (2, D) rows, as inputs gives
         self._responses: np.ndarray | None = None  # (2, D) rows
         self._form = _ForgerChunk(mu)
         # as SubspaceAdversary's: a subclass plays game by game
@@ -346,6 +348,7 @@ class QeForger:
     ) -> None:
         self.plan = make_forger_plan(self._form.mu, dim)
         queries = (self.plan.phi1, self.plan.phi2)
+        self._queries = np.array([q.amplitudes for q in queries])
         self._responses = np.array([oracle.query(q).amplitudes for q in queries])
 
     def choose_challenge(self, rng: np.random.Generator) -> StateVector:
@@ -360,7 +363,7 @@ class QeForger:
         if challenge.dim != dim:
             raise DimensionMismatch(f"input dim {challenge.dim} != sample dim {dim}")
         psi, outputs = challenge.amplitudes[np.newaxis], self._responses[np.newaxis]
-        guess = self._form.respond(psi, outputs, [rng])[0]
+        guess = self._form.respond(self._queries, psi, outputs, [rng])[0]
         return _unchecked(StateVector, amplitudes=guess)
 
 
@@ -380,11 +383,11 @@ class _ForgerChunk:
         plan = make_forger_plan(self.mu, dim)  # its margin check raises before any draw
         return np.array([plan.phi1.amplitudes, plan.phi2.amplitudes]), plan.phi3.amplitudes
 
-    def respond(self, challenges: np.ndarray, responses: np.ndarray, rngs) -> np.ndarray:
-        """``(T, D)`` guesses from the ``(T, 2, D)`` responses and the streams to
-        the chunk's one challenge, ``challenges[0]``; a stage-2 pass probability
-        below the floor raises :class:`PostSelectionFailure` before any draw."""
-        queries = self.inputs(challenges.shape[1])[0]
+    def respond(self, queries, challenges: np.ndarray, responses: np.ndarray, rngs):
+        """``(T, D)`` guesses from the ``(2, D)`` query rows ``inputs`` gave, the
+        ``(T, 2, D)`` responses and the streams to the chunk's one challenge,
+        ``challenges[0]``; a stage-2 pass probability below the floor raises
+        :class:`PostSelectionFailure` before any draw."""
         stage2 = _through_stage2(queries, 1, challenges[0])  # phi2: reference
         passed = np.array([rng.random() < stage2[2] for rng in rngs])
         guesses = np.empty(challenges.shape, dtype=np.complex128)

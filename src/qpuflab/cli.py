@@ -40,7 +40,7 @@ from .adversaries import (
     run_forgery,
 )
 from .errors import PrivilegeRequired, QpufLabError
-from .games import GameConfig, estimate_win_rate
+from .games import GameConfig, WinRateEstimate, estimate_win_rate
 from .numerics import _check_seed
 from .qpuf import QPufGenParams, qgen
 from .testers import TestConfig
@@ -203,18 +203,22 @@ def _game_adversary(args: argparse.Namespace) -> tuple[str, Callable, int]:
     return "qsel", lambda: TomographyAdversary(readout), 2**args.qubits
 
 
-def _transcript_lines(cfg: GameConfig, transcripts) -> list[str]:
+def _transcript_lines(cfg: GameConfig, estimate: WinRateEstimate) -> list[str]:
     """``json.dumps(transcript_record(cfg, t), sort_keys=True)`` for each game,
-    from one template: ``k``, ``mode`` and ``n`` are encoded once, and each game
-    writes only ``b``, ``d_spanned`` and ``fidelity_of_guess`` (the keys that
-    sort first) as json does: by ``int.__repr__`` and ``float.__repr__``, and
+    from the estimate's columns and one template: ``k``, ``mode`` and ``n`` are
+    encoded once, and each game writes only ``b``, ``d_spanned`` and
+    ``fidelity_of_guess`` (the keys that sort first) as json does: by
+    ``int.__repr__`` and ``float.__repr__`` of the columns' Python values, and
     ``NaN`` and ``±Infinity`` by json itself."""
     shared = {"k": cfg.learning_budget, "mode": cfg.mode, "n": cfg.gen.qubits}
     tail = json.dumps(shared, sort_keys=True)[1:]
+    games = zip(
+        estimate.outcomes.tolist(), estimate.d_spanned.tolist(), estimate.fidelities.tolist()
+    )
     return [
-        f'{{"b": {int.__repr__(t.outcome_b)}, "d_spanned": {int.__repr__(t.d_spanned)}, '
-        f'"fidelity_of_guess": {_json_float(t.fidelity_of_guess)}, {tail}'
-        for t in transcripts
+        f'{{"b": {int.__repr__(b)}, "d_spanned": {int.__repr__(d)}, '
+        f'"fidelity_of_guess": {_json_float(f)}, {tail}'
+        for b, d, f in games
     ]
 
 
@@ -235,8 +239,8 @@ def _cmd_game(args: argparse.Namespace) -> int:
         seed=args.seed,
         mu=args.mu if args.mode == "qex" else None,
     )
-    estimate = estimate_win_rate(cfg, factory, args.trials, keep_transcripts=True)
-    lines = _transcript_lines(cfg, estimate.transcripts)
+    estimate = estimate_win_rate(cfg, factory, args.trials, columns=True)
+    lines = _transcript_lines(cfg, estimate)
     summary = {
         "summary": {
             "adversary": args.adversary,

@@ -280,8 +280,18 @@ def run_game(
     return _play(cfg, adversary, _devices(cfg, [rng])[0], rng)
 
 
+#: bit generators whose ``random_raw`` is their ``next_uint64``
+_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
 def _device_seed(rng: np.random.Generator) -> int:
-    """The device seed: always the first draw of a game's random stream."""
+    """The device seed: always the first draw of a game's random stream,
+    ``int(rng.integers(0, 2**63))``.  At that range numpy's bounded rule
+    (Lemire, arXiv:1805.10941) keeps the top 63 bits of one 64-bit word and
+    never rejects, so on a ``_RAW64`` generator it is ``random_raw() >> 1``;
+    MT19937's raw words are 32-bit, and a subclass may override ``random_raw``."""
+    if type(bg := rng.bit_generator) in _RAW64:
+        return bg.random_raw() >> 1
     return int(rng.integers(0, 2**63))
 
 
@@ -328,12 +338,12 @@ def _check_challenge(cfg: GameConfig, challenge: StateVector, queries: tuple, di
         raise MuViolation(f"challenge is not {cfg.mu}-distinguishable from the queries")
 
 
-def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: bool):
-    """``_play`` of a chunk of games on ``(T, D)`` stacks: their accept bits, and
-    transcripts only if ``keep``.  Game ``t`` is ``_play`` on block ``t`` and
-    ``rngs[t]``, bit for bit: a ``qsel`` challenge, the adversaries' draws, the
-    test's.  ``form``, the adversaries' ``_chunk_form``, gives raw query rows and
-    a ``qex`` challenge row; only the mu rule and transcripts read states."""
+def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list):
+    """``_play`` of a chunk of games on ``(T, D)`` stacks: each game's accept bit
+    and fidelity, and the chunk's ``d_spanned``.  Game ``t`` is ``_play`` on block
+    ``t`` and ``rngs[t]``, bit for bit: a ``qsel`` challenge, the adversaries'
+    draws, the test's.  ``form``, the adversaries' ``_chunk_form``, gives raw
+    query rows and a ``qex`` challenge row; only the mu rule reads states."""
     dim, k = blocks.shape[1:]
     rows, psi = form.inputs(dim)
     if len(rows) > cfg.learning_budget:
@@ -349,7 +359,6 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: boo
         responses = np.stack([_images(blocks, c) for c in coeffs], 1)
         truth = _images(blocks, device.coefficients(psi))
         challenges = np.broadcast_to(psi, truth.shape)
-        shown = [challenge] * len(rngs)
     else:
         # learning leaves each device the rows e_0 .. e_{d-1}; their images
         # are its block's first d columns, copied to rows as respond's bits need
@@ -366,40 +375,43 @@ def _play_chunk(cfg: GameConfig, form, blocks: np.ndarray, rngs: list, keep: boo
         if d < k:
             coeffs[:, d] = np.where(norm > RANK_TOL, norm, 0.0)
         truth = _images(blocks, coeffs)
-    guesses = form.respond(challenges, responses, rngs)
+    guesses = form.respond(rows, challenges, responses, rngs)
     # as fidelity_pure: Python's abs and ** round as numpy's scalars do
     fidelities = [abs(z) ** 2 for z in _row_dots(truth.conj(), guesses).tolist()]
-    accepted = _accepted(cfg.test, fidelities, rngs)
-    if keep and cfg.mode == QSEL:
-        queries = tuple(_unchecked(StateVector, amplitudes=q) for q in rows)
-        shown = [_unchecked(StateVector, amplitudes=psi) for psi in challenges]
-    kept = zip(shown, accepted, fidelities) if keep else ()
-    return accepted, [Transcript(queries, d, psi, int(b), f) for psi, b, f in kept]
+    return _accepted(cfg.test, fidelities, rngs), fidelities, d
 
 
 @dataclass(frozen=True)
 class WinRateEstimate:
+    """Wins over ``trials`` games; with ``columns``, each game's accept bit,
+    guess fidelity and span rank, as ``(trials,)`` arrays in trial order
+    (they take no part in ``==``)."""
+
     win_rate: float
     stderr: float
     wins: int
     trials: int
-    transcripts: tuple[Transcript, ...] = field(repr=False, default=())
+    outcomes: np.ndarray | None = field(repr=False, compare=False, default=None)
+    fidelities: np.ndarray | None = field(repr=False, compare=False, default=None)
+    d_spanned: np.ndarray | None = field(repr=False, compare=False, default=None)
 
 
 def estimate_win_rate(
     cfg: GameConfig,
     adversary_factory: Callable[[], AdversaryInterface],
     trials: int,
-    keep_transcripts: bool = False,
+    columns: bool = False,
 ) -> WinRateEstimate:
     """Monte Carlo win rate over independent games.
 
     Every trial gets a fresh device, a fresh adversary from the factory, and
     an independent child random stream derived from ``cfg.seed``, so results
     are reproducible and order-independent.  The standard error is the
-    binomial one, ``sqrt(r (1 - r) / trials)``.  Unless ``keep_transcripts``
-    is set, a chunk played as arrays builds no transcript, challenge state or
-    test outcome, only each game's accept bit.
+    binomial one, ``sqrt(r (1 - r) / trials)``.  With ``columns``, the estimate
+    carries game ``k``'s ``outcome_b``, ``fidelity_of_guess`` and ``d_spanned``
+    at index ``k`` of its ``outcomes``, ``fidelities`` and ``d_spanned``;
+    without, they are ``None`` and memory stays flat in ``trials``.  A chunk
+    played as arrays builds no transcript, challenge state or test outcome.
 
     Trial ``k`` is exactly ``run_game(cfg, adversary_factory(), rng_k)``
     with ``rng_k = default_rng(SeedSequence(cfg.seed).spawn(k + 1)[k])``.
@@ -416,33 +428,29 @@ def estimate_win_rate(
     if _as_int(trials, "trials") < 1:
         raise InvalidQuantumObject("at least one trial is required")
     per_chunk = max(1, _DRAW_CHUNK // math.prod(_block_shape(cfg)))
-    wins = 0
-    kept: list[Transcript] = []
+    kinds = {"outcomes": np.int64, "fidelities": np.float64, "d_spanned": np.int64}
+    cols = {name: np.empty(trials, kind) for name, kind in kinds.items()} if columns else {}
+    wins = done = 0
     for rngs in _trial_streams(cfg.seed, trials, per_chunk):
         adversaries = [adversary_factory() for _ in rngs]
         form = getattr(adversaries[0], "_chunk_form", None)
         if any(getattr(a, "_chunk_form", None) != form for a in adversaries[1:]):
             form = None
         if form is not None and form.mode == cfg.mode:
-            accepted, played = _play_chunk(
-                cfg, form, _blocks(cfg, rngs), rngs, keep_transcripts
-            )
+            accepted, fidelities, d = _play_chunk(cfg, form, _blocks(cfg, rngs), rngs)
         else:
             devices = _devices(cfg, rngs)
             played = [_play(cfg, *game) for game in zip(adversaries, devices, rngs)]
-            accepted = [t.outcome_b for t in played]
+            accepted, fidelities, d = zip(
+                *[(t.outcome_b, t.fidelity_of_guess, t.d_spanned) for t in played]
+            )
         wins += sum(accepted)
-        if keep_transcripts:
-            kept.extend(played)
+        for col, values in zip(cols.values(), (accepted, fidelities, d)):
+            col[done:done + len(rngs)] = values
+        done += len(rngs)
     rate = wins / trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
-    return WinRateEstimate(
-        win_rate=rate,
-        stderr=stderr,
-        wins=wins,
-        trials=trials,
-        transcripts=tuple(kept),
-    )
+    return WinRateEstimate(win_rate=rate, stderr=stderr, wins=wins, trials=trials, **cols)
 
 
 def transcript_record(cfg: GameConfig, transcript: Transcript) -> dict:

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import qpuflab
-from qpuflab import GameConfig, QPufGenParams, StateVector, TestConfig, Transcript, cli
+from qpuflab import GameConfig, QeForger, QPufGenParams, StateVector, SubspaceAdversary
+from qpuflab import TestConfig, Transcript, WinRateEstimate, cli, games, run_game
 from qpuflab import transcript_record
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -316,7 +317,8 @@ class TestGame:
 
 
 class TestTranscriptLines:
-    """``game``'s lines from one template, against json's own encoding."""
+    """``game``'s lines from the estimate's columns and one template, against
+    json's own encoding of each game's record."""
 
     CONFIGS = [
         GameConfig(
@@ -332,32 +334,64 @@ class TestTranscriptLines:
         0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1 + 0.2, np.float64(2.0) / 3.0,
         float("nan"), float("inf"), float("-inf"),
     ]
+    GAMES = {
+        "subspace": (
+            ["--mode", "qsel", "--adversary", "subspace", "--d", "3", "--qubits", "3"],
+            lambda: SubspaceAdversary(3),
+        ),
+        "forger": (
+            ["--mode", "qex", "--adversary", "forger", "--mu", "0.75", "--test", "swap",
+             "--kappa1", "3", "--kappa2", "4"],
+            lambda: QeForger(0.75),
+        ),
+    }
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["qex", "qsel"])
     def test_lines_are_the_records_json(self, cfg):
         challenge = StateVector(np.array([1.0, 0.0]))
-        games = [
+        played = [
             Transcript((), d, challenge, b, f)
             for (d, b), f in zip(itertools.cycle([(0, 0), (3, 1), (12, 1)]), self.FIDELITIES)
         ]
-        want = [json.dumps(transcript_record(cfg, t), sort_keys=True) for t in games]
-        assert cli._transcript_lines(cfg, games) == want
+        want = [json.dumps(transcript_record(cfg, t), sort_keys=True) for t in played]
+        columns = WinRateEstimate(
+            0.0, 0.0, 0, len(played),
+            outcomes=np.array([t.outcome_b for t in played], dtype=np.int64),
+            fidelities=np.array([t.fidelity_of_guess for t in played]),
+            d_spanned=np.array([t.d_spanned for t in played], dtype=np.int64),
+        )
+        assert cli._transcript_lines(cfg, columns) == want
 
-    @pytest.mark.parametrize("argv", [
-        ["--mode", "qsel", "--adversary", "subspace", "--d", "3", "--qubits", "3"],
-        ["--mode", "qex", "--adversary", "forger", "--mu", "0.75", "--test", "swap",
-         "--kappa1", "3", "--kappa2", "4"],
-    ], ids=["subspace", "forger"])
-    def test_game_output_keeps_the_per_record_encoding(self, argv, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("game", GAMES.values(), ids=GAMES.keys())
+    def test_game_output_keeps_the_per_record_encoding(self, game, tmp_path, monkeypatch):
+        argv, factory = game
         argv = ["game", *argv, "--trials", "40", "--seed", "23"]
         assert cli.main([*argv, "--out", str(tmp_path / "template.jsonl")]) == 0
-        monkeypatch.setattr(cli, "_transcript_lines", lambda cfg, games: [
-            json.dumps(transcript_record(cfg, t), sort_keys=True) for t in games
-        ])
+
+        def records(cfg, estimate):
+            # each game's record as run_game plays it on its own child stream
+            children = np.random.SeedSequence(cfg.seed).spawn(estimate.trials)
+            played = [run_game(cfg, factory(), np.random.default_rng(c)) for c in children]
+            return [json.dumps(transcript_record(cfg, t), sort_keys=True) for t in played]
+
+        monkeypatch.setattr(cli, "_transcript_lines", records)
         assert cli.main([*argv, "--out", str(tmp_path / "records.jsonl")]) == 0
         lines = (tmp_path / "template.jsonl").read_text().splitlines()
         assert lines == (tmp_path / "records.jsonl").read_text().splitlines()
         assert len(lines) == 41
+
+    @pytest.mark.parametrize("game", GAMES.values(), ids=GAMES.keys())
+    def test_game_builds_no_transcript(self, game, tmp_path, monkeypatch):
+        # both chunk forms write their lines from the columns alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("game built a Transcript")
+
+        monkeypatch.setattr(games, "Transcript", refuse)
+        argv = ["game", *game[0], "--trials", "30", "--out", str(tmp_path / "g.jsonl")]
+        assert cli.main(argv) == 0
+        assert len((tmp_path / "g.jsonl").read_text().splitlines()) == 31
+        with pytest.raises(AssertionError, match="Transcript"):
+            run_game(self.CONFIGS[1], SubspaceAdversary(3))  # the refusal is live
 
     def test_no_json_call_per_game(self, tmp_path, monkeypatch):
         calls, dumps = [], json.dumps

@@ -463,12 +463,12 @@ class TestWinRateEstimate:
         with pytest.raises(InvalidQuantumObject, match="trials"):
             estimate_win_rate(sel_config(), RandomGuesser, trials=2.0)
 
-    def test_transcripts_kept_only_on_request(self):
+    def test_columns_only_on_request(self):
         cfg = sel_config(delta=0.3)
         bare = estimate_win_rate(cfg, RandomGuesser, trials=5)
-        full = estimate_win_rate(cfg, RandomGuesser, trials=5, keep_transcripts=True)
-        assert bare.transcripts == ()
-        assert len(full.transcripts) == 5
+        full = estimate_win_rate(cfg, RandomGuesser, trials=5, columns=True)
+        assert column_bits(bare) is None
+        assert len(column_bits(full)) == 5
 
     def test_games_take_the_span_from_the_device(self, monkeypatch):
         # a transcript stores its device's rank; no second pass over the queries
@@ -478,10 +478,8 @@ class TestWinRateEstimate:
         monkeypatch.setattr(games, "span_projector", refuse)
         cfg = sel_config(budget=2, delta=0.3)
         assert run_game(cfg, SubspaceAdversary(2)).d_spanned == 2
-        est = estimate_win_rate(
-            cfg, lambda: SubspaceAdversary(2), trials=3, keep_transcripts=True
-        )
-        assert [t.d_spanned for t in est.transcripts] == [2, 2, 2]
+        est = estimate_win_rate(cfg, lambda: SubspaceAdversary(2), trials=3, columns=True)
+        assert est.d_spanned.tolist() == [2, 2, 2]
 
     def test_games_take_the_fidelity_from_the_test(self, monkeypatch):
         # a transcript stores the fidelity its test judged; no second pass
@@ -492,12 +490,12 @@ class TestWinRateEstimate:
         cfg = sel_config(budget=2, delta=0.3)
         delta = cfg.test.delta
         single = run_game(cfg, SubspaceAdversary(2))
-        est = estimate_win_rate(
-            cfg, lambda: SubspaceAdversary(2), trials=20, keep_transcripts=True
-        )
+        est = estimate_win_rate(cfg, lambda: SubspaceAdversary(2), trials=20, columns=True)
         assert 0 < est.wins < 20
-        for t in (single, *est.transcripts):
-            assert t.outcome_b == (t.fidelity_of_guess >= delta - 1e-12)
+        scored = [(single.outcome_b, single.fidelity_of_guess)]
+        scored += zip(est.outcomes.tolist(), est.fidelities.tolist())
+        for b, f in scored:
+            assert b == (f >= delta - 1e-12)
 
     @pytest.mark.parametrize(
         "cfg, factory, want",
@@ -510,11 +508,14 @@ class TestWinRateEstimate:
         ],
         ids=["subspace", "repeat", "noisy", "near", "forger"],
     )
-    def test_kept_transcripts_read_the_span_rank(self, cfg, factory, want):
-        est = estimate_win_rate(cfg, factory, trials=4, keep_transcripts=True)
-        for t in est.transcripts:
+    def test_span_column_reads_the_span_rank(self, cfg, factory, want):
+        # the queries come from run_game on each game's own child stream
+        est = estimate_win_rate(cfg, factory, trials=4, columns=True)
+        children = np.random.SeedSequence(cfg.seed).spawn(4)
+        for d, child in zip(est.d_spanned.tolist(), children, strict=True):
+            t = run_game(cfg, factory(), np.random.default_rng(child))
             assert len(t.queries) == 2
-            assert t.d_spanned == span_projector(t.queries).rank == want
+            assert d == t.d_spanned == span_projector(t.queries).rank == want
 
     @pytest.mark.parametrize(
         "cfg, factory, trials, oracle",
@@ -610,7 +611,9 @@ class TestWinRateEstimate:
         if chunk != "default":
             dim, k = games._block_shape(cfg)
             monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * dim * k)
-        est = estimate_win_rate(cfg, factory, trials, keep_transcripts=True)
+        with pytest.MonkeyPatch.context() as patch:
+            shown, made = shown_inputs(patch, factory)
+            est = estimate_win_rate(cfg, made, trials, columns=True)
         children = np.random.SeedSequence(cfg.seed).spawn(trials)
         players = [oracle() for _ in children]
         loop = [run_game(cfg, p, np.random.default_rng(c)) for p, c in zip(players, children)]
@@ -618,19 +621,15 @@ class TestWinRateEstimate:
             failed = sum(p.last_result.stage2_bit for p in players)
             assert failed == 0 if cfg.mu <= 0.5 else 0 < failed < trials
         assert est.wins == sum(t.outcome_b for t in loop)
-        for got, want in zip(est.transcripts, loop, strict=True):
-            assert got.outcome_b == want.outcome_b
-            assert got.d_spanned == want.d_spanned
+        got = zip(est.outcomes.tolist(), est.d_spanned.tolist(), est.fidelities.tolist(), shown)
+        for (b, d, f, (queries, challenge)), want in zip(got, loop, strict=True):
+            assert b == want.outcome_b
+            assert d == want.d_spanned
             if cfg.test.kind == "ideal":  # the verdict and the record agree
-                f, delta = got.fidelity_of_guess, cfg.test.delta
-                assert got.outcome_b == (f >= delta - 1e-12)
-            assert got.fidelity_of_guess == want.fidelity_of_guess
-            assert got.challenge.amplitudes.tobytes() == (
-                want.challenge.amplitudes.tobytes()
-            )
-            assert [q.amplitudes.tobytes() for q in got.queries] == [
-                q.amplitudes.tobytes() for q in want.queries
-            ]
+                assert b == (f >= cfg.test.delta - 1e-12)
+            assert f == want.fidelity_of_guess
+            assert challenge == want.challenge.amplitudes.tobytes()
+            assert queries == [q.amplitudes.tobytes() for q in want.queries]
 
     def test_subspace_games_play_as_arrays(self, monkeypatch):
         # a chunk of SubspaceAdversary games with one d never reaches _play
@@ -801,6 +800,39 @@ class TestWinRateEstimate:
             tracemalloc.stop()
         assert peak < 0.75 * 2**20
 
+    def test_columns_keep_the_working_set(self):
+        # 2000 games of the (8, 6) cell: the columns' 24 bytes a game add to a
+        # peak set by one chunk at a time, within a tenth of the call without
+        cfg = sel_config(qubits=6, budget=8)
+        estimate_win_rate(cfg, lambda: SubspaceAdversary(8), trials=1)  # warm-up
+        peaks = []
+        for columns in (False, True):
+            tracemalloc.start()
+            try:
+                estimate_win_rate(cfg, lambda: SubspaceAdversary(8), 2000, columns=columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_forger_plan_once_per_chunk(self, monkeypatch):
+        # inputs builds a chunk's plan and respond takes its query rows; a
+        # game played alone builds it once, in learn
+        calls, real = [], adversaries.make_forger_plan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adversaries, "make_forger_plan", counted)
+        cfg = forger_config(0.75)
+        monkeypatch.setattr(games, "_DRAW_CHUNK", 3 * math.prod(games._block_shape(cfg)))
+        estimate_win_rate(cfg, lambda: QeForger(0.75), trials=7)
+        assert len(calls) == 3  # chunks of 3, 3 and 1 games
+        calls.clear()
+        run_game(cfg, QeForger(0.75))
+        assert len(calls) == 1
+
     def test_forger_chunk_holds_no_dxd_stack(self):
         # one chunk of forger games at n = 6 peaks below the bytes of one
         # (T, D, D) complex128 stack: its guesses come from (T, 2, 2) Gram
@@ -846,14 +878,93 @@ class TestDeviceBlocks:
                 assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def transcript_bits(t):
-    return (
-        [q.amplitudes.tobytes() for q in t.queries],
-        t.d_spanned,
-        t.challenge.amplitudes.tobytes(),
-        t.outcome_b,
-        t.fidelity_of_guess.hex(),
-    )
+class _OwnRawRule(np.random.PCG64):
+    """A PCG64 whose ``random_raw`` is not the words its draws use."""
+
+    def random_raw(self, size=None, output=True):
+        return 0
+
+
+BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+    np.random.MT19937, _OwnRawRule,
+]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_device_seed_is_the_bounded_draw(bit_generator):
+    # on every bit generator and on a subclass, the seed is integers(0, 2**63)
+    # and leaves the stream where that draw leaves it: a fresh stream, or one
+    # holding half a word from a 32-bit draw
+    for seed in range(300):
+        rng, twin = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if seed % 2:
+            assert rng.integers(0, 7) == twin.integers(0, 7)
+        got = games._device_seed(rng)
+        assert type(got) is int and got == int(twin.integers(0, 2**63))
+        assert rng.random() == twin.random()
+        assert rng.integers(0, 2**63) == twin.integers(0, 2**63)
+        assert rng.integers(0, 7, size=3).tolist() == twin.integers(0, 7, size=3).tolist()
+
+
+def shown_inputs(patch, factory):
+    """Each game's queries and challenge, as bytes in game order, and a factory
+    whose games record them: a chunk's rows as its form's ``respond`` receives
+    them, a lone game's as its adversary's oracle and ``respond`` do."""
+    shown, alone = [], []
+
+    def spy(real):
+        def respond(self, queries, challenges, *rest):
+            if not alone:  # a lone game's guess is its form on a chunk of one
+                rows = [q.tobytes() for q in queries]
+                shown.extend((rows, psi.tobytes()) for psi in challenges)
+            return real(self, queries, challenges, *rest)
+        return respond
+
+    for form in (adversaries._SubspaceChunk, adversaries._ForgerChunk):
+        patch.setattr(form, "respond", spy(form.respond))
+
+    def made():
+        adversary, queries = factory(), []
+        learn, respond = adversary.learn, adversary.respond
+
+        def query(psi):
+            queries.append(psi.amplitudes.tobytes())
+            return oracle.query(psi)
+
+        def learned(sealed, dim, budget, rng):
+            nonlocal oracle
+            oracle = sealed
+            return learn(SealedOracle(query), dim, budget, rng)
+
+        def responded(challenge, rng):
+            shown.append((queries, challenge.amplitudes.tobytes()))
+            alone.append(challenge)
+            try:
+                return respond(challenge, rng)
+            finally:
+                alone.pop()
+
+        oracle = None
+        adversary.learn, adversary.respond = learned, responded
+        return adversary
+
+    return shown, made
+
+
+def game_bits(t):
+    return t.outcome_b, t.d_spanned, t.fidelity_of_guess.hex()
+
+
+def column_bits(est):
+    """``game_bits`` of each game from the estimate's columns, or None without them."""
+    cols = (est.outcomes, est.d_spanned, est.fidelities)
+    if all(col is None for col in cols):
+        return None
+    assert [col.shape for col in cols] == [(est.trials,)] * 3
+    assert est.outcomes.sum() == est.wins
+    fidelities = [f.hex() for f in est.fidelities.tolist()]
+    return list(zip(est.outcomes.tolist(), est.d_spanned.tolist(), fidelities))
 
 
 class TestSubspaceComplement:
@@ -873,13 +984,15 @@ class TestSubspaceComplement:
         with pytest.MonkeyPatch.context() as patch:
             if plant_chunk is not None:
                 plant_chunk(patch, rngs[self.TARGET])
-            _, played = games._play_chunk(cfg, form, games._blocks(cfg, rngs), rngs, True)
+            accepted, fidelities, d_spanned = games._play_chunk(
+                cfg, form, games._blocks(cfg, rngs), rngs
+            )
         with pytest.MonkeyPatch.context() as patch:
             if plant_oracle is not None:
                 plant_oracle(patch, twins[self.TARGET])
             loop = [run_game(cfg, SubspaceOracle(d), twin) for twin in twins]
-        for got, want in zip(played, loop, strict=True):
-            assert transcript_bits(got) == transcript_bits(want)
+        played = [(int(b), d_spanned, f.hex()) for b, f in zip(accepted, fidelities)]
+        assert played == [game_bits(t) for t in loop]
         for rng, twin in zip(rngs, twins):
             assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -973,12 +1086,12 @@ class TestSubspaceComplement:
 
 class TestChunksValidateNothing:
     """A chunk of games builds what it reads from raw rows: no library
-    dataclass check runs inside one, and a selective chunk without
-    transcripts wraps no array in a state at all."""
+    dataclass check runs inside one, and a selective chunk, with its columns
+    or without, wraps no array in a state at all."""
 
     @staticmethod
-    def replays_unchecked(cfg, factory, trials, keep):
-        want = estimate_win_rate(cfg, factory, trials, keep_transcripts=keep)
+    def replays_unchecked(cfg, factory, trials, columns):
+        want = estimate_win_rate(cfg, factory, trials, columns=columns)
         checked = []
 
         def refuse(self):
@@ -990,29 +1103,27 @@ class TestChunksValidateNothing:
                 if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__"):
                     patch.setattr(obj, "__post_init__", refuse)
                     checked.append(obj)
-            got = estimate_win_rate(cfg, factory, trials, keep_transcripts=keep)
+            got = estimate_win_rate(cfg, factory, trials, columns=columns)
         assert {StateVector, adversaries.ForgerPlan, GameConfig} <= set(checked)
         assert got.wins == want.wins
-        assert len(got.transcripts) == (trials if keep else 0)
-        assert [transcript_bits(t) for t in got.transcripts] == [
-            transcript_bits(t) for t in want.transcripts
-        ]
+        bits = column_bits(got)
+        assert (len(bits) == trials) if columns else bits is None
+        assert bits == column_bits(want)
 
     @pytest.mark.parametrize("mu", [0.5, 0.75])
     @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
     def test_forger_chunk_runs_no_post_init(self, qubits, mu):
         cfg = forger_config(mu, qubits=qubits)
-        self.replays_unchecked(cfg, lambda: QeForger(mu), 20, keep=True)
+        self.replays_unchecked(cfg, lambda: QeForger(mu), 20, columns=True)
 
-    @pytest.mark.parametrize("keep", [False, True])
-    def test_subspace_chunk_runs_no_post_init(self, keep):
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_subspace_chunk_runs_no_post_init(self, columns):
         cfg = dataclasses.replace(sel_config(qubits=3, budget=3), test=SWAP5)
-        self.replays_unchecked(cfg, lambda: SubspaceAdversary(3), 20, keep)
+        self.replays_unchecked(cfg, lambda: SubspaceAdversary(3), 20, columns)
 
     @staticmethod
-    def unchecked_calls(keep):
-        # one 100-game call of the (d, n) = (8, 6) grid cell, as in
-        # test_selective_call_working_set
+    def unchecked_calls(play):
+        # on the (d, n) = (8, 6) grid cell, as in test_selective_call_working_set
         cfg = sel_config(qubits=6, budget=8)
         calls, real = [], numerics._unchecked
 
@@ -1023,14 +1134,20 @@ class TestChunksValidateNothing:
         with pytest.MonkeyPatch.context() as patch:
             for module in (games, adversaries):
                 patch.setattr(module, "_unchecked", counted)
-            estimate_win_rate(cfg, lambda: SubspaceAdversary(8), 100, keep_transcripts=keep)
+            play(cfg)
         return calls
 
-    def test_selective_call_wraps_no_state(self):
-        assert self.unchecked_calls(keep=False) == []
-        # the count is live: kept transcripts wrap each of the 8 chunks' 8
-        # queries and the 100 challenges
-        assert self.unchecked_calls(keep=True) == [StateVector] * (8 * 8 + 100)
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_selective_call_wraps_no_state(self, columns):
+        # one 100-game call
+        play = lambda cfg: estimate_win_rate(  # noqa: E731
+            cfg, lambda: SubspaceAdversary(8), 100, columns=columns
+        )
+        assert self.unchecked_calls(play) == []
+        # the count is live: a game played alone wraps its 8 queries, their 8
+        # responses, the challenge's true response and the guess
+        alone = self.unchecked_calls(lambda cfg: run_game(cfg, SubspaceAdversary(8)))
+        assert alone.count(StateVector) == 8 + 8 + 2
 
 
 class TestTranscriptRecord:

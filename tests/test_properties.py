@@ -10,7 +10,6 @@ numpy generator seeded by a drawn integer, so every failure shrinks to a
 replayable seed.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -33,7 +32,6 @@ from qpuflab import (  # noqa: E402
     StateVector,
     SubspaceAdversary,
     TestConfig,
-    Transcript,
     channel_apply,
     estimate_win_rate,
     fidelity_mixed,
@@ -150,28 +148,36 @@ def subspace_games(draw):
     return cfg, d
 
 
-def _bits(value):
-    if isinstance(value, StateVector):
-        return value.amplitudes.tobytes()
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return value.hex() if isinstance(value, float) else value
-
-
-def _assert_replays(est, loop, keep):
-    """The estimate's counts, and its transcripts if kept (else none), are
-    the per-game oracle's games, in every field."""
+def _assert_replays(est, loop, columns):
+    """The estimate's counts, and its columns if asked for (else none), are
+    the per-game oracle's games: accept bits, span ranks and fidelities, bit
+    for bit."""
     wins = sum(t.outcome_b for t in loop)
     rate = wins / len(loop)
     assert (est.wins, est.trials) == (wins, len(loop))
     assert est.win_rate == rate
     assert est.stderr == float(np.sqrt(rate * (1.0 - rate) / len(loop)))
-    if not keep:
-        assert est.transcripts == ()
+    if not columns:
+        assert est.outcomes is est.fidelities is est.d_spanned is None
         return
-    for got, want in zip(est.transcripts, loop, strict=True):
-        for f in dataclasses.fields(Transcript):
-            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+    assert est.outcomes.tolist() == [t.outcome_b for t in loop]
+    assert est.d_spanned.tolist() == [t.d_spanned for t in loop]
+    assert [f.hex() for f in est.fidelities.tolist()] == [
+        t.fidelity_of_guess.hex() for t in loop
+    ]
+
+
+def _estimate(cfg, factory, trials, chunk, columns):
+    """``estimate_win_rate`` in chunks of ``chunk`` devices, or the default."""
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
+        return estimate_win_rate(cfg, factory, trials, columns=columns)
+
+
+def _oracle_loop(cfg, oracle, trials):
+    children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    return [run_game(cfg, oracle(), np.random.default_rng(c)) for c in children]
 
 
 @GAME_PROPERTY
@@ -179,22 +185,27 @@ def _assert_replays(est, loop, keep):
     game=subspace_games(),
     trials=st.integers(1, 7),
     chunk=st.sampled_from([1, 3, None]),
-    keep=st.booleans(),
+    columns=st.booleans(),
 )
-def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk, keep):
+def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk, columns):
     # chunks of 1 or 3 devices, or the default, play the games that the
-    # per-game oracle plays on the same child streams, with or without
-    # transcripts
+    # per-game oracle plays on the same child streams, with or without columns
     cfg, d = game
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
-        est = estimate_win_rate(
-            cfg, lambda: SubspaceAdversary(d), trials, keep_transcripts=keep
-        )
-    children = np.random.SeedSequence(cfg.seed).spawn(trials)
-    loop = [run_game(cfg, SubspaceOracle(d), np.random.default_rng(c)) for c in children]
-    _assert_replays(est, loop, keep)
+    est = _estimate(cfg, lambda: SubspaceAdversary(d), trials, chunk, columns)
+    _assert_replays(est, _oracle_loop(cfg, lambda: SubspaceOracle(d), trials), columns)
+
+
+class _LoneSubspace(SubspaceAdversary):
+    """The library's subspace adversary as a subclass: it plays game by game."""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(game=subspace_games(), trials=st.integers(1, 7), chunk=st.sampled_from([1, 3, None]))
+def test_game_by_game_columns_replay_the_per_game_oracle(game, trials, chunk):
+    # the columns of games played one at a time through _play
+    cfg, d = game
+    est = _estimate(cfg, lambda: _LoneSubspace(d), trials, chunk, columns=True)
+    _assert_replays(est, _oracle_loop(cfg, lambda: SubspaceOracle(d), trials), True)
 
 
 @st.composite
@@ -221,19 +232,12 @@ def forger_games(draw):
     cfg=forger_games(),
     trials=st.integers(1, 7),
     chunk=st.sampled_from([1, 3, None]),
-    keep=st.booleans(),
+    columns=st.booleans(),
 )
-def test_forger_chunks_replay_the_per_game_oracle(cfg, trials, chunk, keep):
+def test_forger_chunks_replay_the_per_game_oracle(cfg, trials, chunk, columns):
     # as the subspace property, for the emulation forger at the game's mu
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            patch.setattr(games, "_DRAW_CHUNK", chunk * math.prod(games._block_shape(cfg)))
-        est = estimate_win_rate(
-            cfg, lambda: QeForger(cfg.mu), trials, keep_transcripts=keep
-        )
-    children = np.random.SeedSequence(cfg.seed).spawn(trials)
-    loop = [run_game(cfg, ForgerOracle(cfg.mu), np.random.default_rng(c)) for c in children]
-    _assert_replays(est, loop, keep)
+    est = _estimate(cfg, lambda: QeForger(cfg.mu), trials, chunk, columns)
+    _assert_replays(est, _oracle_loop(cfg, lambda: ForgerOracle(cfg.mu), trials), columns)
 
 
 AUDIT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
