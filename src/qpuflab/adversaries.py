@@ -163,13 +163,17 @@ class _SubspaceChunk:
         to the queries and each game's random stream; never a device.  The
         queries are ``e_0 .. e_{d-1}``, so their rows are not read."""
         dim = challenges.shape[1]
-        # <e_j|psi> is psi_j exactly; in_weight sums Python floats, as a loop
-        # of vdot does: numpy's array abs and square round differently
+        # <e_j|psi> is psi_j exactly; in_weight adds Python floats left to right
+        # from 0.0 as a vdot loop does (numpy's abs, np.sum, fsum, 3.12's sum differ)
         guesses = np.zeros_like(challenges)
-        in_weight = np.zeros(len(challenges))
         for j in range(self.d):
             guesses += challenges[:, j, np.newaxis] * responses[:, j]
-            in_weight += [abs(c) ** 2 for c in challenges[:, j].tolist()]
+        in_weight = np.empty(len(challenges))
+        for t, row in enumerate(challenges[:, : self.d].tolist()):
+            w = 0.0
+            for c in row:
+                w += abs(c) ** 2
+            in_weight[t] = w
         rest = 1.0 - np.minimum(in_weight, 1.0)
         rows = np.flatnonzero(rest > 1e-12) if self.d < dim else []
         # every game drawing, the usual case, reads the stack itself, no copy

@@ -209,7 +209,8 @@ def _transcript_lines(cfg: GameConfig, estimate: WinRateEstimate) -> list[str]:
     encoded once, and each game writes only ``b``, ``d_spanned`` and
     ``fidelity_of_guess`` (the keys that sort first) as json does: by
     ``int.__repr__`` and ``float.__repr__`` of the columns' Python values, and
-    ``NaN`` and ``±Infinity`` by json itself."""
+    ``NaN`` and ``±Infinity`` by json itself, value by value where a column has one."""
+    encode = float.__repr__ if np.isfinite(estimate.fidelities).all() else _json_float
     shared = {"k": cfg.learning_budget, "mode": cfg.mode, "n": cfg.gen.qubits}
     tail = json.dumps(shared, sort_keys=True)[1:]
     games = zip(
@@ -217,7 +218,7 @@ def _transcript_lines(cfg: GameConfig, estimate: WinRateEstimate) -> list[str]:
     )
     return [
         f'{{"b": {int.__repr__(b)}, "d_spanned": {int.__repr__(d)}, '
-        f'"fidelity_of_guess": {_json_float(f)}, {tail}'
+        f'"fidelity_of_guess": {encode(f)}, {tail}'
         for b, d, f in games
     ]
 

@@ -132,7 +132,7 @@ class _Hashed(np.random.bit_generator.ISpawnableSeedSequence):
         self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, np.dtype(dtype)) == (4, np.uint64):
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self.words
         return self.real.generate_state(n_words, dtype)
 
@@ -437,8 +437,8 @@ def _complement_rows(bases: np.ndarray, rngs) -> np.ndarray:
     ``(T, r, D)`` stack, bit for bit, with ``np.vdot``'s projections on the stack;
     a short residual is redrawn by that call on its own stream, as its loop would."""
     v = _haar_rows(bases.shape[2], rngs)
-    for e in bases.transpose(1, 0, 2):
-        v -= _row_dots(e.conj(), v)[:, np.newaxis] * e
+    for e, e_conj in zip(bases.transpose(1, 0, 2), bases.conj().transpose(1, 0, 2)):
+        v -= _row_dots(e_conj, v)[:, np.newaxis] * e
     norm = _norms(v)
     for t in np.flatnonzero(~(norm > 1e-6)):  # the redraw comes normalised
         v[t], norm[t] = _complement_vector(bases[t], bases.shape[2], rngs[t]), 1.0
@@ -460,11 +460,14 @@ def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_rows(dim: int, rngs) -> np.ndarray:
     """``_haar_vector(dim, rng)`` of each stream, bit for bit, as ``(T, D)`` rows:
-    one ``standard_normal(2D)`` call per stream, then arithmetic on the stack."""
+    one ``standard_normal(2D)`` call per stream, its halves the parts of one complex
+    stack (``re + 1j * im``'s bits on nonzero parts), then arithmetic on the stack."""
     raw = np.empty((len(rngs), 2 * dim))
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
-    return _normalised(raw[:, :dim] + 1j * raw[:, dim:])
+    z = np.empty((len(rngs), dim), dtype=np.complex128)
+    z.real, z.imag = raw[:, :dim], raw[:, dim:]
+    return _normalised(z)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
@@ -491,9 +494,12 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
     Entry ``t`` is distributed as the first ``k <= D`` columns of a Haar
     unitary.  Overwrites ``z``.  One ``np.linalg.qr`` and one phase fix run
     over the whole stack; LAPACK factors each matrix of it on its own, so
-    entry ``t`` is bit for bit the isometry of draw ``t`` alone.
+    entry ``t`` is bit for bit the isometry of draw ``t`` alone.  The float view
+    times ``1/sqrt(2)`` is ``z / np.sqrt(2.0)``, whose complex loop scales ``a + b*0``
+    by ``1/c``, bit for bit on nonzero parts (an exact ±0 part may change sign).
     """
-    z /= np.sqrt(2.0)
+    parts = z.view(np.float64)
+    parts *= 1.0 / np.sqrt(2.0)
     # a lone matrix is factored unstacked: at D=64 a stack of one made each
     # haar_unitary call 7% slower, for the same bits
     q, r = np.linalg.qr(z[0] if len(z) == 1 else z)

@@ -33,7 +33,6 @@ from qpuflab.emulator import run_full, run_stage1
 from qpuflab.numerics import (
     _complement_vector,
     _ginibre,
-    _haar_qr,
     _haar_vector,
     _unchecked,
     span_projector,
@@ -41,12 +40,22 @@ from qpuflab.numerics import (
 from qpuflab.verify import _check_inputs, _log_margin, _report
 
 
+def haar_isometry(z):
+    """The Haar isometry of one complex Gaussian ``(D, k)`` draw by Mezzadri's
+    recipe (math-ph/0609050), one matrix at a time and not the library's
+    stacked rule: ``z / np.sqrt(2.0)``, its QR, and each column of Q times the
+    phase of R's diagonal entry."""
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def device_block(dim, k, rng):
     """One game's ``(D, k)`` device block from its own stream alone: the
     stream's first draw seeds a generator, ``_ginibre`` draws its real and its
-    imaginary parts in two calls, and ``_haar_qr`` factors that one matrix."""
+    imaginary parts in two calls, and :func:`haar_isometry` factors them."""
     seed = int(rng.integers(0, 2**63))
-    return _haar_qr(_ginibre(dim, np.random.default_rng(seed), k)[np.newaxis])[0]
+    return haar_isometry(_ginibre(dim, np.random.default_rng(seed), k))
 
 
 class SubspaceOracle(SubspaceAdversary):

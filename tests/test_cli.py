@@ -393,6 +393,25 @@ class TestTranscriptLines:
         with pytest.raises(AssertionError, match="Transcript"):
             run_game(self.CONFIGS[1], SubspaceAdversary(3))  # the refusal is live
 
+    def test_only_a_column_with_a_non_finite_value_encodes_value_by_value(self, monkeypatch):
+        # an all-finite column is written by float.__repr__ alone; one NaN
+        # among finite games sends its column back to the per-value rule
+        cfg, calls, encode = self.CONFIGS[1], [], cli._json_float
+        monkeypatch.setattr(cli, "_json_float", lambda x: calls.append(x) or encode(x))
+        finite = [0.25, 1.0 - 2.0**-53, 0.1 + 0.2]
+        for fidelities, per_value in ((finite, 0), ([*finite, float("nan")], 4)):
+            played = [Transcript((), 3, None, 1, f) for f in fidelities]
+            columns = WinRateEstimate(
+                0.0, 0.0, 0, len(played),
+                outcomes=np.ones(len(played), dtype=np.int64),
+                fidelities=np.array(fidelities),
+                d_spanned=np.full(len(played), 3, dtype=np.int64),
+            )
+            want = [json.dumps(transcript_record(cfg, t), sort_keys=True) for t in played]
+            assert cli._transcript_lines(cfg, columns) == want
+            assert len(calls) == per_value
+            calls.clear()
+
     def test_no_json_call_per_game(self, tmp_path, monkeypatch):
         calls, dumps = [], json.dumps
         monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(1) or dumps(*a, **kw))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qpuflab import numerics
 from qpuflab import (
     DensityMatrix,
@@ -433,9 +434,7 @@ class TestHaarVector:
 def ginibre_qr_reference(dim, rng):
     """The one-matrix Ginibre-QR-phase construction, unstacked."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return oracles.haar_isometry(z)
 
 
 class TestStackedHaarDraw:
@@ -446,6 +445,17 @@ class TestStackedHaarDraw:
             want = ginibre_qr_reference(dim, np.random.default_rng(child))
             got = haar_unitary(dim, np.random.default_rng(child)).matrix
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3, 14])
+    @pytest.mark.parametrize("dim, cols", [(2, 1), (8, 3), (16, 5), (64, 9), (64, 64)])
+    def test_isometry_stack_is_the_per_matrix_recipe(self, dim, cols, count):
+        # the stack's 1/sqrt(2) scale, QR and phase fix, matrix by matrix as
+        # the oracle divides, factors and fixes one draw; a lone draw is
+        # factored unstacked and a chunk of 14 is the (8, 6) cell's
+        rng = np.random.default_rng([SEED, dim, cols, count])
+        draws = np.array([numerics._ginibre(dim, rng, cols) for _ in range(count)])
+        want = [oracles.haar_isometry(z).tobytes() for z in draws]
+        assert [u.tobytes() for u in numerics._haar_qr(draws)] == want
 
     @pytest.mark.parametrize("dim, cols", [(4, 1), (8, 3), (16, 16), (64, 9)])
     def test_isometry_stack_is_each_block_alone(self, dim, cols):

@@ -132,11 +132,12 @@ GAME_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 @st.composite
-def subspace_games(draw):
-    """A ``qsel`` config on 1 to 4 qubits and a subspace dimension within it
-    and within the budget, under an ideal test or a swap test of up to 5 copies."""
-    qubits = draw(st.integers(1, 4))
-    d = draw(st.integers(0, 2**qubits))
+def subspace_games(draw, qubits=(1, 4), most_d=None):
+    """A ``qsel`` config on 1 to 4 qubits (or ``qubits``) and a subspace
+    dimension within it, within ``most_d`` if given and within the budget,
+    under an ideal test or a swap test of up to 5 copies."""
+    qubits = draw(st.integers(*qubits))
+    d = draw(st.integers(0, min(2**qubits, most_d or 2**qubits)))
     budget = draw(st.integers(d, min(d + 3, 4 * qubits**2)))
     if draw(st.booleans()):
         test = TestConfig(kind="ideal", delta=draw(st.floats(0.0, 1.0, exclude_min=True)))
@@ -193,6 +194,26 @@ def test_subspace_chunks_replay_the_per_game_oracle(game, trials, chunk, columns
     cfg, d = game
     est = _estimate(cfg, lambda: SubspaceAdversary(d), trials, chunk, columns)
     _assert_replays(est, _oracle_loop(cfg, lambda: SubspaceOracle(d), trials), columns)
+
+
+# the selective benchmark's (d, n) = (8, 6) cell, past one default chunk of 14
+BENCHMARK_CELL = GameConfig(
+    mode="qsel", gen=QPufGenParams(qubits=6, seed=0),
+    test=TestConfig(kind="ideal", delta=0.5), learning_budget=8, seed=71,
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(game=subspace_games(qubits=(5, 6), most_d=8), trials=st.integers(1, 7))
+@example(game=(BENCHMARK_CELL, 8), trials=16)
+def test_subspace_chunks_replay_the_per_game_oracle_at_benchmark_size(game, trials):
+    # the selective benchmark's largest registers (D = 32 and 64, d <= 8) in
+    # chunks of 1 and 3 devices and the default, each with its columns
+    cfg, d = game
+    loop = _oracle_loop(cfg, lambda: SubspaceOracle(d), trials)
+    for chunk in (1, 3, None):
+        est = _estimate(cfg, lambda: SubspaceAdversary(d), trials, chunk, True)
+        _assert_replays(est, loop, True)
 
 
 class _LoneSubspace(SubspaceAdversary):
