@@ -73,7 +73,6 @@ from .games import (
     estimate_win_rate,
     mu_check,
     run_game,
-    transcript_record,
 )
 from .adversaries import (
     ForgerPlan,
@@ -162,7 +161,6 @@ __all__ = [
     "mu_check",
     "run_game",
     "estimate_win_rate",
-    "transcript_record",
     # adversaries
     "ForgerPlan",
     "ForgeryReport",

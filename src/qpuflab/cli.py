@@ -204,10 +204,10 @@ def _game_adversary(args: argparse.Namespace) -> tuple[str, Callable, int]:
 
 
 def _transcript_lines(cfg: GameConfig, estimate: WinRateEstimate) -> list[str]:
-    """``json.dumps(transcript_record(cfg, t), sort_keys=True)`` for each game,
-    from the estimate's columns and one template: ``k``, ``mode`` and ``n`` are
-    encoded once, and each game writes only ``b``, ``d_spanned`` and
-    ``fidelity_of_guess`` (the keys that sort first) as json does: by
+    """One line per game: ``b``, ``d_spanned`` and ``fidelity_of_guess``, then ``k``,
+    ``mode`` and ``n``, keys sorted as ``json.dumps(..., sort_keys=True)`` writes
+    them, from the estimate's columns and one template: ``k``, ``mode`` and ``n``
+    are encoded once, and each game's values are written as json does: by
     ``int.__repr__`` and ``float.__repr__`` of the columns' Python values, and
     ``NaN`` and ``±Infinity`` by json itself, value by value where a column has one."""
     encode = float.__repr__ if np.isfinite(estimate.fidelities).all() else _json_float

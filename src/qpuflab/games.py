@@ -135,11 +135,6 @@ def _images(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (blocks @ coeffs[..., None])[..., 0]
 
 
-def _devices(cfg: "GameConfig", rngs: list[np.random.Generator]) -> list[_LazyDevice]:
-    """One lazy device per game stream, on its block from ``_blocks``."""
-    return [_LazyDevice(w) for w in _blocks(cfg, rngs)]
-
-
 def _blocks(cfg: "GameConfig", rngs: list[np.random.Generator]) -> np.ndarray:
     """The ``(T, D, k)`` device blocks of a chunk of game streams: each stream's
     first draw seeds one ``standard_normal(2Dk)`` call, a ``(D, k)`` Ginibre
@@ -277,7 +272,7 @@ def run_game(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return _play(cfg, adversary, _devices(cfg, [rng])[0], rng)
+    return _play(cfg, adversary, _LazyDevice(_blocks(cfg, [rng])[0]), rng)
 
 
 #: bit generators whose ``random_raw`` is their ``next_uint64``
@@ -439,7 +434,7 @@ def estimate_win_rate(
         if form is not None and form.mode == cfg.mode:
             accepted, fidelities, d = _play_chunk(cfg, form, _blocks(cfg, rngs), rngs)
         else:
-            devices = _devices(cfg, rngs)
+            devices = [_LazyDevice(w) for w in _blocks(cfg, rngs)]
             played = [_play(cfg, *game) for game in zip(adversaries, devices, rngs)]
             accepted, fidelities, d = zip(
                 *[(t.outcome_b, t.fidelity_of_guess, t.d_spanned) for t in played]
@@ -451,15 +446,3 @@ def estimate_win_rate(
     rate = wins / trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
     return WinRateEstimate(win_rate=rate, stderr=stderr, wins=wins, trials=trials, **cols)
-
-
-def transcript_record(cfg: GameConfig, transcript: Transcript) -> dict:
-    """Flat JSON-ready summary of one game (states omitted)."""
-    return {
-        "mode": cfg.mode,
-        "n": cfg.gen.qubits,
-        "k": cfg.learning_budget,
-        "d_spanned": transcript.d_spanned,
-        "b": transcript.outcome_b,
-        "fidelity_of_guess": transcript.fidelity_of_guess,
-    }

@@ -274,10 +274,6 @@ class Projector:
             raise InvalidQuantumObject(f"rows not orthonormal (deviation {dev:.3e})")
 
     @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
@@ -433,15 +429,15 @@ def _complement_vector(basis, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _complement_rows(bases: np.ndarray, rngs) -> np.ndarray:
-    """``_complement_vector(bases[t], D, rngs[t])`` of each ``(r, D)`` basis of a
-    ``(T, r, D)`` stack, bit for bit, with ``np.vdot``'s projections on the stack;
-    a short residual is redrawn by that call on its own stream, as its loop would."""
+    """The one-vector complement draw above, on each ``(r, D)`` basis of a
+    ``(T, r, D)`` stack and its stream, bit for bit, with ``np.vdot``'s projections
+    on the stack; a short residual is redrawn by this call on its basis and stream alone."""
     v = _haar_rows(bases.shape[2], rngs)
     for e, e_conj in zip(bases.transpose(1, 0, 2), bases.conj().transpose(1, 0, 2)):
         v -= _row_dots(e_conj, v)[:, np.newaxis] * e
     norm = _norms(v)
     for t in np.flatnonzero(~(norm > 1e-6)):  # the redraw comes normalised
-        v[t], norm[t] = _complement_vector(bases[t], bases.shape[2], rngs[t]), 1.0
+        v[t], norm[t] = _complement_rows(bases[t:t + 1], rngs[t:t + 1])[0], 1.0
     return v / norm[:, np.newaxis]
 
 

@@ -58,6 +58,20 @@ def device_block(dim, k, rng):
     return haar_isometry(_ginibre(dim, np.random.default_rng(seed), k))
 
 
+def transcript_record(cfg, transcript):
+    """One game's ``game`` line as a dict, from its config and its transcript:
+    ``json.dumps(transcript_record(cfg, t), sort_keys=True)`` is the line the
+    CLI writes for it."""
+    return {
+        "mode": cfg.mode,
+        "n": cfg.gen.qubits,
+        "k": cfg.learning_budget,
+        "d_spanned": transcript.d_spanned,
+        "b": transcript.outcome_b,
+        "fidelity_of_guess": transcript.fidelity_of_guess,
+    }
+
+
 class SubspaceOracle(SubspaceAdversary):
     """``SubspaceAdversary`` whose guess is one game's loop over the learned
     basis, with ``np.vdot`` overlaps, instead of the library's chunk kernel.

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import transcript_record
 import qpuflab
 from qpuflab import GameConfig, QeForger, QPufGenParams, StateVector, SubspaceAdversary
 from qpuflab import TestConfig, Transcript, WinRateEstimate, cli, games, run_game
-from qpuflab import transcript_record
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import ForgerOracle, SubspaceOracle, device_block
+from oracles import ForgerOracle, SubspaceOracle, device_block, transcript_record
 import qpuflab
 from qpuflab import adversaries, emulator, games, numerics
 from qpuflab import (
@@ -42,7 +42,6 @@ from qpuflab import (
     haar_state,
     mu_check,
     run_game,
-    transcript_record,
 )
 from qpuflab.numerics import span_projector
 
@@ -347,8 +346,8 @@ def alternating(params, cls=SubspaceAdversary):
 
 def lazy_devices(cfg, count, seed=SEED):
     """``count`` game devices of ``cfg``, drawn as ``estimate_win_rate`` draws them."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return games._devices(cfg, [np.random.default_rng(c) for c in children])
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
+    return [games._LazyDevice(w) for w in games._blocks(cfg, rngs)]
 
 
 def hoeffding(trials, width, alpha=1e-6):
@@ -414,7 +413,7 @@ class TestLazyDevice:
                 queries = (first, StateVector(near / np.linalg.norm(near)))
                 for q in queries:
                     device(q)
-                assert device.rank == span_projector(queries).rank
+                assert device.rank == len(span_projector(queries).basis)
                 ranks.add(device.rank)
         assert ranks == {1, 2}
 
@@ -515,7 +514,7 @@ class TestWinRateEstimate:
         for d, child in zip(est.d_spanned.tolist(), children, strict=True):
             t = run_game(cfg, factory(), np.random.default_rng(child))
             assert len(t.queries) == 2
-            assert d == t.d_spanned == span_projector(t.queries).rank == want
+            assert d == t.d_spanned == len(span_projector(t.queries).basis) == want
 
     @pytest.mark.parametrize(
         "cfg, factory, trials, oracle",
@@ -970,70 +969,85 @@ def column_bits(est):
 class TestSubspaceComplement:
     """The rare branches of the chunk guess's complement draw against
     ``SubspaceOracle`` in ``run_game``, in transcript bits and in the state of
-    every game's stream.  Game ``TARGET`` of three takes the branch."""
+    every game's stream.  Game ``TARGET`` of three takes the branch, unless a
+    test names others."""
 
     TARGET = 1
 
     def play(self, cfg, d, plant_chunk=None, plant_oracle=None):
-        """Plays the games both ways; a ``plant_*(monkeypatch, rng)`` hook
-        patches one way with the target game's stream in hand."""
+        """Plays the games both ways; a ``plant_*(monkeypatch, streams)`` hook
+        patches one way with the three games' streams in hand."""
         children = np.random.SeedSequence(cfg.seed).spawn(3)
         rngs = [np.random.default_rng(c) for c in children]
         twins = [np.random.default_rng(c) for c in children]
         form = SubspaceAdversary(d)._chunk_form
         with pytest.MonkeyPatch.context() as patch:
             if plant_chunk is not None:
-                plant_chunk(patch, rngs[self.TARGET])
+                plant_chunk(patch, rngs)
             accepted, fidelities, d_spanned = games._play_chunk(
                 cfg, form, games._blocks(cfg, rngs), rngs
             )
         with pytest.MonkeyPatch.context() as patch:
             if plant_oracle is not None:
-                plant_oracle(patch, twins[self.TARGET])
+                plant_oracle(patch, twins)
             loop = [run_game(cfg, SubspaceOracle(d), twin) for twin in twins]
         played = [(int(b), d_spanned, f.hex()) for b, f in zip(accepted, fidelities)]
         assert played == [game_bits(t) for t in loop]
         for rng, twin in zip(rngs, twins):
             assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_short_residual_redraws_on_its_own_stream(self):
-        # the target's first complement draw is replaced, after it is drawn,
-        # by its device's image of e_0, whose residual is round-off; both
-        # ways must then redraw from that game's stream, and only from it
+    @pytest.mark.parametrize("short", [{TARGET: 1}, {0: 1, 2: 2}], ids=["one", "nested"])
+    def test_short_residual_redraws_on_its_own_stream(self, short):
+        # game g's first short[g] complement draws are replaced, after they are
+        # drawn, by its device's image of e_0, whose residual is round-off; both
+        # ways must then redraw from that game's stream, and only from it, until
+        # a draw leaves a residual: "nested" has a short redraw in one game and
+        # a short first draw in another in the same chunk
         cfg = dataclasses.replace(sel_config(qubits=3, budget=2), test=SWAP5)
-        child = np.random.SeedSequence(cfg.seed).spawn(3)[self.TARGET]
-        image = games._blocks(cfg, [np.random.default_rng(child)])[0][:, 0]
-        redraws, target_draws = [], []
+        children = np.random.SeedSequence(cfg.seed).spawn(3)
+        blocks = games._blocks(cfg, [np.random.default_rng(c) for c in children])
+        images = {g: blocks[g][:, 0] for g in short}
+        redraws, oracle_draws = [], [0, 0, 0]
 
-        def plant_chunk(patch, target):
-            def first_draws(dim, rngs):
+        def game_of(streams, rng):
+            return next(g for g, stream in enumerate(streams) if stream is rng)
+
+        def plant_chunk(patch, streams):
+            planted = [0, 0, 0]
+
+            def draws(dim, rngs):
                 rows = real_rows(dim, rngs)
-                rows[[i for i, rng in enumerate(rngs) if rng is target]] = image
+                for i, rng in enumerate(rngs):
+                    g = game_of(streams, rng)
+                    if planted[g] < short.get(g, 0):
+                        planted[g] += 1
+                        rows[i] = images[g]
                 return rows
 
-            def redraw(basis, dim, rng):
-                redraws.append(rng is target)
-                return real_redraw(basis, dim, rng)
+            def redraw(bases, rngs):
+                redraws.append([game_of(streams, rng) for rng in rngs])
+                return real_redraw(bases, rngs)
 
-            real_rows, real_redraw = numerics._haar_rows, numerics._complement_vector
-            patch.setattr(numerics, "_haar_rows", first_draws)
-            patch.setattr(numerics, "_complement_vector", redraw)
+            real_rows, real_redraw = numerics._haar_rows, numerics._complement_rows
+            patch.setattr(numerics, "_haar_rows", draws)
+            # the chunk's own call goes through adversaries' name, its redraws
+            # through numerics'
+            patch.setattr(numerics, "_complement_rows", redraw)
 
-        def plant_oracle(patch, target):
-            # the target's draws: its challenge, its first complement, the redraw
+        def plant_oracle(patch, streams):
+            # a game's draws: its challenge, then its complements
             def draw(dim, rng):
                 v = real_draw(dim, rng)
-                if rng is not target:
-                    return v
-                target_draws.append(v)
-                return image.copy() if len(target_draws) == 2 else v
+                g = game_of(streams, rng)
+                oracle_draws[g] += 1
+                return images[g].copy() if 2 <= oracle_draws[g] <= 1 + short.get(g, 0) else v
 
             real_draw = numerics._haar_vector
             patch.setattr(numerics, "_haar_vector", draw)
 
         self.play(cfg, 2, plant_chunk, plant_oracle)
-        assert redraws == [True]
-        assert len(target_draws) == 3
+        assert redraws == [[g] for g in sorted(short) for _ in range(short[g])]
+        assert oracle_draws == [2 + short.get(g, 0) for g in range(3)]
 
     def test_challenge_in_the_learned_span_draws_no_complement(self):
         # the target's challenge becomes e_0 after it is drawn: no weight is
@@ -1042,7 +1056,9 @@ class TestSubspaceComplement:
         e0 = basis(8, 0)
         drawn = []
 
-        def plant_chunk(patch, target):
+        def plant_chunk(patch, streams):
+            target = streams[self.TARGET]
+
             def challenges(dim, rngs):
                 rows = real_rows(dim, rngs)
                 rows[[i for i, rng in enumerate(rngs) if rng is target]] = e0.amplitudes
@@ -1056,7 +1072,9 @@ class TestSubspaceComplement:
             patch.setattr(games, "_haar_rows", challenges)
             patch.setattr(numerics, "_haar_rows", complements)
 
-        def plant_oracle(patch, target):
+        def plant_oracle(patch, streams):
+            target = streams[self.TARGET]
+
             def challenge(dim, rng):
                 psi = real_state(dim, rng)
                 return e0 if rng is target else psi
@@ -1071,7 +1089,7 @@ class TestSubspaceComplement:
         # at d = D every challenge lies in the span
         drawn = []
 
-        def plant_chunk(patch, target):
+        def plant_chunk(patch, streams):
             def complements(dim, rngs):
                 drawn.extend(rngs)
                 return real_rows(dim, rngs)

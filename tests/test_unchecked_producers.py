@@ -138,7 +138,7 @@ class TestGames:
             learning_budget=4,
             seed=SEED,
         )
-        (device,) = games._devices(cfg, [rng])
+        device = games._LazyDevice(games._blocks(cfg, [rng])[0])
         states = [haar_state(dim, rng) for _ in range(min(dim, 3))]
         e1 = StateVector(subspace_rows(dim)[1])
         for psi in states + [adversaries._basis_state(dim, 0), states[0], e1]:
